@@ -44,7 +44,6 @@ from .pi import PIReport, pi_degree_scan, standard_polynomial, test_identity
 from .quotient import (
     CentralFraction,
     LaurentPoly,
-    RationalCentral,
     center_of_quotient_test,
     invert,
     regular_representation,

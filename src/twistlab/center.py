@@ -151,29 +151,17 @@ def kernel_lattice(ctx: RingContext) -> KernelLattice:
         raise IndependenceError(
             "kernel lattice requires an independence-certified context"
         )
-    cached = getattr(ctx, "_kernel_lattice", None)
-    if cached is not None:
-        return cached
+    if ctx._kernel_lattice is not None:
+        return ctx._kernel_lattice
     n, p, k = ctx.n, ctx.tower.p, ctx.k
     mod = p**k
     ts = ctx.action.truncations(k)
-    # Kernel of Z^(n+1) -> Z, (g, y) |-> sum(g_i t_i) + y*mod, projected to
-    # the first n coordinates: column-reduce the map row over an identity.
-    row = list(ts) + [mod]
-    width = n + 1
-    cols = [[row[j]] + [1 if i == j else 0 for i in range(width)] for j in range(width)]
-    while True:
-        live = [c for c in cols if c[0]]
-        if len(live) <= 1:
-            break
-        live.sort(key=lambda c: abs(c[0]))
-        base = live[0]
-        for c in live[1:]:
-            q = c[0] // base[0]
-            for i in range(width + 1):
-                c[i] -= q * base[i]
-    kernel_rows = [c[1 : n + 1] for c in cols if c[0] == 0]
-    basis = hnf(kernel_rows)
+    # The rows (t_i | e_i) and (mod | 0) generate {(sum(g_i t_i) + y*mod, g)};
+    # its HNF rows below the first have a zero first entry, so with that
+    # entry dropped they are the (unique) HNF of the kernel.
+    rows = [[t] + [1 if j == i else 0 for j in range(n)] for i, t in enumerate(ts)]
+    rows.append([mod] + [0] * n)
+    basis = [r[1:] for r in hnf(rows)[1:]]
     if len(basis) != n:
         raise InternalFaultError("kernel lattice does not have full rank")
     index = 1

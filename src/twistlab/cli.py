@@ -83,12 +83,50 @@ def _add_common(p: argparse.ArgumentParser, with_n=True, with_k=True):
     )
 
 
-def _apply_config_file(args, argv):
-    """Config-file values override parser defaults; explicit flags win."""
-    if not getattr(args, "config", None):
+def _config_value(action, value):
+    """A config-file value, checked and converted as its flag's argument.
+
+    null restores an option whose default is None; non-string values of
+    string options are taken as their JSON text (e.g. exponent lists).
+    """
+    if value is None and action.default is None and action.nargs != 0:
+        return None
+    if action.nargs == 0:  # on/off flags such as --allow-large
+        if isinstance(value, bool):
+            return value
+    elif action.type is int:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    else:
+        text = value if isinstance(value, str) else json.dumps(value)
+        if action.choices is None or text in action.choices:
+            return text
+    raise ValueError(
+        f"config value {value!r} is invalid for {action.option_strings[0]}"
+    )
+
+
+def _apply_config_file(args, argv, ap):
+    """Config-file values override parser defaults; explicit flags win.
+
+    Keys are the subcommand's own option names (k_max is read as kmax);
+    any other key, a mistyped value or a file that is not a JSON object is
+    a usage error.
+    """
+    if not args.config:
         return
     with open(args.config) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest: a for a in sub.choices[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     aliases = {"k_max": "kmax"}
     explicit = {
         tok[2:].split("=")[0].replace("-", "_")
@@ -97,17 +135,17 @@ def _apply_config_file(args, argv):
     }
     for key, value in data.items():
         key = aliases.get(key, key)
-        if key in explicit:
-            continue
-        if hasattr(args, key):
-            setattr(args, key, value)
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of {args.command}")
+        if key not in explicit:
+            setattr(args, key, _config_value(options[key], value))
 
 
 def _action(args, n=None) -> object:
     n = n if n is not None else args.n
     spec = getattr(args, "exponents", None)
     if spec:
-        positions = json.loads(spec) if isinstance(spec, str) else spec
+        positions = json.loads(spec)
         return ActionConfig(
             n, args.p, [PAdicExponent.from_positions(ps) for ps in positions]
         )
@@ -338,7 +376,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, ap)
         return args.func(args)
     except InternalFaultError as exc:
         sys.stderr.write(f"internal consistency fault: {exc}\n")

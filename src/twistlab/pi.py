@@ -109,6 +109,8 @@ def test_identity(ctx: RingContext, degree: int, trials: int, seed: int,
     """
     if degree % 2 != 0:
         raise ValueError("identity testing uses even degrees")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if degree > MAX_DEGREE:
         raise BudgetError(f"degree {degree} exceeds the budget {MAX_DEGREE}")
     rng = random.Random(seed)

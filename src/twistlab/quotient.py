@@ -4,10 +4,11 @@ The center of a level ring is a Laurent polynomial ring over GF(q) in n
 variables (one per kernel-lattice basis row), so the ring of fractions with
 central denominators realizes the quotient division ring.  Inversion goes
 through the regular representation: left multiplication by the numerator on
-the free center-module basis is a matrix over the center, and solving
-M v = e_1 by fraction-free (Bareiss) determinants produces an element s and
-a central w with r s = s r = w, hence (z s)/w inverts r/z.  Every inverse is
-verified by exact multiplication before it is returned.
+the free center-module basis is a matrix M over the center, and one
+fraction-free (Bareiss) solve of M v = e_1 gives det M and the adjugate
+column together.  They make an element s and a central w with r s = s r = w,
+hence (z s)/w inverts r/z.  Every inverse is verified by exact
+multiplication before it is returned.
 
 A singular representation matrix for a nonzero element would falsify the
 construction; it aborts loudly rather than being handled.
@@ -15,7 +16,6 @@ construction; it aborts loudly rather than being handled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .center import (
@@ -186,70 +186,60 @@ def laurent_to_central(poly: LaurentPoly, ctx: RingContext,
     return RingElement(ctx, terms)
 
 
-@dataclass(frozen=True)
-class RationalCentral:
-    """A ratio of Laurent polynomials over GF(q); denominators nonzero.
+def bareiss_solve(matrix, rhs=None):
+    """Fraction-free solve of M x = rhs over the Laurent ring (Bareiss 1968).
 
-    Equality is by cross-multiplication; gcd reduction is deliberately not
-    attempted, only monomial-content and leading-coefficient normalization.
-    """
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def __post_init__(self):
-        if self.den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalCentral)
-            and (self.num * other.den) == (other.num * self.den)
-        )
-
-    def normalized(self) -> "RationalCentral":
-        """Clear the denominator's monomial content and make it monic in the
-        lexicographic leading coefficient."""
-        content = self.den.min_exponents()
-        shift = tuple(-v for v in content)
-        den = self.den.shift(shift)
-        num = self.num.shift(shift)
-        _, lead = den.leading()
-        inv = den.field.inv(lead)
-        return RationalCentral(num.scale(inv), den.scale(inv))
-
-
-def bareiss_determinant(matrix) -> LaurentPoly:
-    """Fraction-free determinant of a square LaurentPoly matrix.
-
-    Single-step Bareiss elimination with row pivoting: every division by the
-    previous pivot is exact over the polynomial ring.
+    Single-step Bareiss elimination with row pivoting on [M | rhs], then
+    fraction-free back-substitution.  Returns (det M, N) with M N = det * rhs,
+    so N is the adjugate of M times rhs.  Every division goes through
+    exact_div and is exact over the polynomial ring.  N is None when there is
+    no right-hand side or M is singular.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     field = matrix[0][0].field
     nvars = matrix[0][0].nvars
-    m = [[matrix[i][j] for j in range(n)] for i in range(n)]
+    zero = LaurentPoly.zero(field, nvars)
+    m = [list(row) + ([] if rhs is None else [rhs[i]])
+         for i, row in enumerate(matrix)]
+    width = len(m[0])
     sign = 1
     prev = LaurentPoly.constant(field, nvars, 1)
     for i in range(n - 1):
         pivot_row = next((r for r in range(i, n) if not m[r][i].is_zero()), None)
         if pivot_row is None:
-            return LaurentPoly.zero(field, nvars)
+            return zero, None
         if pivot_row != i:
             m[i], m[pivot_row] = m[pivot_row], m[i]
             sign = -sign
         for r in range(i + 1, n):
-            for c in range(i + 1, n):
+            for c in range(i + 1, width):
                 num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
                 m[r][c] = num.exact_div(prev)
-            m[r][i] = LaurentPoly.zero(field, nvars)
+            m[r][i] = zero
         prev = m[i][i]
     det = m[n - 1][n - 1]
+    sol = None
+    if rhs is not None and not det.is_zero():
+        # the last eliminated entry is already det * x_(n-1) (a Cramer minor);
+        # above it, U_ii * (det x_i) = det * y_i - sum_(j>i) U_ij * (det x_j)
+        sol = [None] * (n - 1) + [m[n - 1][n]]
+        for i in range(n - 2, -1, -1):
+            acc = det * m[i][n]
+            for j in range(i + 1, n):
+                acc = acc - m[i][j] * sol[j]
+            sol[i] = acc.exact_div(m[i][i])
     if sign < 0:
         det = -det
-    return det
+        if sol is not None:
+            sol = [-v for v in sol]
+    return det, sol
+
+
+def bareiss_determinant(matrix) -> LaurentPoly:
+    """Fraction-free determinant of a square LaurentPoly matrix."""
+    return bareiss_solve(matrix)[0]
 
 
 def regular_representation(r: RingElement, basis: FreeBasis,
@@ -362,13 +352,15 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice,
     basis = free_basis(ctx, lattice)
     mat = regular_representation(s, basis, lattice)
     lmat = [[central_to_laurent(entry, lattice) for entry in row] for row in mat]
-    det = bareiss_determinant(lmat)
+    field, nvars = lmat[0][0].field, lmat[0][0].nvars
+    e1 = [LaurentPoly.constant(field, nvars, 1)]
+    e1 += [LaurentPoly.zero(field, nvars)] * (len(lmat) - 1)
+    det, adj_coords = bareiss_solve(lmat, e1)
     if det.is_zero():
         raise InternalFaultError(
             "regular representation of a nonzero element is singular; "
             "this falsifies the construction"
         )
-    adj_coords = _cramer_column(lmat, det)
     s_prime = None
     for coord, b in zip(adj_coords, basis.elements):
         piece = laurent_to_central(coord, ctx, lattice) * b
@@ -377,26 +369,6 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice,
     if s * s_prime != w or s_prime * s != w:
         raise InternalFaultError("central multiple verification failed")
     return s_prime, w
-
-
-def _cramer_column(lmat, det) -> list:
-    """Solve M v = e_1 by Cramer determinants, scaled by det: returns the
-    integral column N with M N = det * e_1."""
-    n = len(lmat)
-    out = []
-    for j in range(n):
-        replaced = [
-            [
-                (LaurentPoly.constant(det.field, det.nvars, 1) if a == 0
-                 else LaurentPoly.zero(det.field, det.nvars))
-                if b == j
-                else lmat[a][b]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        out.append(bareiss_determinant(replaced))
-    return out
 
 
 def _guard_size(ctx: RingContext, allow_large: bool):

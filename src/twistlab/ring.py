@@ -46,6 +46,7 @@ class RingContext:
         self.cert_level = least_certified_level(action, cert_bound) if certify else None
         self._exp_cache = {}
         self._lifted = {}
+        self._kernel_lattice = None  # filled by center.kernel_lattice
 
     def word_exponent(self, word) -> int:
         e = self._exp_cache.get(word)

@@ -47,12 +47,16 @@ class TowerConfig:
         factor_prime_power(self.q)  # raises if not a prime power
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        top = self.q ** (self.p**self.k_max)
-        if top > budget:
-            raise BudgetError(
-                f"top field order q^(p^k_max) = {self.q}^{self.p**self.k_max}"
-                f" exceeds the budget {budget}"
-            )
+        # raise the order one level at a time and stop at the first level
+        # past the budget, so a huge k_max is refused without big integers
+        order = self.q
+        for m in range(1, self.k_max + 1):
+            order **= self.p
+            if order > budget:
+                raise BudgetError(
+                    f"field order {self.q}^({self.p}^{m}) at level {m} "
+                    f"(k_max {self.k_max}) exceeds the budget {budget}"
+                )
 
 
 class FieldElement:

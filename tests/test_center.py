@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twistlab.action import ActionConfig, PAdicExponent
+from twistlab.action import ActionConfig, PAdicExponent, action_exponent
 from twistlab.center import (
     decompose_over_center,
     free_basis,
@@ -14,6 +16,7 @@ from twistlab.center import (
 )
 from twistlab.errors import IndependenceError
 from twistlab.ring import RingContext, RingElement
+from twistlab.tower import TowerConfig, build_tower
 
 
 def test_hnf_examples():
@@ -111,6 +114,51 @@ def test_kernel_index_is_p_to_k(tower223, action_n2):
     for k in (1, 2, 3):
         ctx = RingContext(tower223, action_n2, k)
         assert kernel_lattice(ctx).index == 2**k
+
+
+def column_reduction_kernel(ts, mod):
+    """Kernel basis by column-reducing the map row (t | mod) over an
+    identity, then taking the HNF: an independent route to the lattice."""
+    n = len(ts)
+    row = list(ts) + [mod]
+    width = n + 1
+    cols = [[row[j]] + [1 if i == j else 0 for i in range(width)] for j in range(width)]
+    while True:
+        live = [c for c in cols if c[0]]
+        if len(live) <= 1:
+            break
+        live.sort(key=lambda c: abs(c[0]))
+        base = live[0]
+        for c in live[1:]:
+            q = c[0] // base[0]
+            for i in range(width + 1):
+                c[i] -= q * base[i]
+    return tuple(tuple(r) for r in hnf([c[1 : n + 1] for c in cols if c[0] == 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p_k=st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+    positions=st.lists(
+        st.sets(st.integers(min_value=0, max_value=7), min_size=1), max_size=3
+    ),
+)
+def test_kernel_lattice_equals_column_reduction_oracle(p_k, positions):
+    p, k = p_k
+    exponents = [PAdicExponent.one()]
+    exponents += [PAdicExponent.from_positions(ps) for ps in positions]
+    action = ActionConfig(len(exponents), p, exponents)
+    try:
+        ctx = RingContext(build_tower(TowerConfig(p, 2, max(k, 1))), action, k,
+                          cert_bound=1)
+    except IndependenceError:
+        assume(False)
+    lat = kernel_lattice(ctx)
+    assert lat.basis == column_reduction_kernel(action.truncations(k), p**k)
+    assert lat.index == p**k
+    for row in lat.basis:
+        assert action_exponent(action, row, k) == 0
+    assert kernel_lattice(ctx) is lat
 
 
 def test_kernel_refuses_without_certification(tower223, action_n2):

@@ -144,6 +144,69 @@ def test_config_file_supplies_defaults(tmp_path):
     assert json.loads(text)["result"]["index"] == 4
 
 
+@pytest.mark.parametrize("config", [
+    {"func": 1},
+    {"command": "tower"},
+    {"config": "other.json"},
+    {"help": True},
+    {"not_an_option": 3},
+    {"n": "two"},
+    {"n": 2.5},
+    {"n": True},
+    {"n": [2]},
+    {"format": "xml"},
+    {"element": "1 + x1"},  # an option of other subcommands only
+    [1, 2],
+    "center",
+    3,
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run(tmp_path, "center", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unparsable_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    code, _ = run(tmp_path, "center", "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_values_are_coerced_like_flags(tmp_path):
+    # a report's own config block is a valid config file: string integers
+    # are converted, null keeps a None default, lists become JSON text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n": "2", "k": 2, "kmax": None, "den": None,
+        "exponents": [[0], [0, 9]], "allow_large": False, "format": "json",
+    }))
+    code, text = run(tmp_path, "invert", "--config", str(cfg), "--element", "1 + x1")
+    assert code == 0
+    data = json.loads(text)
+    assert data["config"]["n"] == 2 and data["config"]["kmax"] is None
+    assert data["result"]["verification_product_equals_one"] is True
+
+
+def test_huge_kmax_is_refused_before_any_work(tmp_path):
+    code, _ = run(tmp_path, "tower", "--kmax", "1000000000")
+    assert code == 2
+    code, _ = run(tmp_path, "center", "--kmax", "1000000000")
+    assert code == 2
+
+
+def test_pi_test_zero_trials_exits_2(tmp_path, capsys):
+    code, text = run(
+        tmp_path, "pi-test", "--k", "1", "--degree", "4", "--trials", "0",
+    )
+    assert code == 2 and text == ""
+    assert "vanished" not in capsys.readouterr().err
+
+
 def test_explicit_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2}))
@@ -162,13 +225,21 @@ def test_reports_embed_version_and_seed(tmp_path):
 
 
 def test_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import twistlab
+
+    # the child must import the same package, also when pytest alone put
+    # src/ on the path
+    src = str(Path(twistlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "twistlab.cli", "center", "--p", "2", "--q", "2",
          "--n", "1", "--k", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == 2

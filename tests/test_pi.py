@@ -75,6 +75,12 @@ def test_budget_guards():
         run_identity_trials(ctx, 3, 1, seed=0)
 
 
+def test_zero_trials_are_refused_not_reported_as_evidence(ctx_n2_k1):
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_identity_trials(ctx_n2_k1, 4, trials, seed=0)
+
+
 def test_degree_four_vanishes_at_level_one(ctx_n2_k1):
     report = run_identity_trials(ctx_n2_k1, 4, 300, seed=7)
     assert report.vanish_count == report.trials == 300

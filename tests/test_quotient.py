@@ -4,10 +4,12 @@ import pytest
 
 from twistlab.center import free_basis, is_central_structural, kernel_lattice
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
+from twistlab.fields import BaseField
 from twistlab.quotient import (
     CentralFraction,
     LaurentPoly,
     bareiss_determinant,
+    bareiss_solve,
     center_of_quotient_test,
     central_to_laurent,
     invert,
@@ -61,25 +63,6 @@ def test_laurent_inexact_division_raises(ctx_n2_k1):
         )
 
 
-def test_rational_central_normalization(ctx_n2_k1):
-    from twistlab.quotient import RationalCentral
-
-    rng = random.Random(8)
-    field = ctx_n2_k1.level.base
-    for _ in range(100):
-        num = random_laurent(rng, field, 2)
-        den = random_laurent(rng, field, 2)
-        if den.is_zero():
-            continue
-        f = RationalCentral(num, den)
-        g = f.normalized()
-        assert g == f
-        assert g.den.min_exponents() == (0, 0)
-        assert g.den.leading()[1] == 1
-    with pytest.raises(ZeroDivisionError):
-        RationalCentral(num, LaurentPoly.zero(field, 2))
-
-
 def test_bareiss_determinant_small_cases(ctx_n2_k1):
     field = ctx_n2_k1.level.base
     one = LaurentPoly.constant(field, 1, 1)
@@ -112,6 +95,115 @@ def test_bareiss_matches_cofactor_expansion(ctx_n2_k1):
             for _ in range(3)
         ]
         assert bareiss_determinant(mat) == cofactor_det(mat)
+
+
+def random_matrix(rng, field, nvars, size):
+    """A small Laurent matrix; some are singular, some need a row swap."""
+    mat = [
+        [random_laurent(rng, field, nvars, terms=rng.randint(0, 2), span=2)
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+    shape = rng.randrange(4)
+    if shape == 0 and size > 1:
+        # a zero leading entry forces a row swap at the first step
+        mat[0][0] = LaurentPoly.zero(field, nvars)
+    elif shape == 1 and size > 1:
+        # a row that is a monomial multiple of another: singular
+        mono = LaurentPoly(field, nvars, {(1,) * nvars: rng.randrange(1, field.q)})
+        mat[-1] = [mono * e for e in mat[0]]
+    return mat
+
+
+def cramer_reference(mat, rhs):
+    """N_j = det(M with column j replaced by rhs), as the solve promises."""
+    n = len(mat)
+    return [
+        bareiss_determinant(
+            [[rhs[a] if b == j else mat[a][b] for b in range(n)] for a in range(n)]
+        )
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_bareiss_determinant_matches_sympy(q):
+    # independent oracle: sympy's determinant over Z[u], reduced mod q, of the
+    # matrix with each row's negative exponents cleared by a monomial factor
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20 + q)
+    field = BaseField(q)
+    for case in range(40):
+        nvars = 1 + case % 2
+        size = 1 + case % 5
+        mat = random_matrix(rng, field, nvars, size)
+        gens = sympy.symbols(f"u1:{nvars + 1}")
+        shifts = [tuple(-v for v in LaurentPoly(field, nvars, {
+            e: 1 for entry in row for e in entry.terms}).min_exponents())
+            for row in mat]
+        cleared = [[entry.shift(sh) for entry in row] for row, sh in zip(mat, shifts)]
+
+        def to_expr(poly):
+            out = 0
+            for e, c in poly.terms.items():
+                mono = c
+                for g, a in zip(gens, e):
+                    mono = mono * g**a
+                out += mono
+            return out
+
+        expected = sympy.Matrix(
+            [[to_expr(x) for x in row] for row in cleared]
+        ).det(method="berkowitz")
+        expected_terms = {
+            e: int(c) % q
+            for e, c in sympy.Poly(sympy.expand(expected), *gens).terms()
+            if int(c) % q
+        }
+        total = tuple(sum(col) for col in zip(*shifts))
+        got = bareiss_determinant(mat).shift(total)
+        assert got.terms == expected_terms, (case, mat)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_bareiss_solve_matches_cramer(q):
+    rng = random.Random(30 + q)
+    field = BaseField(q)
+    solved = singular = 0
+    for case in range(120):
+        nvars = 1 + case % 2
+        size = 1 + case % 5
+        mat = random_matrix(rng, field, nvars, size)
+        one = LaurentPoly.constant(field, nvars, 1)
+        zero = LaurentPoly.zero(field, nvars)
+        e1 = [one] + [zero] * (size - 1)
+        rhs = e1 if case % 3 else [
+            random_laurent(rng, field, nvars, terms=2, span=2) for _ in range(size)
+        ]
+        det, sol = bareiss_solve(mat, rhs)
+        assert det == bareiss_determinant(mat)
+        if det.is_zero():
+            assert sol is None
+            singular += 1
+            continue
+        solved += 1
+        assert sol == cramer_reference(mat, rhs)
+        for a in range(size):
+            acc = zero
+            for b in range(size):
+                acc = acc + mat[a][b] * sol[b]
+            assert acc == det * rhs[a]
+    assert solved > 50 and singular > 10
+
+
+def test_bareiss_solve_row_swap_sign():
+    # [[0, 1], [1, 0]] over GF(3): det = -1, and M N = det * e1 needs N = (0, -1)
+    field = BaseField(3)
+    one, zero = LaurentPoly.constant(field, 1, 1), LaurentPoly.zero(field, 1)
+    det, sol = bareiss_solve([[zero, one], [one, zero]], [one, zero])
+    assert det == -one
+    assert sol == [zero, -one]
+    assert bareiss_solve([[one]]) == (one, None)
 
 
 def test_central_laurent_round_trip(ctx_n2_k2):

@@ -31,6 +31,15 @@ def test_budget_error_is_raised_before_building():
         build_tower(TowerConfig(3, 3, 3))  # 3^27 blows the default budget
 
 
+def test_budget_refuses_huge_k_max_at_once():
+    # the first level past the budget decides; q^(p^k_max) is never built
+    with pytest.raises(BudgetError, match=r"2\^\(2\^5\) at level 5"):
+        TowerConfig(2, 2, 10**9).validate()
+    with pytest.raises(BudgetError):
+        TowerConfig(3, 3, 10**9).validate(budget=10**100)
+    TowerConfig(2, 2, 4).validate()  # 2^16 is within the default budget
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         build_tower(TowerConfig(4, 2, 1))  # p not prime
