@@ -146,6 +146,13 @@ def _action(args, n=None) -> object:
     spec = getattr(args, "exponents", None)
     if spec:
         positions = json.loads(spec)
+        if not isinstance(positions, list) or not all(
+            isinstance(ps, list) and all(type(e) is int for e in ps)
+            for ps in positions
+        ):
+            raise ValueError(
+                f"--exponents must be a JSON list of lists of integers, got {spec}"
+            )
         return ActionConfig(
             n, args.p, [PAdicExponent.from_positions(ps) for ps in positions]
         )

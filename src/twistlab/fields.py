@@ -249,39 +249,3 @@ def least_irreducible_poly(F: BaseField, degree: int):
     raise InternalFaultError(  # pragma: no cover - irreducibles always exist
         f"no monic irreducible of degree {degree} over GF({F.q})"
     )
-
-
-def nullspace(F: BaseField, rows):
-    """Basis of {x : M x = 0} for the matrix M given as a list of rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = {}  # column -> row index
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = F.inv(mat[rank][col])
-        mat[rank] = [F.mul(inv, v) for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [F.sub(v, F.mul(c, w)) for v, w in zip(mat[r], mat[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for col, prow in pivots.items():
-            vec[col] = F.neg(mat[prow][fc])
-        basis.append(vec)
-    return basis

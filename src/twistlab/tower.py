@@ -1,12 +1,13 @@
 """Finite-field towers GF(q) = L_0 <= L_1 <= L_2 <= ... with L_m = GF(q^(p^m)).
 
-Each level is represented as polynomials over GF(q) modulo a deterministic
-irreducible defining polynomial of degree p^m.  Levels embed into the next
-level through an explicitly stored image of the level generator (a root of
-the defining polynomial in the field above, chosen with lexicographically
-least coordinate vector).  The q-power Frobenius generates each level's
-automorphism group over GF(q); it is GF(q)-linear and applied through cached
-matrices.
+Each level is GF(q)[X] modulo a deterministic irreducible defining polynomial
+of degree p^m.  An element is its code: its coordinates in the basis 1, X,
+X^2, ... packed in base q.  Each level builds exp[i] = g^i, log[g^i] = i and
+zech[i] = log(1 + g^i) for g the least code of full multiplicative order, so
+products, powers, inverses and the q-power Frobenius are index arithmetic
+and a + b = a * (1 + b/a) goes through zech.  Levels embed into the next
+through a stored image of X (the root of the defining polynomial with least
+coordinate vector), applied through a code table.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -15,22 +16,22 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 from .errors import BudgetError, InternalFaultError
 from .fields import (
     BaseField,
+    is_irreducible,
     is_prime,
     factor_prime_power,
     least_irreducible_poly,
-    nullspace,
 )
 
 DEFAULT_FIELD_BUDGET = 1 << 20
 
-# Above this order, root searches restrict to the embedded-subfield candidates
-# instead of scanning the whole level.
-_BRUTE_FORCE_ORDER = 1 << 12
+# log of zero, and zech[i] where 1 + g^i = 0
+_NO_LOG = -1
 
 
 @dataclass(frozen=True)
@@ -60,38 +61,36 @@ class TowerConfig:
 
 
 class FieldElement:
-    """An element of one tower level, as a coordinate vector over GF(q)."""
+    """An element of one tower level, stored as its base-q code."""
 
-    __slots__ = ("level", "coords")
+    __slots__ = ("level", "code")
 
-    def __init__(self, level: "TowerLevel", coords):
+    def __init__(self, level: "TowerLevel", code: int):
         self.level = level
-        self.coords = tuple(coords)
+        self.code = code
+
+    @property
+    def coords(self) -> tuple:
+        """Coordinates over GF(q) in the basis 1, X, X^2, ...: the code's digits."""
+        return self.level._digits(self.code)
 
     def _check(self, other):
         if self.level is not other.level and self.level != other.level:
             raise ValueError("field elements belong to different levels")
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return self.code == 0
 
     def __add__(self, other):
         self._check(other)
-        F = self.level.base
-        return FieldElement(
-            self.level, [F.add(a, b) for a, b in zip(self.coords, other.coords)]
-        )
+        return FieldElement(self.level, self.level._add(self.code, other.code))
 
     def __sub__(self, other):
-        self._check(other)
-        F = self.level.base
-        return FieldElement(
-            self.level, [F.sub(a, b) for a, b in zip(self.coords, other.coords)]
-        )
+        return self + (-other)
 
     def __neg__(self):
-        F = self.level.base
-        return FieldElement(self.level, [F.neg(a) for a in self.coords])
+        lvl = self.level
+        return FieldElement(lvl, lvl._mul(self.code, lvl.base.neg(1)))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -99,7 +98,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return FieldElement(self.level, self.level._mul_coords(self.coords, other.coords))
+        return FieldElement(self.level, self.level._mul(self.code, other.code))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -107,49 +106,41 @@ class FieldElement:
         return NotImplemented
 
     def __pow__(self, e: int):
+        lvl = self.level
         if e == 0:
-            return self.level.one()
-        if self.is_zero():
+            return lvl.one()
+        if not self.code:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return self
-        e %= self.level.order - 1
-        out, base = self.level.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return FieldElement(lvl, lvl.exp[lvl.log[self.code] * e % lvl.units])
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.level.order - 2)
+        return self ** -1
 
     def frobenius(self, times: int):
         """Apply x -> x^(q^times); negative counts wrap around."""
         return self.level.frobenius(self, times)
 
     def in_base_field(self) -> bool:
-        return not any(self.coords[1:])
+        return self.code < self.level.base.q
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
             and self.level.m == other.level.m
-            and self.coords == other.coords
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash((self.level.m, self.coords))
+        return hash((self.level.m, self.code))
 
     def __repr__(self):
         return f"FieldElement(level={self.level.m}, coords={self.coords})"
 
 
 class TowerLevel:
-    """One level L_m = GF(q^(p^m)) with its defining polynomial."""
+    """One level L_m = GF(q^(p^m)) with its defining polynomial and tables."""
 
     def __init__(self, m: int, base: BaseField, modulus):
         self.m = m
@@ -157,58 +148,117 @@ class TowerLevel:
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.order = base.q**self.degree
+        self.units = self.order - 1  # order of the multiplicative group
         self.embedding_up = None  # coords in level m+1, set by the builder
-        # reduction[i] = coords of X^(degree+i) modulo the defining polynomial
-        self._reduction = self._build_reduction()
-        self._frob_cache = {}
-        # memoized Frobenius values; levels are small enough to remember all
-        self._frob_values = {}
+        self.exp, self.log, self.zech = self._build_tables()
+        # Frobenius^t multiplies logs by q^t
+        self._frob_factor = [pow(base.q, t, self.units) for t in range(self.degree)]
 
-    def _build_reduction(self):
-        F, d = self.base, self.degree
-        rows = []
-        cur = [F.neg(c) for c in self.modulus[:-1]]  # X^d
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                nxt = [F.add(a, F.mul(top, b)) for a, b in zip(nxt, rows[0])]
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
+    # -- code arithmetic -------------------------------------------------------
 
-    def _mul_coords(self, a, b):
-        F, d = self.base, self.degree
-        if d == 1:
-            return (F.mul(a[0], b[0]),)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] = F.add(conv[i + j], F.mul(x, y))
-        out = conv[:d]
-        for i in range(d, 2 * d - 1):
-            c = conv[i]
-            if c:
-                red = self._reduction[i - d]
-                for j, rc in enumerate(red):
-                    if rc:
-                        out[j] = F.add(out[j], F.mul(c, rc))
-        return tuple(out)
+    def _mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % self.units]
+
+    def _add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.units]
+        return 0 if z == _NO_LOG else self.exp[(la + z) % self.units]
+
+    def _digits(self, code: int) -> tuple:
+        return tuple(code // self.base.q**i % self.base.q for i in range(self.degree))
+
+    def _code(self, digits) -> int:
+        return sum(c * self.base.q**i for i, c in enumerate(digits))
+
+    # -- table construction ----------------------------------------------------
+
+    def _build_tables(self):
+        """exp, log and zech over the least code of full multiplicative order.
+
+        exp is the orbit of 1 under multiplication by a candidate g; the
+        first candidate whose orbit has length |L_m| - 1 is the generator.
+        A shorter orbit is marked in log, since its members have smaller
+        order too and need no walk of their own.
+        """
+        q, units = self.base.q, self.units
+        exp = array("i", [0]) * units
+        log = array("i", [_NO_LOG]) * self.order
+        add = self._add_build
+        for g in range(1, self.order):
+            if log[g] != _NO_LOG:
+                continue
+            lo, hi, split = self._times_tables(g)
+            x = 1
+            for i in range(units):
+                exp[i] = x
+                x = add(lo[x % split], hi[x // split])
+                if x == 1:
+                    break
+            if x != 1:  # an orbit that misses 1 means zero divisors
+                raise ValueError(f"level {self.m}: modulus is not irreducible")
+            if i == units - 1:
+                break
+            for j in range(i + 1):
+                log[exp[j]] = 0
+        for i, x in enumerate(exp):
+            log[x] = i
+        # adding 1 changes digit 0 only: shift[c] = code(c + 1) - code(c)
+        shift = [self.base.add(c, 1) - c for c in range(q)]
+        zech = array("i", (log[x + shift[x % q]] for x in exp))
+        return exp, log, zech
+
+    def _add_build(self, a: int, b: int) -> int:
+        """Sum of two codes before the tables exist: bitwise in characteristic
+        2, where the base-q digits are bit fields, digit by digit otherwise."""
+        if self.base.char == 2:
+            return a ^ b
+        F, q = self.base, self.base.q
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, q)
+            b, y = divmod(b, q)
+            out += F.add(x, y) * place
+            place *= q
+        return out
+
+    def _scale(self, c: int, a: int) -> int:
+        """Code of the base-field scalar c times the element with code a."""
+        return self._code([self.base.mul(c, x) for x in self._digits(a)])
+
+    def _times_tables(self, g: int):
+        """(lo, hi, split) with code(g * x) = lo[x % split] + hi[x // split]:
+        lo and hi hold g times every element of the low and high halves of
+        the digits, spanned from g * X^j (shift and reduce)."""
+        q, d, add = self.base.q, self.degree, self._add_build
+        top, split = q ** (d - 1), q ** (d // 2)
+        x_to_d = self._code([self.base.neg(c) for c in self.modulus[:-1]])
+        tables, image = ([0], [0]), g
+        for j in range(d):
+            half = tables[q**j >= split]
+            multiples = [self._scale(c, image) for c in range(q)]
+            half[:] = [add(t, s) for s in multiples for t in half]
+            image = add(image % top * q, self._scale(image // top, x_to_d))
+        return tables[0], tables[1], split
+
+    # -- elements --------------------------------------------------------------
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.degree)
+        return FieldElement(self, 0)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
+        return FieldElement(self, 1)
 
     def generator(self) -> FieldElement:
         """Root of the defining polynomial: the class of X (level 0: -c_0)."""
         if self.degree == 1:
-            return FieldElement(self, (self.base.neg(self.modulus[0]),))
-        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
+            return FieldElement(self, self.base.neg(self.modulus[0]))
+        return FieldElement(self, self.base.q)
 
     def element(self, coords) -> FieldElement:
         coords = tuple(coords)
@@ -216,77 +266,34 @@ class TowerLevel:
             raise ValueError(
                 f"level {self.m} needs {self.degree} coordinates, got {len(coords)}"
             )
-        return FieldElement(self, coords)
+        if not all(0 <= c < self.base.q for c in coords):
+            raise ValueError(f"coordinates must lie in [0, {self.base.q})")
+        return FieldElement(self, self._code(coords))
 
     def from_base(self, c: int) -> FieldElement:
-        return FieldElement(self, (c,) + (0,) * (self.degree - 1))
+        return FieldElement(self, c)
 
     def from_code(self, code: int) -> FieldElement:
-        q, coords = self.base.q, []
-        for _ in range(self.degree):
-            code, rem = divmod(code, q)
-            coords.append(rem)
-        return FieldElement(self, coords)
+        return FieldElement(self, code)
 
     def elements(self):
         """All elements in increasing integer-encoding order."""
         for code in range(self.order):
-            yield self.from_code(code)
+            yield FieldElement(self, code)
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         lo = 1 if nonzero else 0
-        return self.from_code(rng.randrange(lo, self.order))
-
-    def _frobenius_matrix(self, t: int):
-        if t in self._frob_cache:
-            return self._frob_cache[t]
-        F, d = self.base, self.degree
-        if t == 0:
-            mat = tuple(
-                tuple(1 if i == j else 0 for j in range(d)) for i in range(d)
-            )
-        elif t == 1:
-            theta = self.generator()
-            cols = [(theta ** (j * F.q)).coords for j in range(d)]
-            mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        else:
-            m1 = self._frobenius_matrix(1)
-            prev = self._frobenius_matrix(t - 1)
-            mat = tuple(
-                tuple(
-                    functools.reduce(
-                        F.add, (F.mul(m1[i][l], prev[l][j]) for l in range(d)), 0
-                    )
-                    for j in range(d)
-                )
-                for i in range(d)
-            )
-        self._frob_cache[t] = mat
-        return mat
+        return FieldElement(self, rng.randrange(lo, self.order))
 
     def frobenius(self, x: FieldElement, times: int) -> FieldElement:
         if x.level is not self and x.level != self:
             raise ValueError("element does not belong to this level")
         t = times % self.degree  # Frobenius has order p^m = degree
-        if t == 0:
+        if t == 0 or not x.code:
             return x
-        key = (t, x.coords)
-        hit = self._frob_values.get(key)
-        if hit is not None:
-            return hit
-        F = self.base
-        mat = self._frobenius_matrix(t)
-        coords = []
-        for row in mat:
-            acc = 0
-            for mv, xv in zip(row, x.coords):
-                if mv and xv:
-                    acc = F.add(acc, F.mul(mv, xv))
-            coords.append(acc)
-        out = FieldElement(self, coords)
-        if len(self._frob_values) < (1 << 16):
-            self._frob_values[key] = out
-        return out
+        return FieldElement(
+            self, self.exp[self.log[x.code] * self._frob_factor[t] % self.units]
+        )
 
     def __eq__(self, other):
         return (
@@ -310,6 +317,11 @@ class Tower:
     def __init__(self, config: TowerConfig, levels):
         self.config = config
         self.levels = list(levels)
+        # _up[m][code] is the code in level m+1 of the level-m element code
+        self._up = [
+            _embedding_table(lower, upper)
+            for lower, upper in zip(self.levels, self.levels[1:])
+        ]
 
     @property
     def p(self):
@@ -334,16 +346,11 @@ class Tower:
             raise ValueError(
                 f"cannot embed from level {x.level.m} down to {target_level}"
             )
-        self.level(target_level)
-        while x.level.m < target_level:
-            lower = x.level
-            upper = self.levels[lower.m + 1]
-            img = FieldElement(upper, lower.embedding_up)
-            acc = upper.zero()
-            for c in reversed(x.coords):
-                acc = acc * img + upper.from_base(c)
-            x = acc
-        return x
+        upper = self.level(target_level)
+        code = x.code
+        for m in range(x.level.m, target_level):
+            code = self._up[m][code]
+        return FieldElement(upper, code)
 
     def frobenius(self, x: FieldElement, times: int) -> FieldElement:
         return self.levels[x.level.m].frobenius(x, times)
@@ -365,6 +372,18 @@ class Tower:
         return f"Tower(p={self.p}, q={self.q}, k_max={self.k_max})"
 
 
+def _embedding_table(lower: TowerLevel, upper: TowerLevel):
+    """Codes in upper of every element of lower, by Horner at the image of X."""
+    theta = upper._code(lower.embedding_up)
+    table = array("i", [0]) * lower.order
+    for code in range(lower.order):
+        acc = 0
+        for c in reversed(lower._digits(code)):
+            acc = upper._add(upper._mul(acc, theta), c)
+        table[code] = acc
+    return table
+
+
 def _eval_poly(level: TowerLevel, coeffs, x: FieldElement) -> FieldElement:
     """Evaluate a polynomial with GF(q) coefficients at x (Horner)."""
     acc = level.zero()
@@ -374,37 +393,12 @@ def _eval_poly(level: TowerLevel, coeffs, x: FieldElement) -> FieldElement:
 
 
 def _root_candidates(lower: TowerLevel, upper: TowerLevel):
-    """Candidate roots of lower.modulus inside upper.
-
-    Small levels are scanned exhaustively.  Larger ones restrict to the copy
-    of the lower field inside upper: the kernel of the GF(q)-linear map
-    x -> x^N - x with N = |lower|, found by linear algebra.
-    """
-    if upper.order <= _BRUTE_FORCE_ORDER:
-        yield from upper.elements()
-        return
-    F, d = upper.base, upper.degree
-    theta = upper.generator()
-    n_low = lower.order
-    rows = [[0] * d for _ in range(d)]
-    for j in range(d):
-        img = (theta**j) ** n_low
-        for i in range(d):
-            rows[i][j] = F.sub(img.coords[i], 1 if i == j else 0)
-    basis = nullspace(F, rows)
-    if len(basis) != lower.degree:
-        raise InternalFaultError(
-            f"subfield of order {n_low} in level {upper.m} has wrong dimension"
-        )
-    q = F.q
-    for code in range(n_low):
-        coords = [0] * d
-        c = code
-        for vec in basis:
-            c, digit = divmod(c, q)
-            if digit:
-                coords = [F.add(a, F.mul(digit, b)) for a, b in zip(coords, vec)]
-        yield FieldElement(upper, coords)
+    """The copy of lower inside upper: zero and the (|lower| - 1)-th roots of
+    unity, the powers of g^((|upper| - 1) / (|lower| - 1))."""
+    yield upper.zero()
+    step = upper.units // lower.units
+    for j in range(lower.units):
+        yield FieldElement(upper, upper.exp[j * step])
 
 
 def _find_embedding(lower: TowerLevel, upper: TowerLevel):
@@ -469,6 +463,10 @@ def tower_from_json(data: dict, budget: int = DEFAULT_FIELD_BUDGET) -> Tower:
         modulus = tuple(entry["defining_polynomial"])
         if len(modulus) - 1 != config.p ** entry["m"]:
             raise ValueError(f"level {entry['m']} polynomial has wrong degree")
+        if not all(0 <= c < config.q for c in modulus) or modulus[-1] != 1:
+            raise ValueError(f"level {entry['m']} polynomial is not monic over GF(q)")
+        if not is_irreducible(base, modulus):
+            raise ValueError(f"level {entry['m']} polynomial is not irreducible")
         levels.append(TowerLevel(entry["m"], base, modulus))
     for m, entry in enumerate(data["levels"][:-1]):
         up = entry["embedding_up"]

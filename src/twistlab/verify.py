@@ -27,7 +27,12 @@ from .center import (
 )
 from .errors import NotAUnitError, SeparationError
 from .growth import gk_estimate, growth_table
-from .pi import standard_polynomial, test_identity
+from .pi import (
+    _DEGREE_MAX_TERMS,
+    _VANISH_TRIAL_CAP,
+    standard_polynomial,
+    test_identity,
+)
 from .quotient import (
     CentralFraction,
     center_of_quotient_test,
@@ -104,8 +109,6 @@ def check_tower_fixed_field(tower: Tower) -> CheckResult:
     bad = 0
     for m in range(tower.k_max + 1):
         lvl = tower.level(m)
-        if lvl.order > (1 << 16):
-            continue
         fixed = sum(1 for x in lvl.elements() if lvl.frobenius(x, 1) == x)
         if fixed != tower.q:
             bad += 1
@@ -418,16 +421,16 @@ def check_pi_frontier(ctx1: RingContext, ctx2: RingContext, trials: int,
                       seed: int) -> CheckResult:
     p = ctx1.tower.p
     ident = 2 * p**ctx1.k  # expected identity degree at the lower level
-    max_terms = {2: 3, 4: 3, 6: 2, 8: 1}
-    caps = {2: trials, 4: trials, 6: min(trials, 60), 8: min(trials, 8)}
     ok = True
     details = []
     w2 = test_identity(ctx1, 2, trials, seed=seed + 1, stop_on_witness=True)
     ok = ok and w2.witness is not None
     details.append(f"k={ctx1.k}: degree 2 witness {w2.witness is not None}")
     if ident <= 8:
+        cap = _VANISH_TRIAL_CAP[ident]
         vanish = test_identity(
-            ctx1, ident, caps[ident], seed=seed, max_terms=max_terms[ident]
+            ctx1, ident, trials if cap is None else min(trials, cap), seed=seed,
+            max_terms=_DEGREE_MAX_TERMS[ident],
         )
         ok = ok and vanish.vanish_count == vanish.trials
         details.append(
@@ -438,7 +441,7 @@ def check_pi_frontier(ctx1: RingContext, ctx2: RingContext, trials: int,
         for m in range(ident, min(8, upper_threshold - 1) + 1, 2):
             w = test_identity(
                 ctx2, m, trials, seed=seed + m, stop_on_witness=True,
-                max_terms=max_terms[m],
+                max_terms=_DEGREE_MAX_TERMS[m],
             )
             ok = ok and w.witness is not None
             details.append(f"k={ctx2.k}: degree {m} witness {w.witness is not None}")

@@ -156,6 +156,11 @@ def test_config_file_supplies_defaults(tmp_path):
     {"n": [2]},
     {"format": "xml"},
     {"element": "1 + x1"},  # an option of other subcommands only
+    {"exponents": 5},
+    {"exponents": [5]},
+    {"exponents": [[1], ["a"]]},
+    {"exponents": [[0], [True]]},
+    {"exponents": {"0": [0]}},
     [1, 2],
     "center",
     3,
@@ -164,6 +169,14 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, text = run(tmp_path, "center", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["5", "[5]", '[[1],["a"]]', "[[0],[1.5]]", "{}"])
+def test_malformed_exponents_flag_exits_2(tmp_path, capsys, spec):
+    code, text = run(tmp_path, "center", "--exponents", spec)
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert err.startswith("error: ") and "Traceback" not in err

@@ -166,3 +166,15 @@ def test_scan_marks_untested_degrees():
     # the expected identity threshold 2*p^k = 18 is far beyond the budget
     assert rows[0].untested == (6, 8, 10, 12, 14, 16, 18)
     assert rows[0].smallest_vanishing_degree is None
+
+
+def test_frontier_check_uses_the_pi_trial_caps(ctx_n2_k1, ctx_n2_k2, monkeypatch):
+    # verify reads the caps owned by pi, so lowering one there shows up in
+    # the check's report
+    import twistlab.pi as pi
+    from twistlab.verify import check_pi_frontier
+
+    monkeypatch.setitem(pi._VANISH_TRIAL_CAP, 4, 3)
+    result = check_pi_frontier(ctx_n2_k1, ctx_n2_k2, 20, seed=0)
+    assert result.passed
+    assert "degree 4 vanished 3/3" in result.detail

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from twistlab.tower import (
     tower_from_json,
     tower_to_json,
 )
+from twistlab.verify import check_tower_fixed_field
 
 
 def test_level_orders_p2_q2(tower223):
@@ -225,9 +227,9 @@ def test_towers_are_cached():
     assert build_tower(TowerConfig(2, 2, 3)) is build_tower(TowerConfig(2, 2, 3))
 
 
-def test_large_level_uses_subfield_root_search():
-    # order 2^16 exceeds the plain-scan cutoff, so the embedding search runs
-    # through the embedded-subfield candidates; validate the root directly
+def test_large_level_embedding_is_a_root():
+    # at order 2^16 the embedding search runs over the copy of level 3 inside
+    # level 4 only; validate the root directly
     t = build_tower(TowerConfig(2, 2, 4))
     lower, upper = t.level(3), t.level(4)
     assert upper.order == 1 << 16
@@ -242,3 +244,204 @@ def test_large_level_uses_subfield_root_search():
         y = lower.random_element(rng)
         assert t.embed(x * y, 4) == t.embed(x, 4) * t.embed(y, 4)
         assert t.embed(t.frobenius(x, 1), 4) == t.frobenius(t.embed(x, 4), 1)
+
+
+# -- reference coordinate arithmetic ------------------------------------------
+# The former representation, kept as an oracle for the level tables: a product
+# is a convolution followed by reduction by the defining polynomial, and
+# Frobenius is repeated q-th powers.
+
+
+def ref_add(level, a, b):
+    return tuple(level.base.add(x, y) for x, y in zip(a, b))
+
+
+def ref_neg(level, a):
+    return tuple(level.base.neg(x) for x in a)
+
+
+def ref_mul(level, a, b):
+    F, d, mod = level.base, level.degree, level.modulus
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = F.add(conv[i + j], F.mul(x, y))
+    for i in range(2 * d - 2, d - 1, -1):  # X^i = -X^(i-d) * (mod - X^d)
+        c, conv[i] = conv[i], 0
+        for j in range(d):
+            conv[i - d + j] = F.sub(conv[i - d + j], F.mul(c, mod[j]))
+    return tuple(conv[:d])
+
+
+def ref_pow(level, a, e):
+    out = (1,) + (0,) * (level.degree - 1)
+    for _ in range(e):
+        out = ref_mul(level, out, a)
+    return out
+
+
+def ref_frobenius(level, a, times):
+    for _ in range(times):
+        a = ref_pow(level, a, level.base.q)
+    return a
+
+
+def assert_matches_reference(level, a, b):
+    x, y = a.coords, b.coords
+    assert (a * b).coords == ref_mul(level, x, y)
+    assert (a + b).coords == ref_add(level, x, y)
+    assert (a - b).coords == ref_add(level, x, ref_neg(level, y))
+
+
+def assert_unary_matches_reference(level, a):
+    x = a.coords
+    assert (-a).coords == ref_neg(level, x)
+    for t in range(level.degree):
+        assert level.frobenius(a, t).coords == ref_frobenius(level, x, t)
+    assert (a**3).coords == ref_pow(level, x, 3)
+    if not a.is_zero():
+        assert ref_mul(level, x, a.inverse().coords) == level.one().coords
+        assert (a**-2).coords == ref_pow(level, a.inverse().coords, 2)
+
+
+@pytest.mark.parametrize("p,q,k_max,levels", [(2, 2, 3, 4), (2, 3, 2, 3), (3, 2, 2, 2)])
+def test_tables_match_coordinate_arithmetic_exhaustively(p, q, k_max, levels):
+    tower = build_tower(TowerConfig(p, q, k_max))
+    checked = 0
+    for lvl in tower.levels:
+        if lvl.order > 256:
+            continue
+        elements = list(lvl.elements())
+        for a in elements:
+            assert_unary_matches_reference(lvl, a)
+            for b in elements:
+                assert_matches_reference(lvl, a, b)
+        checked += 1
+    assert checked == levels  # every level of at most 256 elements
+
+
+@pytest.mark.parametrize("p,q,k_max", [(2, 2, 4), (2, 4, 3)])
+def test_tables_match_coordinate_arithmetic_at_the_top_level(p, q, k_max):
+    lvl = build_tower(TowerConfig(p, q, k_max)).level(k_max)
+    assert lvl.order == 1 << 16
+    rng = random.Random(31)
+    for _ in range(2000):
+        a, b = lvl.random_element(rng), lvl.random_element(rng)
+        assert_matches_reference(lvl, a, b)
+    for _ in range(50):
+        a = lvl.random_element(rng, nonzero=True)
+        assert ref_mul(lvl, a.coords, a.inverse().coords) == lvl.one().coords
+        assert lvl.frobenius(a, 1).coords == ref_frobenius(lvl, a.coords, 1)
+
+
+@pytest.mark.parametrize("p,q,k_max", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 5, 2)])
+def test_products_match_sympy_galois_tools(p, q, k_max):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def dense(coords):  # sympy lists coefficients highest degree first
+        out = list(reversed(coords))
+        while out and out[0] == 0:
+            out.pop(0)
+        return out
+
+    tower = build_tower(TowerConfig(p, q, k_max))
+    rng = random.Random(5)
+    for lvl in tower.levels:
+        modulus = dense(lvl.modulus)
+        for _ in range(300):
+            a, b = lvl.random_element(rng), lvl.random_element(rng)
+            want = gt.gf_rem(gt.gf_mul(dense(a.coords), dense(b.coords), q, ZZ),
+                             modulus, q, ZZ)
+            assert dense((a * b).coords) == want
+
+
+def test_table_generator_is_least_code_of_full_order():
+    # for (2, 2) the class X generates levels 1 and 2; at level 3 it has
+    # order 51 in a group of order 255, so the generator is X + 1
+    tower = build_tower(TowerConfig(2, 2, 4))
+    assert [lvl.exp[1] for lvl in tower.levels[1:]] == [2, 2, 3, 3]
+    x = tower.level(3).generator()
+    assert min(e for e in range(1, 256) if (x**e).code == 1) == 51
+    for lvl in tower.levels:
+        assert sorted(lvl.exp) == list(range(1, lvl.order))
+        assert all(lvl.exp[lvl.log[c]] == c for c in range(1, lvl.order))
+
+
+# Parent-commit outputs of tower_to_json; the embedding is the root with the
+# least coordinate tuple, which is not the least code.
+GOLDEN_TOWERS = {
+    (2, 2, 4): [
+        ([0, 1], [0, 0]),
+        ([1, 1, 1], [0, 1, 1, 0]),
+        ([1, 1, 0, 0, 1], [0, 0, 0, 0, 0, 1, 1, 1]),
+        ([1, 1, 0, 1, 1, 0, 0, 0, 1],
+         [0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1]),
+        ([1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], None),
+    ],
+    (2, 3, 3): [
+        ([0, 1], [0, 0]),
+        ([1, 0, 1], [0, 1, 2, 2]),
+        ([2, 1, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 0]),
+        ([2, 0, 1, 0, 0, 0, 0, 0, 1], None),
+    ],
+    (3, 2, 2): [
+        ([0, 1], [0, 0, 0]),
+        ([1, 1, 0, 1], [0, 0, 1, 1, 1, 1, 1, 1, 0]),
+        ([1, 1, 0, 0, 0, 0, 0, 0, 0, 1], None),
+    ],
+    (2, 4, 3): [
+        ([0, 1], [0, 0]),
+        ([2, 1, 1], [2, 1, 2, 0]),
+        ([1, 2, 1, 0, 1], [0, 3, 1, 1, 0, 1, 1, 1]),
+        ([2, 1, 0, 1, 0, 0, 0, 0, 1], None),
+    ],
+    (2, 5, 2): [
+        ([0, 1], [0, 0]),
+        ([2, 0, 1], [0, 0, 1, 0]),
+        ([2, 0, 0, 0, 1], None),
+    ],
+    (3, 3, 2): [
+        ([0, 1], [0, 0, 0]),
+        ([1, 2, 0, 1], [0, 0, 1, 0, 2, 0, 2, 0, 0]),
+        ([1, 0, 1, 2, 0, 0, 0, 0, 0, 1], None),
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_TOWERS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_tower_json_matches_golden(config):
+    p, q, k_max = config
+    want = {
+        "p": p, "q": q, "k_max": k_max,
+        "levels": [
+            {"m": m, "defining_polynomial": poly, "embedding_up": up}
+            for m, (poly, up) in enumerate(GOLDEN_TOWERS[config])
+        ],
+    }
+    got = tower_to_json(build_tower(TowerConfig(p, q, k_max)))
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("poly,match", [
+    ([1, 0, 0, 0, 1], "irreducible"),  # (X + 1)^4
+    ([1, 1, 0, 0, 2], "monic"),
+    ([1, 5, 0, 0, 1], "monic"),
+])
+def test_json_rejects_bad_polynomial(tower223, poly, match):
+    data = tower_to_json(tower223)
+    data["levels"][2]["defining_polynomial"] = poly
+    with pytest.raises(ValueError, match=match):
+        tower_from_json(data)
+
+
+def test_fixed_field_check_enumerates_large_levels(monkeypatch):
+    # level 2 of (2, 17, 2) has 17^4 = 83521 elements; a wrong Frobenius
+    # there must fail the check instead of being skipped
+    tower = build_tower(TowerConfig(2, 17, 2))
+    assert tower.level(2).order == 83521
+    assert check_tower_fixed_field(tower).passed
+    monkeypatch.setattr(tower.level(2), "frobenius", lambda x, times: x)
+    result = check_tower_fixed_field(tower)
+    assert not result.passed and "1 failures" in result.detail
