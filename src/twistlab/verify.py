@@ -27,12 +27,7 @@ from .center import (
 )
 from .errors import NotAUnitError, SeparationError
 from .growth import gk_estimate, growth_table
-from .pi import (
-    _DEGREE_MAX_TERMS,
-    _VANISH_TRIAL_CAP,
-    standard_polynomial,
-    test_identity,
-)
+from .pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from .quotient import (
     CentralFraction,
     center_of_quotient_test,
@@ -421,30 +416,26 @@ def check_pi_frontier(ctx1: RingContext, ctx2: RingContext, trials: int,
                       seed: int) -> CheckResult:
     p = ctx1.tower.p
     ident = 2 * p**ctx1.k  # expected identity degree at the lower level
-    ok = True
-    details = []
-    w2 = test_identity(ctx1, 2, trials, seed=seed + 1, stop_on_witness=True)
-    ok = ok and w2.witness is not None
-    details.append(f"k={ctx1.k}: degree 2 witness {w2.witness is not None}")
-    if ident <= 8:
-        cap = _VANISH_TRIAL_CAP[ident]
-        vanish = test_identity(
-            ctx1, ident, trials if cap is None else min(trials, cap), seed=seed,
-            max_terms=_DEGREE_MAX_TERMS[ident],
-        )
-        ok = ok and vanish.vanish_count == vanish.trials
+    upper = 2 * p**ctx2.k
+    (low,) = pi_degree_scan([ctx1], trials, seed, min(ident, MAX_DEGREE))
+    (high,) = pi_degree_scan([ctx2], trials, seed, min(upper - 2, MAX_DEGREE))
+    # every degree below its level's threshold 2p^k fails, every other vanishes
+    ok = all(
+        (r.witness is not None) == (r.degree < 2 * p**r.k)
+        for r in low.reports + high.reports
+    )
+    by_degree = {r.degree: r for r in low.reports}
+    details = [f"k={ctx1.k}: degree 2 witness {by_degree[2].witness is not None}"]
+    if ident in by_degree:
+        vanish = by_degree[ident]
         details.append(
             f"degree {ident} vanished {vanish.vanish_count}/{vanish.trials}"
         )
         # the frontier must rise: the same degree fails one level up
-        upper_threshold = 2 * p**ctx2.k
-        for m in range(ident, min(8, upper_threshold - 1) + 1, 2):
-            w = test_identity(
-                ctx2, m, trials, seed=seed + m, stop_on_witness=True,
-                max_terms=_DEGREE_MAX_TERMS[m],
-            )
-            ok = ok and w.witness is not None
-            details.append(f"k={ctx2.k}: degree {m} witness {w.witness is not None}")
+        details += [
+            f"k={ctx2.k}: degree {r.degree} witness {r.witness is not None}"
+            for r in high.reports if r.degree >= ident
+        ]
     return CheckResult("pi.frontier_rises_with_level", ok, "; ".join(details))
 
 

@@ -220,6 +220,25 @@ def test_pi_test_zero_trials_exits_2(tmp_path, capsys):
     assert "vanished" not in capsys.readouterr().err
 
 
+def test_pi_scan_without_levels_exits_2(tmp_path, capsys):
+    code, text = run(tmp_path, "pi-scan", "--k", "0")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_verify_all_report_bytes_are_pinned(capsys):
+    # SHA-256 of the report as first recorded; any change to a check's
+    # detail text or counts shows here
+    import hashlib
+
+    assert main(["verify-all", "--n", "2", "--kmax", "2"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "6e513801f80761bb3eab359d298809cb9ea9d42fcbdbdbbd38ae6a78665a27fa"
+    )
+
+
 def test_explicit_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2}))

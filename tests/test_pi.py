@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from twistlab.errors import BudgetError
 from twistlab.pi import pi_degree_scan, standard_polynomial
 from twistlab.pi import test_identity as run_identity_trials
-from twistlab.ring import RingContext
+from twistlab.ring import RingContext, RingElement
 from twistlab.tower import TowerConfig, build_tower
 
 
@@ -168,13 +169,67 @@ def test_scan_marks_untested_degrees():
     assert rows[0].smallest_vanishing_degree is None
 
 
-def test_frontier_check_uses_the_pi_trial_caps(ctx_n2_k1, ctx_n2_k2, monkeypatch):
-    # verify reads the caps owned by pi, so lowering one there shows up in
-    # the check's report
-    import twistlab.pi as pi
-    from twistlab.verify import check_pi_frontier
+def test_vanishing_confirmation_runs_every_trial(ctx_n2_k1):
+    # no per-degree cap: each degree at or above the threshold runs the
+    # trials it was asked for
+    (row,) = pi_degree_scan([ctx_n2_k1], trials=30, seed=4, max_degree=8)
+    by_degree = {r.degree: r for r in row.reports}
+    for degree in (6, 8):
+        assert by_degree[degree].trials == by_degree[degree].vanish_count == 30
 
-    monkeypatch.setitem(pi._VANISH_TRIAL_CAP, 4, 3)
-    result = check_pi_frontier(ctx_n2_k1, ctx_n2_k2, 20, seed=0)
-    assert result.passed
-    assert "degree 4 vanished 3/3" in result.detail
+
+def test_scan_refuses_an_empty_level_list():
+    with pytest.raises(ValueError, match="at least one level"):
+        pi_degree_scan([], trials=5, seed=0)
+
+
+def _permutation_sum(elements):
+    """Reference: the signed sum over every ordering, one product each."""
+    ctx = elements[0].ctx
+    total = RingElement(ctx, {})
+    for perm in itertools.permutations(range(len(elements))):
+        inversions = sum(
+            perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2)
+        )
+        product = elements[perm[0]]
+        for i in perm[1:]:
+            product = product * elements[i]
+        total = total + (-product if inversions % 2 else product)
+    return total
+
+
+@pytest.mark.parametrize("p,q,k", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
+                                   (2, 3, 2)])
+def test_standard_polynomial_matches_permutation_sum(p, q, k):
+    # (2, 3) is characteristic 3, where the signs do not cancel
+    from twistlab.action import default_action
+
+    ctx = RingContext(build_tower(TowerConfig(p, q, k)), default_action(2, p), k)
+    rng = random.Random(100 * q + k)
+    nonzero_beyond_the_commutator = 0
+    for m in range(1, 7):
+        args = [ctx.random_element(rng, max_terms=2) for _ in range(m)]
+        value = standard_polynomial(args)
+        expected = _permutation_sum(args)
+        assert value == expected, f"degree {m}"
+        assert value.to_literal() == expected.to_literal()
+        nonzero_beyond_the_commutator += m >= 3 and not value.is_zero()
+    assert nonzero_beyond_the_commutator >= 1
+
+
+def test_degree_eight_uses_at_most_m_2_to_the_m_minus_1_products(
+    ctx_n2_k1, monkeypatch
+):
+    rng = random.Random(8)
+    args = [ctx_n2_k1.random_element(rng, max_terms=1) for _ in range(8)]
+    calls = 0
+    mul = RingElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    standard_polynomial(args)
+    assert calls <= 8 * 2**7
