@@ -9,6 +9,8 @@ lazily.  Group words are plain integer tuples.
 Independence of the chosen exponents is never assumed: a certificate is
 searched for exhaustively over a coefficient box at increasing truncation
 levels, and experiments that need independence refuse to run without one.
+Each level's search meets in the middle of the box [-B, B]^n, so it costs
+about (2B+1)^ceil(n/2) residues instead of (2B+1)^n.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ import itertools
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import IndependenceError
+from .errors import BudgetError, IndependenceError
 from .fields import is_prime
 
 # Default ceiling for certification searches; truncation is pure integer
 # arithmetic, so this is unrelated to (and far above) materialized levels.
 CERTIFICATION_LEVEL_CAP = 64
+
+# Vectors per certification level, both halves: rank <= 7 fits at bound 8.
+CERTIFICATION_BUDGET = 2**17
 
 # Horizon used when validating or serializing lazily extended exponents.
 EXPONENT_HORIZON = 64
@@ -163,18 +168,34 @@ def action_exponent(config: ActionConfig, word: Sequence[int], k: int) -> int:
 
 
 def find_relation(config: ActionConfig, coeff_bound: int, k: int):
-    """Smallest-box search for a nonzero vector m with sum(m_i a_i) = 0 mod p^k.
+    """First nonzero m in itertools.product order over [-B, B]^n, B the
+    coeff_bound, with sum(m_i a_i) = 0 mod p^k; None if the box has none.
 
-    Returns the witness vector, or None if the box is relation-free.
+    Exhaustive, met in the middle: m = (u, v) with u the first ceil(n/2)
+    entries; v is tabulated once as residue -> least v, and each u in
+    product order looks up the v that cancels it.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
+    n, h = config.n, (config.n + 1) // 2
+    width = 2 * coeff_bound + 1
+    if width**h + width ** (n - h) > CERTIFICATION_BUDGET:
+        raise BudgetError(f"certifying rank {n} at coefficient bound {coeff_bound}"
+                          f" exceeds the budget {CERTIFICATION_BUDGET} vectors per level")
     mod = config.p**k
     ts = config.truncations(k)
     span = range(-coeff_bound, coeff_bound + 1)
-    for m in itertools.product(span, repeat=config.n):
-        if any(m) and sum(c * t for c, t in zip(m, ts)) % mod == 0:
-            return m
+    least_v = {}
+    zero_v = None  # least nonzero v of residue 0, the partner of u = 0
+    for v in itertools.product(span, repeat=n - h):
+        r = sum(c * t for c, t in zip(v, ts[h:])) % mod
+        least_v.setdefault(r, v)
+        if r == 0 and zero_v is None and any(v):
+            zero_v = v
+    for u in itertools.product(span, repeat=h):
+        v = least_v.get(-sum(c * t for c, t in zip(u, ts)) % mod) if any(u) else zero_v
+        if v is not None:
+            return u + v
     return None
 
 

@@ -96,8 +96,8 @@ def test_identity(ctx: RingContext, degree: int, trials: int, seed: int,
     the honest mode for non-identity searches; the report's trial count is
     the number actually run.
     """
-    if degree % 2 != 0:
-        raise ValueError("identity testing uses even degrees")
+    if degree < 2 or degree % 2 != 0:
+        raise ValueError(f"identity testing uses even degrees >= 2, got {degree}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if degree > MAX_DEGREE:

@@ -76,11 +76,11 @@ class RingContext:
             return self.zero()
         return RingElement(self, {word: coeff})
 
-    def gen(self, i: int) -> "RingElement":
-        """The i-th group generator x_i as a ring element (i is 1-based)."""
+    def gen(self, i: int, e: int = 1) -> "RingElement":
+        """x_i^e, i 1-based: one monomial, as every Frobenius fixes 1."""
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        word = tuple(1 if j == i - 1 else 0 for j in range(self.n))
+        word = tuple(e if j == i - 1 else 0 for j in range(self.n))
         return self.monomial(self.level.one(), word)
 
     def gens(self) -> list:
@@ -423,7 +423,7 @@ class _Parser:
             if self.peek() == "^":
                 self.take()
                 exp = self._signed_int()
-            return self.ctx.gen(idx) ** exp
+            return self.ctx.gen(idx, exp)
         if tok.isdigit():
             code = int(tok)
             if code >= self.ctx.tower.q:

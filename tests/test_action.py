@@ -1,18 +1,33 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab.action import (
     ActionConfig,
     PAdicExponent,
     action_exponent,
     default_action,
+    find_relation,
     independence_certificate,
     least_certified_level,
     restriction_order,
     truncate,
 )
-from twistlab.errors import IndependenceError
+from twistlab.errors import BudgetError, IndependenceError
+
+
+def scan_relation(config, coeff_bound, k):
+    """Reference: the plain box scan, first nonzero relation in product order."""
+    mod = config.p**k
+    ts = config.truncations(k)
+    span = range(-coeff_bound, coeff_bound + 1)
+    for m in itertools.product(span, repeat=config.n):
+        if any(m) and sum(c * t for c, t in zip(m, ts)) % mod == 0:
+            return m
+    return None
 
 
 def test_truncate_one():
@@ -148,3 +163,81 @@ def test_config_json_round_trip(action_n2):
     rebuilt = ActionConfig.from_json_dict(data)
     for k in range(1, 16):
         assert rebuilt.truncations(k) == action_n2.truncations(k)
+
+
+@st.composite
+def relation_cases(draw):
+    """Exponent families with fresh, duplicate and dependent members."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    positions = [[0]]
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "sum"]))
+        if kind == "duplicate":
+            positions.append(draw(st.sampled_from(positions)))
+            continue
+        fresh = sorted(draw(st.sets(st.integers(min_value=0, max_value=9), max_size=3)))
+        if kind == "sum":
+            # a_j + fresh is a dependent exponent when their digits are disjoint
+            base = draw(st.sampled_from(positions))
+            fresh = sorted(set(base) | set(fresh)) if not set(base) & set(fresh) else fresh
+        positions.append(fresh)
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(min_value=0, max_value=8))
+    bound = draw(st.integers(min_value=1, max_value=2 if n == 5 else 4))
+    config = ActionConfig(n, p, [PAdicExponent.from_positions(ps) for ps in positions])
+    return config, bound, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_cases())
+def test_find_relation_matches_box_scan(case):
+    config, bound, k = case
+    assert find_relation(config, bound, k) == scan_relation(config, bound, k)
+
+
+def test_find_relation_matches_box_scan_on_default_actions():
+    for n in (2, 3, 4):
+        config = default_action(n, 2)
+        for k in range(1, 25):
+            assert find_relation(config, 3, k) == scan_relation(config, 3, k)
+
+
+def test_relation_with_zero_head():
+    # 1, 2^5, 2^3, 2^3 mod 2^6 at bound 1: m_1 = m_2 = 0 is forced, so the
+    # only relations pair the duplicate tail, and u = (0, 0) must find them
+    config = ActionConfig(4, 2, [PAdicExponent.from_positions(ps)
+                                 for ps in ([0], [5], [3], [3])])
+    assert scan_relation(config, 1, 6) == (0, 0, -1, 1)
+    assert find_relation(config, 1, 6) == (0, 0, -1, 1)
+    # rank 1 has an empty tail half
+    assert find_relation(default_action(1, 3), 2, 0) == (-2,)
+    assert find_relation(default_action(1, 3), 2, 1) is None
+
+
+def test_least_certified_levels_of_default_actions():
+    levels = [least_certified_level(default_action(n, 2), 8) for n in range(1, 7)]
+    assert levels == [4, 8, 13, 20, 29, 40]
+
+
+@pytest.mark.parametrize("positions, relation", [
+    ([[0], [0]], (-8, 8)),
+    ([[0], [1, 5], [1, 5]], (0, -8, 8)),
+    ([[0], [3], [9], [3, 9]], (-8, -7, -8, 8)),
+])
+def test_blocking_relations_are_pinned(positions, relation):
+    config = ActionConfig(len(positions), 2,
+                          [PAdicExponent.from_positions(ps) for ps in positions])
+    with pytest.raises(IndependenceError) as err:
+        least_certified_level(config, 8)
+    assert err.value.relation == relation
+    assert str(err.value).endswith(f"blocking relation {relation}")
+
+
+def test_certification_box_is_budgeted():
+    # rank 7 fits the budget at bound 8 (17^4 + 17^3 vectors per level)
+    find_relation(default_action(7, 2), 8, 1)
+    for n in (8, 9):
+        with pytest.raises(BudgetError):
+            find_relation(default_action(n, 2), 8, 1)
+    with pytest.raises(BudgetError):
+        least_certified_level(default_action(9, 2), 8)

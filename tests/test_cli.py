@@ -220,6 +220,22 @@ def test_pi_test_zero_trials_exits_2(tmp_path, capsys):
     assert "vanished" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_pi_test_degree_below_two_exits_2(tmp_path, capsys, degree):
+    code, text = run(tmp_path, "pi-test", "--k", "1", "--degree", degree)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and f"got {degree}" in err
+    assert "Traceback" not in err
+
+
+def test_rank_over_certification_budget_exits_2(tmp_path, capsys):
+    code, text = run(tmp_path, "center", "--n", "9", "--k", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+
+
 def test_pi_scan_without_levels_exits_2(tmp_path, capsys):
     code, text = run(tmp_path, "pi-scan", "--k", "0")
     err = capsys.readouterr().err

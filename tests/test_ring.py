@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twistlab.errors import ContextMismatchError, NotAUnitError
-from twistlab.ring import RingContext, parse_element
+from twistlab.ring import RingContext, RingElement, parse_element
 
 
 def test_twisted_monomial_rule(ctx_n2_k1):
@@ -175,6 +175,21 @@ def test_literal_spec_example(ctx_n2_k1):
         omega + ctx_n2_k1.level.one(), (2, -1)
     ) + ctx_n2_k1.one()
     assert r == expect
+
+
+def test_literal_generator_powers_are_monomials(ctx_n2_k1, monkeypatch):
+    for e in range(-6, 7):
+        assert parse_element(ctx_n2_k1, f"x2^{e}") == ctx_n2_k1.gen(2) ** e
+    calls = []
+    mul = RingElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    assert parse_element(ctx_n2_k1, "x1^-7*x2^5") == ctx_n2_k1.monomial(1, (-7, 5))
+    assert len(calls) <= 1
 
 
 def test_literal_round_trip_fuzz(ctx_n2_k1, ctx_n2_k2):
