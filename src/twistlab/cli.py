@@ -89,12 +89,9 @@ def _config_value(action, value):
     null restores an option whose default is None; non-string values of
     string options are taken as their JSON text (e.g. exponent lists).
     """
-    if value is None and action.default is None and action.nargs != 0:
+    if value is None and action.default is None:
         return None
-    if action.nargs == 0:  # on/off flags such as --allow-large
-        if isinstance(value, bool):
-            return value
-    elif action.type is int:
+    if action.type is int:
         if isinstance(value, (int, str)) and not isinstance(value, bool):
             try:
                 return int(value)
@@ -256,15 +253,21 @@ def cmd_growth(args) -> int:
     return EXIT_OK
 
 
-def cmd_invert(args) -> int:
+def _fraction(args) -> CentralFraction:
+    """The --element / --den fraction of invert and center-probe."""
     ctx = _context(args)
-    lattice = kernel_lattice(ctx)
     num = parse_element(ctx, args.element)
     den = parse_element(ctx, args.den) if args.den else ctx.one()
-    f = CentralFraction(ctx, num, den, lattice=lattice)
-    g = invert(f, allow_large=args.allow_large)
+    if den.is_zero():
+        raise ValueError("zero denominator")
+    return CentralFraction(ctx, num, den)
+
+
+def cmd_invert(args) -> int:
+    f = _fraction(args)
+    g = invert(f)
     product = f * g
-    one = CentralFraction(ctx, ctx.one(), ctx.one(), lattice=lattice)
+    one = CentralFraction(f.ctx, f.ctx.one(), f.ctx.one())
     ok = product == one
     report = _report(
         "invert",
@@ -281,12 +284,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_center_probe(args) -> int:
-    ctx = _context(args)
-    lattice = kernel_lattice(ctx)
-    num = parse_element(ctx, args.element)
-    den = parse_element(ctx, args.den) if args.den else ctx.one()
-    f = CentralFraction(ctx, num, den, lattice=lattice)
-    outcome = center_of_quotient_test(f, args.probe_level)
+    outcome = center_of_quotient_test(_fraction(args), args.probe_level)
     report = _report(
         "center-probe",
         _resolved(args, element=args.element, den=args.den,
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--element", type=str, required=True, help="numerator literal")
     p.add_argument("--den", type=str, default=None, help="central denominator literal")
-    p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("center-probe", help="commutation test at a higher level")

@@ -134,17 +134,6 @@ class BaseField:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return self._inv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def from_int(self, n: int) -> int:
         """Image of the rational integer n under the prime-field embedding."""
         return n % self.char
@@ -172,27 +161,6 @@ def poly_trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def poly_mul(F: BaseField, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_trim(out)
-
-
-def poly_sub(F: BaseField, a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = F.sub(x, y)
-    return poly_trim(out)
 
 
 def poly_divmod(F: BaseField, a, b):

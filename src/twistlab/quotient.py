@@ -1,17 +1,15 @@
 """Central fractions: division-ring arithmetic over a level ring.
 
-The center of a level ring is a Laurent polynomial ring over GF(q) in n
+The center of a level ring R_k is a Laurent polynomial ring over GF(q) in n
 variables (one per kernel-lattice basis row), so the ring of fractions with
 central denominators realizes the quotient division ring.  Inversion goes
-through the regular representation: left multiplication by the numerator on
-the free center-module basis is a matrix M over the center, and one
-fraction-free (Bareiss) solve of M v = e_1 gives det M and the adjugate
-column together.  They make an element s and a central w with r s = s r = w,
-hence (z s)/w inverts r/z.  Every inverse is verified by exact
-multiplication before it is returned.
-
-A singular representation matrix for a nonzero element would falsify the
-construction; it aborts loudly rather than being handled.
+through the degree-d splitting, d = p^k: left multiplication on R_k as a free
+right L[Lambda]-module (L the level field, Lambda the kernel lattice) is a
+d x d matrix rho(s) over that commutative ring.  One fraction-free (Bareiss)
+solve of rho(s) v = e_0 gives det rho(s) = Nrd(s), the reduced norm, and an
+adjugate column: an s' with s s' = s' s = Nrd(s), which is central.  Every
+inverse is verified by exact multiplication before it is returned; a
+singular matrix or a determinant outside the center aborts loudly.
 """
 
 from __future__ import annotations
@@ -22,20 +20,20 @@ from .center import (
     FreeBasis,
     KernelLattice,
     decompose_over_center,
-    free_basis,
     is_central_structural,
     kernel_lattice,
 )
 from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
 from .ring import RingContext, RingElement, same_context
 
-# Default desk-scale ceiling for inversion: matrix size p^(2k) and rank n.
-MAX_MATRIX_SIZE = 16
-MAX_RANK = 2
+# Largest |supp(s)|^(p^k) for which s is inverted: every minor that Bareiss
+# forms from the splitting matrix expands to at most that many terms.
+INVERSION_BUDGET = 2**17
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over GF(q): {exponent vector: coefficient}."""
+    """Sparse Laurent polynomial over a code-arithmetic field (GF(q) or a
+    tower level): {exponent vector: coefficient code}."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -179,10 +177,12 @@ def central_to_laurent(z: RingElement, lattice: KernelLattice) -> LaurentPoly:
 
 def laurent_to_central(poly: LaurentPoly, ctx: RingContext,
                        lattice: KernelLattice) -> RingElement:
+    """The element of L[Lambda] with these lattice coordinates; central when
+    every coefficient lies in GF(q)."""
     terms = {}
     for e, c in poly.terms.items():
         word = lattice.from_lattice_coordinates(e)
-        terms[word] = ctx.level.from_base(c)
+        terms[word] = ctx.level.from_code(c)
     return RingElement(ctx, terms)
 
 
@@ -247,11 +247,34 @@ def regular_representation(r: RingElement, basis: FreeBasis,
     """Matrix of left multiplication by r on the free center-module basis.
 
     Entry [a][b] is the a-th central coordinate of r * basis[b]; the map is a
-    ring homomorphism into matrices over the center.
+    ring homomorphism into p^(2k) x p^(2k) matrices over the center.
+    Inversion uses the smaller splitting_representation; this one witnesses
+    the rank-p^(2k) freeness and is the reference that inversion is checked
+    against.
     """
     cols = [decompose_over_center(r * b, basis, lattice) for b in basis.elements]
     size = basis.size()
     return [[cols[b][a] for b in range(size)] for a in range(size)]
+
+
+def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
+    """Matrix rho(s) of left multiplication by s on the right L[Lambda]-module
+    basis x^(w_i), w_i the lattice's box representatives, over Laurent
+    polynomials with level-field codes.  No ring product is formed: with
+    w + w_j = w_i + lambda, c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^lambda
+    lands in entry (i, j), and no other term of s shares that slot.
+    """
+    ctx = s.ctx
+    reps = lattice.box_representatives()
+    row_of = {w: i for i, w in enumerate(reps)}
+    entries = [[{} for _ in reps] for _ in reps]
+    for w, c in s.terms.items():
+        for j, wj in enumerate(reps):
+            wi, lam = lattice.reduce(tuple(a + b for a, b in zip(w, wj)))
+            coeff = ctx.frob(c, -ctx.word_exponent(wi)).code
+            entries[row_of[wi]][j][lattice.lattice_coordinates(lam)] = coeff
+    nvars = len(lattice.basis)
+    return [[LaurentPoly(ctx.level, nvars, e) for e in row] for row in entries]
 
 
 class CentralFraction:
@@ -271,11 +294,6 @@ class CentralFraction:
         self.ctx = ctx
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_element(cls, r: RingElement,
-                     lattice: Optional[KernelLattice] = None) -> "CentralFraction":
-        return cls(r.ctx, r, r.ctx.one(), lattice=lattice)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -320,13 +338,12 @@ class CentralFraction:
     def __repr__(self):
         return f"CentralFraction({self.to_literal()})"
 
-    def lift_to(self, target: RingContext,
-                allow_large: bool = False) -> "CentralFraction":
+    def lift_to(self, target: RingContext) -> "CentralFraction":
         """Image in a higher-level fraction ring.
 
         The lifted denominator usually stays central; when the finer level
         twists it, the fraction is re-denominated through the inversion
-        machinery.
+        machinery (and so under INVERSION_BUDGET, raising BudgetError).
         """
         if same_context(self.ctx, target):
             return self
@@ -335,56 +352,55 @@ class CentralFraction:
         lat = kernel_lattice(target)
         if is_central_structural(den, lat):
             return CentralFraction(target, num, den, lattice=lat)
-        s, w = _central_multiple(den, target, lat, allow_large=allow_large)
+        s, w = _central_multiple(den, target, lat)
         return CentralFraction(target, num * s, w, lattice=lat)
 
 
-def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice,
-                      allow_large: bool = False):
+def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     """Find s' and central w with s * s' = s' * s = w != 0.
 
     This is the denominator-clearing step: it rewrites any nonzero ring
-    denominator as a central one.
+    denominator as a central one.  The pair is (s_adj Nrd^(d-1), Nrd^d),
+    exactly the adjugate column and determinant of the p^(2k) regular
+    representation, since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9).
     """
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
-    _guard_size(ctx, allow_large)
-    basis = free_basis(ctx, lattice)
-    mat = regular_representation(s, basis, lattice)
-    lmat = [[central_to_laurent(entry, lattice) for entry in row] for row in mat]
-    field, nvars = lmat[0][0].field, lmat[0][0].nvars
-    e1 = [LaurentPoly.constant(field, nvars, 1)]
-    e1 += [LaurentPoly.zero(field, nvars)] * (len(lmat) - 1)
-    det, adj_coords = bareiss_solve(lmat, e1)
-    if det.is_zero():
+    d = lattice.index
+    if len(s.terms) ** d > INVERSION_BUDGET:
+        raise BudgetError(
+            f"inverting a {len(s.terms)}-term element at degree {d} may form "
+            f"{len(s.terms)}^{d} terms per minor, over the budget {INVERSION_BUDGET}"
+        )
+    rho = splitting_representation(s, lattice)
+    one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)
+    e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (d - 1)
+    nrd, adj = bareiss_solve(rho, e0)
+    if nrd.is_zero():
         raise InternalFaultError(
-            "regular representation of a nonzero element is singular; "
+            "splitting representation of a nonzero element is singular; "
             "this falsifies the construction"
         )
-    s_prime = None
-    for coord, b in zip(adj_coords, basis.elements):
-        piece = laurent_to_central(coord, ctx, lattice) * b
-        s_prime = piece if s_prime is None else s_prime + piece
-    w = laurent_to_central(det, ctx, lattice)
-    if s * s_prime != w or s_prime * s != w:
-        raise InternalFaultError("central multiple verification failed")
-    return s_prime, w
+    s_adj = ctx.zero()  # sum_i x^(w_i) adj_i, the element with coordinates adj
+    for wi, a in zip(lattice.box_representatives(), adj):
+        s_adj = s_adj + ctx.monomial(1, wi) * laurent_to_central(a, ctx, lattice)
+    w = laurent_to_central(nrd, ctx, lattice)
+    if (not is_central_structural(w, lattice)
+            or s * s_adj != w or s_adj * s != w):
+        raise InternalFaultError("reduced-norm verification failed")
+    power = one
+    for _ in range(d - 1):
+        power = power * nrd
+    z = laurent_to_central(power, ctx, lattice)
+    return s_adj * z, w * z
 
 
-def _guard_size(ctx: RingContext, allow_large: bool):
-    size = ctx.level.degree * ctx.tower.p**ctx.k  # p^(2k) for tower levels
-    if not allow_large and (size > MAX_MATRIX_SIZE or ctx.n > MAX_RANK):
-        raise BudgetError(
-            f"inversion at matrix size {size} with rank {ctx.n} exceeds the "
-            f"default desk-scale guard; pass allow_large=True to override"
-        )
-
-
-def invert(f: CentralFraction, allow_large: bool = False) -> CentralFraction:
+def invert(f: CentralFraction) -> CentralFraction:
     """Exact inverse of a nonzero central fraction, verified to multiply to 1.
 
     Homogeneous numerators invert directly; otherwise the numerator is
-    cleared to a central element via the regular representation.
+    cleared to a central element through its reduced norm, which raises
+    BudgetError past INVERSION_BUDGET.
     """
     if f.is_zero():
         raise NotAUnitError("the zero fraction has no inverse")
@@ -394,7 +410,7 @@ def invert(f: CentralFraction, allow_large: bool = False) -> CentralFraction:
         inv_num = f.num.invert_unit()
         result = CentralFraction(ctx, f.den * inv_num, ctx.one(), lattice=lat)
     else:
-        s, w = _central_multiple(f.num, ctx, lat, allow_large=allow_large)
+        s, w = _central_multiple(f.num, ctx, lat)
         result = CentralFraction(ctx, f.den * s, w, lattice=lat)
     product = f * result
     if product != CentralFraction(ctx, ctx.one(), ctx.one(), lattice=lat):

@@ -83,14 +83,13 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.level, self.level._add(self.code, other.code))
+        return FieldElement(self.level, self.level.add(self.code, other.code))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        lvl = self.level
-        return FieldElement(lvl, lvl._mul(self.code, lvl.base.neg(1)))
+        return FieldElement(self.level, self.level.neg(self.code))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -98,7 +97,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return FieldElement(self.level, self.level._mul(self.code, other.code))
+        return FieldElement(self.level, self.level.mul(self.code, other.code))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -154,14 +153,14 @@ class TowerLevel:
         # Frobenius^t multiplies logs by q^t
         self._frob_factor = [pow(base.q, t, self.units) for t in range(self.degree)]
 
-    # -- code arithmetic -------------------------------------------------------
+    # -- code arithmetic, the same API as BaseField -----------------------------
 
-    def _mul(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
         if not a or not b:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % self.units]
 
-    def _add(self, a: int, b: int) -> int:
+    def add(self, a: int, b: int) -> int:
         if not a:
             return b
         if not b:
@@ -169,6 +168,17 @@ class TowerLevel:
         la = self.log[a]
         z = self.zech[(self.log[b] - la) % self.units]
         return 0 if z == _NO_LOG else self.exp[(la + z) % self.units]
+
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.base.neg(1))
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return self.exp[-self.log[a] % self.units]
 
     def _digits(self, code: int) -> tuple:
         return tuple(code // self.base.q**i % self.base.q for i in range(self.degree))
@@ -379,7 +389,7 @@ def _embedding_table(lower: TowerLevel, upper: TowerLevel):
     for code in range(lower.order):
         acc = 0
         for c in reversed(lower._digits(code)):
-            acc = upper._add(upper._mul(acc, theta), c)
+            acc = upper.add(upper.mul(acc, theta), c)
         table[code] = acc
     return table
 

@@ -196,13 +196,78 @@ def test_config_values_are_coerced_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n": "2", "k": 2, "kmax": None, "den": None,
-        "exponents": [[0], [0, 9]], "allow_large": False, "format": "json",
+        "exponents": [[0], [0, 9]], "format": "json",
     }))
     code, text = run(tmp_path, "invert", "--config", str(cfg), "--element", "1 + x1")
     assert code == 0
     data = json.loads(text)
     assert data["config"]["n"] == 2 and data["config"]["kmax"] is None
     assert data["result"]["verification_product_equals_one"] is True
+
+
+def test_allow_large_is_gone(tmp_path, capsys):
+    # the inversion budget has no override, neither as a flag nor as a key
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--element", "1 + x1", "--allow-large"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allow_large": True}))
+    code, text = run(tmp_path, "invert", "--config", str(cfg), "--element", "1 + x1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "allow_large" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["invert"], ["center-probe", "--probe-level", "2"],
+])
+def test_zero_denominator_exits_2(tmp_path, capsys, command):
+    code, text = run(
+        tmp_path, *command, "--n", "1", "--element", "1+x1", "--den", "0",
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == "error: zero denominator\n"
+
+
+def test_inversion_over_budget_exits_2(tmp_path, capsys):
+    # 5 terms at degree 8: 5^8 > INVERSION_BUDGET
+    code, text = run(
+        tmp_path, "invert", "--n", "1", "--k", "3", "--kmax", "3",
+        "--element", "1 + x1 + x1^2 + x1^3 + x1^5",
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+
+
+# SHA-256 of invert stdout as first recorded, with the p^(2k) regular
+# representation; a change to the returned denominator has to update these
+# on purpose
+INVERT_GOLDENS = [
+    (["--n", "1", "--k", "1", "--element", "1 + x1 + t*x1^3"],
+     "fc56056847582fb28d346d9703d6d080fbce71f90ab8daa9ba75cc12b4ec2d2f"),
+    (["--n", "1", "--k", "2", "--element", "1 + x1 + t*x1^3"],
+     "4d06c16a1a241968a3a5c0c8bc6663b2e3f3c68752237b24c68e5a42eac570c7"),
+    (["--n", "1", "--k", "3", "--kmax", "3", "--element", "1 + x1 + t*x1^3"],
+     "1f746127754d0ca795c26dbd2331e3588298a4520fda6070300ee6e64b1e05a9"),
+    (["--p", "3", "--n", "1", "--k", "1", "--element", "1 + t*x1"],
+     "34fc79cec38c1422e71f20ea831c57e1fe509957dba99af5db04b61c0d0bc4bb"),
+    (["--q", "3", "--n", "1", "--k", "1", "--element", "1 + x1 + 2*t*x1^2"],
+     "099a39d17b24808b614723c59b89a022f68893fe6f467e44b82f1ad285af8f2e"),
+    (["--n", "2", "--k", "1", "--element", "t*x1 + x2", "--den", "1 + x1^2"],
+     "69663752a75ea6a6fd71d18692d625c8bab739e7e4e023ab3de45979ba095042"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", INVERT_GOLDENS)
+def test_invert_report_bytes_are_pinned(capsys, argv, digest):
+    import hashlib
+
+    assert main(["invert"] + argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_huge_kmax_is_refused_before_any_work(tmp_path):

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from twistlab.center import free_basis, is_central_structural, kernel_lattice
+from twistlab.action import default_action
+from twistlab.center import free_basis, is_central_structural, kernel_lattice, recompose
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.fields import BaseField
 from twistlab.quotient import (
+    INVERSION_BUDGET,
     CentralFraction,
     LaurentPoly,
+    _central_multiple,
     bareiss_determinant,
     bareiss_solve,
     center_of_quotient_test,
@@ -16,8 +19,10 @@ from twistlab.quotient import (
     laurent_to_central,
     normalized,
     regular_representation,
+    splitting_representation,
 )
-from twistlab.ring import RingContext
+from twistlab.ring import RingContext, parse_element
+from twistlab.tower import TowerConfig, build_tower
 
 
 @pytest.fixture(scope="module")
@@ -368,20 +373,115 @@ def test_invert_random_fractions_and_involution(ctx_n1_k1, lat1):
 def test_invert_rejects_zero_and_large_sizes(ctx_n1_k1, lat1, tower223):
     with pytest.raises(NotAUnitError):
         invert(frac(ctx_n1_k1, ctx_n1_k1.zero(), lat=lat1))
-    from twistlab.action import default_action
-
+    # rank 3 inverts and verifies
     ctx3 = RingContext(tower223, default_action(3, 2), 1)
-    lat3 = kernel_lattice(ctx3)
-    bulky = ctx3.one() + ctx3.gen(1)
+    f = frac(ctx3, ctx3.one() + ctx3.gen(1))
+    one = frac(ctx3, ctx3.one())
+    assert f * invert(f) == one and invert(f) * f == one
+    # a 5-term numerator at degree 8 is over the budget before any matrix
+    ctx = RingContext(tower223, default_action(1, 2), 3)
+    bulky = parse_element(ctx, "1 + x1 + x1^2 + x1^3 + x1^5")
+    assert len(bulky.terms) ** 8 > INVERSION_BUDGET
     with pytest.raises(BudgetError):
-        invert(frac(ctx3, bulky, lat=lat3))
+        invert(frac(ctx, bulky))
+
+
+@pytest.mark.parametrize("n,k,literal", [
+    (1, 4, "1 + t*x1^3"),  # d = 16
+    (4, 3, "1 + x1*x3 + t*x2*x4^-1"),  # rank 4, d = 8
+])
+def test_invert_at_level_4_and_rank_4(n, k, literal):
+    ctx = RingContext(build_tower(TowerConfig(2, 2, k)), default_action(n, 2), k)
+    f = frac(ctx, parse_element(ctx, literal))
+    g = invert(f)
+    one = frac(ctx, ctx.one())
+    assert f * g == one and g * f == one
+
+
+# -- the degree-p^k splitting against the p^(2k) regular representation --------
+
+
+def reference_central_multiple(s, ctx, lat):
+    """The p^(2k) path: left multiplication on the free center-module basis,
+    then one Bareiss solve of [M | e_1] for the determinant and the adjugate
+    column."""
+    fb = free_basis(ctx, lat)
+    mat = [[central_to_laurent(e, lat) for e in row]
+           for row in regular_representation(s, fb, lat)]
+    one = LaurentPoly.constant(mat[0][0].field, mat[0][0].nvars, 1)
+    e1 = [one] + [LaurentPoly.zero(one.field, one.nvars)] * (len(mat) - 1)
+    det, adj = bareiss_solve(mat, e1)
+    s_prime = recompose([laurent_to_central(c, ctx, lat) for c in adj], fb)
+    return s_prime, laurent_to_central(det, ctx, lat), det
+
+
+def context(p, q, k, n):
+    return RingContext(build_tower(TowerConfig(p, q, k)), default_action(n, p), k)
+
+
+ORACLE_CASES = [
+    (2, 2, 1, 1, 6), (2, 2, 2, 1, 4), (2, 2, 3, 1, 2),
+    (2, 2, 1, 2, 6), (2, 2, 2, 2, 3), (2, 2, 1, 3, 4),
+    (3, 2, 1, 1, 4), (3, 2, 1, 2, 3),
+    (2, 3, 1, 1, 4), (2, 3, 2, 1, 2),
+    (3, 3, 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("p,q,k,n,count", ORACLE_CASES)
+def test_central_multiple_matches_regular_representation(p, q, k, n, count):
+    # the returned pair is exactly the p^(2k) adjugate column and
+    # determinant, and that determinant is Nrd^(p^k)
+    ctx = context(p, q, k, n)
+    lat = kernel_lattice(ctx)
+    d = p**k
+    rng = random.Random(1000 * p + 100 * q + 10 * k + n)
+    for _ in range(count):
+        s = ctx.random_element(rng, max_terms=3, min_terms=2)
+        s_prime, w, det = reference_central_multiple(s, ctx, lat)
+        assert _central_multiple(s, ctx, lat) == (s_prime, w)
+        nrd, _ = bareiss_solve(splitting_representation(s, lat))
+        power = LaurentPoly.constant(nrd.field, nrd.nvars, 1)
+        for _ in range(d):
+            power = power * nrd
+        assert power == det
+
+
+def mat_mul(a, b):
+    zero = LaurentPoly.zero(a[0][0].field, a[0][0].nvars)
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = zero
+            for x, col in zip(row, b):
+                acc = acc + x * col[j]
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1)])
+def test_splitting_representation_is_multiplicative_on_basis_monomials(p, k, n):
+    ctx = context(p, 2, k, n)
+    lat = kernel_lattice(ctx)
+    d = p**k
+    theta = ctx.theta()
+    monomials = [ctx.monomial(theta**a, w)
+                 for a in range(d) for w in lat.box_representatives()]
+    assert len(monomials) == d * d
+    rho = {id(m): splitting_representation(m, lat) for m in monomials}
+    for x in monomials:
+        for y in monomials:
+            assert mat_mul(rho[id(x)], rho[id(y)]) == splitting_representation(x * y, lat)
+    assert splitting_representation(ctx.one(), lat) == [
+        [LaurentPoly.constant(ctx.level, n, 1 if i == j else 0) for j in range(d)]
+        for i in range(d)
+    ]
 
 
 def test_ore_fractions_reduce_to_central_denominators(ctx_n1_k1, lat1):
     # any r * s^(-1) equals a central fraction: clear s through its central
     # multiple and check the rewriting by cross-multiplication
-    from twistlab.quotient import _central_multiple
-
     rng = random.Random(6)
     for _ in range(20):
         r = ctx_n1_k1.random_element(rng, max_terms=2)
@@ -435,8 +535,6 @@ def test_center_probe_is_representation_independent(ctx_n1_k1, lat1):
 
 
 def test_probe_below_level_rejected(ctx_n1_k1, lat1, tower223):
-    from twistlab.action import default_action
-
     ctx2 = RingContext(tower223, default_action(1, 2), 2)
     lat2 = kernel_lattice(ctx2)
     f = frac(ctx2, ctx2.one(), lat=lat2)

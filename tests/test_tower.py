@@ -291,6 +291,7 @@ def assert_matches_reference(level, a, b):
     assert (a * b).coords == ref_mul(level, x, y)
     assert (a + b).coords == ref_add(level, x, y)
     assert (a - b).coords == ref_add(level, x, ref_neg(level, y))
+    assert level.sub(a.code, b.code) == (a - b).code
 
 
 def assert_unary_matches_reference(level, a):
@@ -301,6 +302,7 @@ def assert_unary_matches_reference(level, a):
     assert (a**3).coords == ref_pow(level, x, 3)
     if not a.is_zero():
         assert ref_mul(level, x, a.inverse().coords) == level.one().coords
+        assert level.inv(a.code) == a.inverse().code
         assert (a**-2).coords == ref_pow(level, a.inverse().coords, 2)
 
 
