@@ -167,6 +167,19 @@ def action_exponent(config: ActionConfig, word: Sequence[int], k: int) -> int:
     return sum(g * t for g, t in zip(word, ts)) % mod
 
 
+def check_certification_budget(n: int, coeff_bound: int):
+    """Raise BudgetError if one level's search for rank n at this bound would
+    tabulate more than CERTIFICATION_BUDGET vectors (both halves of the box)."""
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    h, width = (n + 1) // 2, 2 * coeff_bound + 1
+    # width > 2: a rank past twice the budget's bit length needs no power
+    if (n > 2 * CERTIFICATION_BUDGET.bit_length()
+            or width**h + width ** (n - h) > CERTIFICATION_BUDGET):
+        raise BudgetError(f"certifying rank {n} at coefficient bound {coeff_bound}"
+                          f" exceeds the budget {CERTIFICATION_BUDGET} vectors per level")
+
+
 def find_relation(config: ActionConfig, coeff_bound: int, k: int):
     """First nonzero m in itertools.product order over [-B, B]^n, B the
     coeff_bound, with sum(m_i a_i) = 0 mod p^k; None if the box has none.
@@ -175,13 +188,8 @@ def find_relation(config: ActionConfig, coeff_bound: int, k: int):
     entries; v is tabulated once as residue -> least v, and each u in
     product order looks up the v that cancels it.
     """
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
+    check_certification_budget(config.n, coeff_bound)
     n, h = config.n, (config.n + 1) // 2
-    width = 2 * coeff_bound + 1
-    if width**h + width ** (n - h) > CERTIFICATION_BUDGET:
-        raise BudgetError(f"certifying rank {n} at coefficient bound {coeff_bound}"
-                          f" exceeds the budget {CERTIFICATION_BUDGET} vectors per level")
     mod = config.p**k
     ts = config.truncations(k)
     span = range(-coeff_bound, coeff_bound + 1)

@@ -18,13 +18,13 @@ import os
 import sys
 
 from . import __version__
-from .action import ActionConfig, PAdicExponent, default_action
+from .action import ActionConfig, PAdicExponent, check_certification_budget, default_action
 from .center import kernel_lattice
 from .errors import InternalFaultError, TwistlabError
 from .growth import gk_estimate, growth_table
 from .pi import pi_degree_scan, test_identity
 from .quotient import CentralFraction, center_of_quotient_test, invert
-from .ring import RingContext, parse_element
+from .ring import DEFAULT_CERT_BOUND, RingContext, parse_element
 from .simplicity import replay_trace, unit_in_ideal
 from .tower import DEFAULT_FIELD_BUDGET, TowerConfig, build_tower, tower_to_json
 from .verify import run_all
@@ -140,6 +140,8 @@ def _apply_config_file(args, argv, ap):
 
 def _action(args, n=None) -> object:
     n = n if n is not None else args.n
+    # refuse an uncertifiable rank before building n exponents
+    check_certification_budget(n, DEFAULT_CERT_BOUND)
     spec = getattr(args, "exponents", None)
     if spec:
         positions = json.loads(spec)

@@ -1,21 +1,28 @@
-"""Exact arithmetic in small prime-power fields GF(q), plus polynomial helpers.
+"""Exact arithmetic in finite fields on integer codes, plus polynomial helpers.
 
-Elements of GF(q) are encoded as integers in [0, q): for q = r^d the base-r
-digits of the encoding are the coefficients of a polynomial over GF(r),
-reduced modulo a fixed irreducible modulus of degree d.  The modulus is the
-first irreducible monic polynomial in increasing encoding order, so the
-construction is deterministic.  All operations are table driven; the order is
-capped so the tables stay small.
+A field is F[X] modulo a monic irreducible polynomial over a smaller field F.
+An element is its code: its coordinates in the basis 1, X, X^2, ... packed
+in base |F|.  Each field builds exp[i] = g^i, log[g^i] = i and
+zech[i] = log(1 + g^i) for g the least code of full multiplicative order, so
+products, powers and inverses are index arithmetic and a + b = a * (1 + b/a)
+goes through zech.  Every field here is built over its prime field GF(r) in
+steps, so a code is also the base-r integer of its GF(r) digits, and
+addition is digit-wise mod r: XOR when r = 2.
+
+GF(q), q = r^e, is GF(r)[X] modulo the least irreducible monic polynomial of
+degree e (the first in increasing encoding order, so the construction is
+deterministic); the tower levels (tower.py) are built over GF(q) the same way.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
-from .errors import BudgetError, InternalFaultError
+from .errors import InternalFaultError
 
-# Largest base-field order for which the q x q operation tables are built.
-MAX_BASE_ORDER = 1024
+# log of zero, and zech[i] where 1 + g^i = 0
+_NO_LOG = -1
 
 
 def is_prime(n: int) -> bool:
@@ -45,98 +52,178 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return r, d
 
 
-class BaseField:
-    """GF(q) for a prime power q, with int-encoded elements and op tables."""
+class PrimeField:
+    """GF(r) for a prime r: integers mod r."""
 
-    def __init__(self, q: int):
-        if q > MAX_BASE_ORDER:
-            raise BudgetError(
-                f"base field order {q} exceeds the table budget {MAX_BASE_ORDER}"
-            )
-        r, d = factor_prime_power(q)
-        self.q = q
-        self.char = r
-        self.degree = d
-        if d == 1:
-            # GF(r)[X]/(X) is GF(r) itself; X is the first monic of degree 1.
-            self.modulus = (0, 1)
-        else:
-            prime = BaseField(r)
-            self.modulus = tuple(least_irreducible_poly(prime, d))
-        self._build_tables()
-
-    def _digits(self, a: int) -> list[int]:
-        r, out = self.char, []
-        for _ in range(self.degree):
-            a, rem = divmod(a, r)
-            out.append(rem)
-        return out
-
-    def _encode(self, digits) -> int:
-        val = 0
-        for c in reversed(digits):
-            val = val * self.char + c
-        return val
-
-    def _build_tables(self):
-        q, r, d = self.q, self.char, self.degree
-        if d == 1:
-            self._add = [(a + b) % r for a in range(q) for b in range(q)]
-            self._mul = [(a * b) % r for a in range(q) for b in range(q)]
-            self._neg = [(-a) % r for a in range(q)]
-        else:
-            mod = [c for c in self.modulus[:-1]]  # modulus is monic
-            self._add = [0] * (q * q)
-            self._mul = [0] * (q * q)
-            self._neg = [self._encode([(-c) % r for c in self._digits(a)]) for a in range(q)]
-            digit_cache = [self._digits(a) for a in range(q)]
-            for a in range(q):
-                da = digit_cache[a]
-                for b in range(q):
-                    db = digit_cache[b]
-                    self._add[a * q + b] = self._encode(
-                        [(x + y) % r for x, y in zip(da, db)]
-                    )
-                    conv = [0] * (2 * d - 1)
-                    for i, x in enumerate(da):
-                        if x:
-                            for j, y in enumerate(db):
-                                conv[i + j] = (conv[i + j] + x * y) % r
-                    # reduce: X^d = -mod (mod is monic), folded repeatedly
-                    for i in range(2 * d - 2, d - 1, -1):
-                        c = conv[i]
-                        if c:
-                            conv[i] = 0
-                            for j, mc in enumerate(mod):
-                                conv[i - d + j] = (conv[i - d + j] - c * mc) % r
-                    self._mul[a * q + b] = self._encode(conv[:d])
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a * q + b] == 1:
-                    self._inv[a] = b
-                    break
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a * self.q + b]
+    def __init__(self, r: int):
+        self.q = self.char = r
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a * self.q + self._neg[b]]
+        return (a - b) % self.q
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a * self.q + b]
+        return a * b % self.q
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return -a % self.q
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        return self._inv[a]
+        if not a:
+            raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
+        return pow(a, -1, self.q)
+
+
+class ExtensionField:
+    """base[X]/(modulus) on integer codes, with exp/log/zech tables."""
+
+    def __init__(self, base, modulus):
+        self.base = base
+        self.char = base.char
+        self.modulus = tuple(modulus)
+        self.degree = len(self.modulus) - 1
+        self.order = base.q**self.degree
+        self.units = self.order - 1  # order of the multiplicative group
+        self.exp, self.log, self.zech = self._build_tables()
+
+    # -- code arithmetic -------------------------------------------------------
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % self.units]
+
+    def add(self, a: int, b: int) -> int:
+        if self.char == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.units]
+        return 0 if z == _NO_LOG else self.exp[(la + z) % self.units]
+
+    def neg(self, a: int) -> int:
+        # -1 is the prime-field digit r - 1
+        return a if self.char == 2 else self.mul(a, self.char - 1)
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b if self.char == 2 else self.add(a, self.neg(b))
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return self.exp[-self.log[a] % self.units]
 
     def from_int(self, n: int) -> int:
         """Image of the rational integer n under the prime-field embedding."""
         return n % self.char
+
+    def _digits(self, code: int) -> tuple:
+        return tuple(code // self.base.q**i % self.base.q for i in range(self.degree))
+
+    def _code(self, digits) -> int:
+        return sum(c * self.base.q**i for i, c in enumerate(digits))
+
+    # -- table construction ----------------------------------------------------
+
+    def _build_tables(self):
+        """exp, log and zech over the least code of full multiplicative order.
+
+        exp is the orbit of 1 under multiplication by a candidate g; the
+        first candidate whose orbit has length |F| - 1 is the generator.
+        A shorter orbit is marked in log, since its members have smaller
+        order too and need no walk of their own.
+
+        Until the tables exist, codes add digit-wise mod r on their base-r
+        digits: both are spread to base 2r - 1, where digit sums cannot
+        carry, added as integers and folded back mod r.  Spreading and
+        folding go through tables of the low and high halves of the digits,
+        and the walk keeps g's multiplication tables spread.
+        """
+        r, units = self.char, self.units
+        n = round(math.log(self.order, r))  # base-r digits of a code
+        h, wide = n // 2, 2 * r - 1
+        split, wide_split = r**h, wide**h
+        spread_lo, spread_hi = _rebase(r, r, wide, n, h)
+        fold_lo, fold_hi = _rebase(r, wide, r, n, h)
+
+        def spread(a: int) -> int:
+            return spread_lo[a % split] + spread_hi[a // split]
+
+        def add(a: int, b: int) -> int:
+            s = spread(a) + spread(b)
+            return fold_lo[s % wide_split] + fold_hi[s // wide_split]
+
+        exp = array("i", [0]) * units
+        log = array("i", [_NO_LOG]) * self.order
+        for g in range(1, self.order):
+            if log[g] != _NO_LOG:
+                continue
+            lo, hi, half = self._times_tables(g, add)
+            lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
+            x = 1
+            for i in range(units):
+                exp[i] = x
+                s = lo[x % half] + hi[x // half]
+                x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
+                if x == 1:
+                    break
+            if x != 1:  # an orbit that misses 1 means zero divisors
+                raise ValueError(f"{self!r}: modulus is not irreducible")
+            if i == units - 1:
+                break
+            for j in range(i + 1):
+                log[exp[j]] = 0
+        for i, x in enumerate(exp):
+            log[x] = i
+        # adding 1 changes the lowest base-r digit only
+        zech = array("i", (log[x + 1 - r if x % r == r - 1 else x + 1] for x in exp))
+        return exp, log, zech
+
+    def _scale(self, c: int, a: int) -> int:
+        """Code of the base-field scalar c times the element with code a."""
+        return self._code([self.base.mul(c, x) for x in self._digits(a)])
+
+    def _times_tables(self, g: int, add):
+        """(lo, hi, split) with g * x = add(lo[x % split], hi[x // split]):
+        lo and hi hold g times every element of the low and high halves of
+        the digits, spanned from g * X^j (shift and reduce)."""
+        q, d = self.base.q, self.degree
+        top, split = q ** (d - 1), q ** (d // 2)
+        x_to_d = self._code([self.base.neg(c) for c in self.modulus[:-1]])
+        tables, image = ([0], [0]), g
+        for j in range(d):
+            half = tables[q**j >= split]
+            multiples = [self._scale(c, image) for c in range(q)]
+            half[:] = [add(t, s) for s in multiples for t in half]
+            image = add(image % top * q, self._scale(image // top, x_to_d))
+        return tables[0], tables[1], split
+
+
+def _rebase(r: int, src: int, dst: int, n: int, h: int):
+    """(lo, hi) for n-digit base-src numbers split after digit h: lo[x] and
+    hi[y] rewrite the digits of x and of y * src^h, each reduced mod r, in
+    base dst."""
+
+    def table(positions):
+        out = [0]
+        for j in positions:
+            out = [t + w for w in [c % r * dst**j for c in range(src)] for t in out]
+        return out
+
+    return table(range(h)), table(range(h, n))
+
+
+class BaseField(ExtensionField):
+    """GF(q) for a prime power q = r^e: GF(r)[X] modulo the least irreducible
+    monic polynomial of degree e (X itself when q is prime)."""
+
+    def __init__(self, q: int):
+        r, e = factor_prime_power(q)
+        self.q = q
+        prime = PrimeField(r)
+        super().__init__(prime, least_irreducible_poly(prime, e))
 
     def __eq__(self, other):
         return (
@@ -153,7 +240,8 @@ class BaseField:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over a BaseField: coefficient lists, ascending degree, trimmed.
+# Polynomials over a field F (PrimeField or ExtensionField): coefficient
+# lists, ascending degree, trimmed.
 
 
 def poly_trim(cs):
@@ -163,7 +251,7 @@ def poly_trim(cs):
     return cs
 
 
-def poly_divmod(F: BaseField, a, b):
+def poly_divmod(F, a, b):
     """Quotient and remainder of a by b (b nonzero)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -180,7 +268,7 @@ def poly_divmod(F: BaseField, a, b):
     return poly_trim(quo), rem
 
 
-def _monic_polys(F: BaseField, degree: int):
+def _monic_polys(F, degree: int):
     q = F.q
     for code in range(q**degree):
         coeffs, c = [], code
@@ -191,7 +279,7 @@ def _monic_polys(F: BaseField, degree: int):
         yield coeffs
 
 
-def is_irreducible(F: BaseField, poly) -> bool:
+def is_irreducible(F, poly) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
     if deg <= 0:
@@ -208,7 +296,7 @@ def is_irreducible(F: BaseField, poly) -> bool:
     return True
 
 
-def least_irreducible_poly(F: BaseField, degree: int):
+def least_irreducible_poly(F, degree: int):
     """First irreducible monic polynomial of the given degree, scanning in
     increasing coefficient-encoding order."""
     for poly in _monic_polys(F, degree):

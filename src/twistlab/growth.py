@@ -38,12 +38,14 @@ class _RowSpace:
         for row, piv in zip(self.rows, self.pivots):
             c = vec[piv]
             if c:
-                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
+                if c != 1:  # rows are 1 at the pivot: over GF(2) c is always 1
+                    row = [F.mul(c, b) for b in row]
+                vec = [F.sub(a, b) for a, b in zip(vec, row)]
         piv = next((i for i, v in enumerate(vec) if v), None)
         if piv is None:
             return False
         inv = F.inv(vec[piv])
-        self.rows.append([F.mul(inv, v) for v in vec])
+        self.rows.append(vec if inv == 1 else [F.mul(inv, v) for v in vec])
         self.pivots.append(piv)
         return True
 

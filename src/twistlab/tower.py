@@ -1,12 +1,11 @@
 """Finite-field towers GF(q) = L_0 <= L_1 <= L_2 <= ... with L_m = GF(q^(p^m)).
 
 Each level is GF(q)[X] modulo a deterministic irreducible defining polynomial
-of degree p^m.  An element is its code: its coordinates in the basis 1, X,
-X^2, ... packed in base q.  Each level builds exp[i] = g^i, log[g^i] = i and
-zech[i] = log(1 + g^i) for g the least code of full multiplicative order, so
-products, powers, inverses and the q-power Frobenius are index arithmetic
-and a + b = a * (1 + b/a) goes through zech.  Levels embed into the next
-through a stored image of X (the root of the defining polynomial with least
+of degree p^m, built like GF(q) itself (fields.ExtensionField): an element
+is its code, its coordinates in the basis 1, X, X^2, ... packed in base q,
+and products, powers, inverses and sums go through exp/log/zech tables.  The
+q-power Frobenius multiplies logs by q.  Levels embed into the next through
+a stored image of X (the root of the defining polynomial with least
 coordinate vector), applied through a code table.
 
 All values are immutable after construction and every operation is pure.
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, InternalFaultError
 from .fields import (
     BaseField,
+    ExtensionField,
     is_irreducible,
     is_prime,
     factor_prime_power,
@@ -29,9 +29,6 @@ from .fields import (
 )
 
 DEFAULT_FIELD_BUDGET = 1 << 20
-
-# log of zero, and zech[i] where 1 + g^i = 0
-_NO_LOG = -1
 
 
 @dataclass(frozen=True)
@@ -43,21 +40,30 @@ class TowerConfig:
     k_max: int
 
     def validate(self, budget: int = DEFAULT_FIELD_BUDGET):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        factor_prime_power(self.q)  # raises if not a prime power
+        def refuse(m):
+            raise BudgetError(
+                f"field order {self.q}^({self.p}^{m}) at level {m} "
+                f"(k_max {self.k_max}) exceeds the budget {budget}"
+            )
+
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.p < 2:
+            raise ValueError(f"p must be prime, got {self.p}")
+        # level 1 has order q^p >= max(q, 2^p): a huge q or p is refused by
+        # comparisons, so the trial divisions below only see small numbers
+        if self.q > budget or self.q >= 2 and self.p >= budget.bit_length():
+            refuse(1)
+        factor_prime_power(self.q)  # raises if not a prime power
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         # raise the order one level at a time and stop at the first level
         # past the budget, so a huge k_max is refused without big integers
         order = self.q
         for m in range(1, self.k_max + 1):
             order **= self.p
             if order > budget:
-                raise BudgetError(
-                    f"field order {self.q}^({self.p}^{m}) at level {m} "
-                    f"(k_max {self.k_max}) exceeds the budget {budget}"
-                )
+                refuse(m)
 
 
 class FieldElement:
@@ -138,123 +144,15 @@ class FieldElement:
         return f"FieldElement(level={self.level.m}, coords={self.coords})"
 
 
-class TowerLevel:
-    """One level L_m = GF(q^(p^m)) with its defining polynomial and tables."""
+class TowerLevel(ExtensionField):
+    """One level L_m = GF(q^(p^m)): GF(q)[X] modulo its defining polynomial."""
 
     def __init__(self, m: int, base: BaseField, modulus):
         self.m = m
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.degree = len(modulus) - 1
-        self.order = base.q**self.degree
-        self.units = self.order - 1  # order of the multiplicative group
         self.embedding_up = None  # coords in level m+1, set by the builder
-        self.exp, self.log, self.zech = self._build_tables()
+        super().__init__(base, modulus)
         # Frobenius^t multiplies logs by q^t
         self._frob_factor = [pow(base.q, t, self.units) for t in range(self.degree)]
-
-    # -- code arithmetic, the same API as BaseField -----------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.units]
-
-    def add(self, a: int, b: int) -> int:
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self.log[a]
-        z = self.zech[(self.log[b] - la) % self.units]
-        return 0 if z == _NO_LOG else self.exp[(la + z) % self.units]
-
-    def neg(self, a: int) -> int:
-        return self.mul(a, self.base.neg(1))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def inv(self, a: int) -> int:
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.exp[-self.log[a] % self.units]
-
-    def _digits(self, code: int) -> tuple:
-        return tuple(code // self.base.q**i % self.base.q for i in range(self.degree))
-
-    def _code(self, digits) -> int:
-        return sum(c * self.base.q**i for i, c in enumerate(digits))
-
-    # -- table construction ----------------------------------------------------
-
-    def _build_tables(self):
-        """exp, log and zech over the least code of full multiplicative order.
-
-        exp is the orbit of 1 under multiplication by a candidate g; the
-        first candidate whose orbit has length |L_m| - 1 is the generator.
-        A shorter orbit is marked in log, since its members have smaller
-        order too and need no walk of their own.
-        """
-        q, units = self.base.q, self.units
-        exp = array("i", [0]) * units
-        log = array("i", [_NO_LOG]) * self.order
-        add = self._add_build
-        for g in range(1, self.order):
-            if log[g] != _NO_LOG:
-                continue
-            lo, hi, split = self._times_tables(g)
-            x = 1
-            for i in range(units):
-                exp[i] = x
-                x = add(lo[x % split], hi[x // split])
-                if x == 1:
-                    break
-            if x != 1:  # an orbit that misses 1 means zero divisors
-                raise ValueError(f"level {self.m}: modulus is not irreducible")
-            if i == units - 1:
-                break
-            for j in range(i + 1):
-                log[exp[j]] = 0
-        for i, x in enumerate(exp):
-            log[x] = i
-        # adding 1 changes digit 0 only: shift[c] = code(c + 1) - code(c)
-        shift = [self.base.add(c, 1) - c for c in range(q)]
-        zech = array("i", (log[x + shift[x % q]] for x in exp))
-        return exp, log, zech
-
-    def _add_build(self, a: int, b: int) -> int:
-        """Sum of two codes before the tables exist: bitwise in characteristic
-        2, where the base-q digits are bit fields, digit by digit otherwise."""
-        if self.base.char == 2:
-            return a ^ b
-        F, q = self.base, self.base.q
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, q)
-            b, y = divmod(b, q)
-            out += F.add(x, y) * place
-            place *= q
-        return out
-
-    def _scale(self, c: int, a: int) -> int:
-        """Code of the base-field scalar c times the element with code a."""
-        return self._code([self.base.mul(c, x) for x in self._digits(a)])
-
-    def _times_tables(self, g: int):
-        """(lo, hi, split) with code(g * x) = lo[x % split] + hi[x // split]:
-        lo and hi hold g times every element of the low and high halves of
-        the digits, spanned from g * X^j (shift and reduce)."""
-        q, d, add = self.base.q, self.degree, self._add_build
-        top, split = q ** (d - 1), q ** (d // 2)
-        x_to_d = self._code([self.base.neg(c) for c in self.modulus[:-1]])
-        tables, image = ([0], [0]), g
-        for j in range(d):
-            half = tables[q**j >= split]
-            multiples = [self._scale(c, image) for c in range(q)]
-            half[:] = [add(t, s) for s in multiples for t in half]
-            image = add(image % top * q, self._scale(image // top, x_to_d))
-        return tables[0], tables[1], split
 
     # -- elements --------------------------------------------------------------
 

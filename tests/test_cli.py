@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistlab.action import default_action
 from twistlab.cli import main
 
 
@@ -299,6 +300,42 @@ def test_rank_over_certification_budget_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and text == ""
     assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+
+
+def test_huge_rank_is_refused_before_building_exponents(tmp_path, capsys, monkeypatch):
+    import twistlab.cli
+
+    def guarded(n, p):
+        if n >= 8:
+            raise AssertionError(f"default_action built {n} exponents")
+        return default_action(n, p)
+
+    monkeypatch.setattr(twistlab.cli, "default_action", guarded)
+    code, text = run(tmp_path, "center", "--n", "1000000000", "--k", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == ("error: certifying rank 1000000000 at coefficient bound 8"
+                   " exceeds the budget 131072 vectors per level\n")
+
+
+@pytest.mark.parametrize("p,q", [("2", "1000000000000000003"),
+                                 ("1000000000000000003", "2")])
+def test_huge_p_or_q_is_refused_before_factoring(tmp_path, capsys, monkeypatch, p, q):
+    import twistlab.tower
+
+    def bounded(fn):
+        def wrapper(n):
+            if n > 1 << 20:
+                raise AssertionError(f"{fn.__name__}({n}) ran before the budget check")
+            return fn(n)
+        return wrapper
+
+    for name in ("is_prime", "factor_prime_power"):
+        monkeypatch.setattr(twistlab.tower, name, bounded(getattr(twistlab.tower, name)))
+    code, text = run(tmp_path, "tower", "--p", p, "--q", q, "--kmax", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: field order ") and "exceeds the budget" in err
 
 
 def test_pi_scan_without_levels_exits_2(tmp_path, capsys):
