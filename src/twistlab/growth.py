@@ -2,9 +2,10 @@
 
 The span of all products of length <= N decomposes per group word into a
 coefficient subspace of the level field, so exact dimensions over GF(q) come
-from per-word row reduction: no global basis is ever materialized.  Each
-step multiplies only the vectors added in the previous step by the
-generators, and saturated words are skipped.
+from per-word row reduction on level codes, whose base-q digits are the
+coordinates: no global basis is ever materialized.  Each step multiplies
+only the vectors added in the previous step by the generators, by log
+arithmetic (RingContext.twist), and saturated words are skipped.
 
 The growth exponent is estimated as the least-squares slope of log dim
 against log N over the top half of the table, and is labelled an estimate:
@@ -14,6 +15,7 @@ the table is exact, the slope is not a proof.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,36 +23,34 @@ from .ring import RingContext, RingElement
 
 
 class _RowSpace:
-    """Incremental echelon basis of a subspace of the level field over GF(q)."""
+    """Incremental echelon basis of a subspace of the level field over GF(q).
 
-    __slots__ = ("field", "dim", "rows", "pivots")
+    Vectors are level codes; each row is keyed by its leading base-q digit,
+    scaled to 1 there by a level multiply (a scalar's code is itself).
+    """
 
-    def __init__(self, field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
+    __slots__ = ("level", "powers", "rows")
 
-    def insert(self, vec) -> bool:
+    def __init__(self, level, powers):
+        self.level = level
+        self.powers = powers  # powers[i] = q**i, i < degree
+        self.rows = {}
+
+    def insert(self, vec: int) -> bool:
         """Reduce vec against the basis; returns True if the rank grew."""
-        F = self.field
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c:
-                if c != 1:  # rows are 1 at the pivot: over GF(2) c is always 1
-                    row = [F.mul(c, b) for b in row]
-                vec = [F.sub(a, b) for a, b in zip(vec, row)]
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            return False
-        inv = F.inv(vec[piv])
-        self.rows.append(vec if inv == 1 else [F.mul(inv, v) for v in vec])
-        self.pivots.append(piv)
-        return True
+        level, powers, rows = self.level, self.powers, self.rows
+        while vec:
+            h = bisect_right(powers, vec) - 1
+            lead, row = vec // powers[h], rows.get(h)
+            if row is None:
+                rows[h] = vec if lead == 1 else level.mul(level.inv(lead), vec)
+                return True
+            # over GF(2) lead is always 1 and the reduction is one XOR
+            vec = level.sub(vec, row if lead == 1 else level.mul(lead, row))
+        return False
 
     def full(self) -> bool:
-        return len(self.rows) == self.dim
+        return len(self.rows) == len(self.powers)
 
 
 @dataclass
@@ -87,49 +87,41 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
     vector budget is exceeded the table is returned truncated, with the
     cutoff recorded.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if max_vectors < 1:
+        raise ValueError(f"max_vectors must be >= 1, got {max_vectors}")
     if generators is None:
         generators = ctx.default_generators()
-    generators = [g for g in generators]
     gen_set = [ctx.one()] + [g for g in generators if not g.is_zero()]
-    deg = ctx.level.degree
-    spaces: dict = {}
-    frontier = []  # (word, coefficient) vectors new in the previous step
-
+    level = ctx.level
+    exp, log, units = level.exp, level.log, level.units
+    powers = [level.base.q**i for i in range(level.degree)]
+    # generator terms, in order, as (word, log of coefficient)
+    terms = [(h, log[d.code]) for g in gen_set[1:] for h, d in g.terms.items()]
     zero_word = (0,) * ctx.n
-    one_vec = ctx.level.one()
-    spaces[zero_word] = _RowSpace(ctx.level.base, deg)
-    spaces[zero_word].insert(one_vec.coords)
-    frontier.append((zero_word, one_vec))
-    # seed with the generators themselves (products of length 1)
+    spaces = {zero_word: _RowSpace(level, powers)}
+    spaces[zero_word].insert(1)
+    frontier = [(zero_word, 0)]  # (word, log coefficient) new in the last step
     rows = [1]
     truncated_at = None
-    total = 1
-
-    def insert_term(word, coeff) -> bool:
-        space = spaces.get(word)
-        if space is None:
-            space = _RowSpace(ctx.level.base, deg)
-            spaces[word] = space
-        if space.full():
-            return False
-        return space.insert(coeff.coords)
-
     for step in range(1, n_max + 1):
         new_entries = []
-        for word, coeff in frontier:
-            e = ctx.word_exponent(word)
-            for g in gen_set[1:]:
-                for h, d in g.terms.items():
-                    w = tuple(a + b for a, b in zip(word, h))
-                    val = coeff * ctx.frob(d, e)
-                    if val.is_zero():
-                        continue
-                    if insert_term(w, val):
-                        new_entries.append((w, val))
-                        total += 1
+        for word, lc in frontier:
+            f = ctx.twist(word)
+            for h, ld in terms:
+                w = tuple(a + b for a, b in zip(word, h))
+                space = spaces.get(w)
+                if space is None:
+                    space = spaces[w] = _RowSpace(level, powers)
+                elif space.full():
+                    continue
+                lv = (lc + f * ld) % units
+                if space.insert(exp[lv]):
+                    new_entries.append((w, lv))
         frontier = new_entries
         rows.append(rows[-1] + len(new_entries))
-        if total > max_vectors:
+        if rows[-1] > max_vectors:
             truncated_at = step
             break
     return GrowthTable(

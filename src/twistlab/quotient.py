@@ -171,7 +171,7 @@ def central_to_laurent(z: RingElement, lattice: KernelLattice) -> LaurentPoly:
     for w, c in z.terms.items():
         if not c.in_base_field():
             raise ValueError("element has a coefficient outside GF(q)")
-        terms[lattice.lattice_coordinates(w)] = c.coords[0]
+        terms[lattice.lattice_coordinates(w)] = c.code
     return LaurentPoly(field, len(lattice.basis), terms)
 
 

@@ -58,6 +58,10 @@ class RingContext:
     def frob(self, c: FieldElement, e: int) -> FieldElement:
         return self.level.frobenius(c, e)
 
+    def twist(self, word) -> int:
+        """f with log sigma_word(c) = f * log c mod (|L| - 1)."""
+        return self.level._frob_factor[self.word_exponent(word)]
+
     # -- element factories ---------------------------------------------------
 
     def zero(self) -> "RingElement":
@@ -97,8 +101,7 @@ class RingContext:
         """theta and all x_i^(+-1): generates the ring as an algebra over GF(q)."""
         gens = [self.scalar(self.theta())]
         for i in range(1, self.n + 1):
-            x = self.gen(i)
-            gens.extend([x, x.invert_unit()])
+            gens.extend([self.gen(i), self.gen(i, -1)])
         return gens
 
     def random_element(self, rng, max_terms: int = 3, coord_bound: int = 2,
@@ -218,16 +221,19 @@ class RingElement:
         elif isinstance(other, FieldElement):
             other = self.ctx.scalar(other)
         self._check(other)
-        ctx = self.ctx
+        # (c g)(d h) = exp(log c + f_g * log d) (g + h) on level codes: sums
+        # accumulate as codes, and each is wrapped once (zero sums dropped)
+        ctx, level = self.ctx, self.ctx.level
+        exp, log, units = level.exp, level.log, level.units
         out: dict = {}
         for g, c in self.terms.items():
-            e = ctx.word_exponent(g)
+            lc, f = log[c.code], ctx.twist(g)
             for h, d in other.terms.items():
                 w = tuple(a + b for a, b in zip(g, h))
-                val = c * ctx.frob(d, e)
+                val = exp[(lc + f * log[d.code]) % units]
                 prev = out.get(w)
-                out[w] = val if prev is None else prev + val
-        return RingElement(ctx, out)
+                out[w] = val if prev is None else level.add(prev, val)
+        return RingElement(ctx, {w: FieldElement(level, c) for w, c in out.items()})
 
     def __rmul__(self, other):
         # Left multiplication by a plain coefficient never twists.
@@ -303,8 +309,7 @@ class RingElement:
 def _coeff_literal(coeff: FieldElement) -> tuple:
     """Literal for a field coefficient; returns (text, needs_parens)."""
     monomials = []
-    for i in reversed(range(len(coeff.coords))):
-        c = coeff.coords[i]
+    for i, c in reversed(tuple(enumerate(coeff.coords))):
         if not c:
             continue
         if i == 0:

@@ -33,3 +33,26 @@ def ctx_n2_k2(tower223, action_n2):
 @pytest.fixture(scope="session")
 def ctx_n1_k1(tower223, action_n1):
     return RingContext(tower223, action_n1, 1)
+
+
+@pytest.fixture
+def field_op_counts(monkeypatch):
+    """Counts of FieldElement.__mul__, TowerLevel.frobenius and
+    FieldElement.coords calls made while the test runs."""
+    from collections import Counter
+
+    from twistlab.tower import FieldElement, TowerLevel
+
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted("mul", FieldElement.__mul__))
+    monkeypatch.setattr(TowerLevel, "frobenius", counted("frobenius", TowerLevel.frobenius))
+    monkeypatch.setattr(FieldElement, "coords",
+                        property(counted("coords", FieldElement.coords.fget)))
+    return counts

@@ -357,6 +357,23 @@ def test_verify_all_report_bytes_are_pinned(capsys):
     )
 
 
+GROWTH_GOLDENS = [
+    (["--n", "3", "--k", "1", "--nmax", "12"],
+     "2ef383d1dee2e322357a2685fc805957fa348883d8a2ebffdc17d1dfc2056f3e"),
+    (["--n", "2", "--k", "2", "--nmax", "10", "--format", "json"],
+     "74cde955d62920b01e7a04639e80696aacfe2d56ee88c660066776b07dce722e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GROWTH_GOLDENS)
+def test_growth_report_bytes_are_pinned(capsys, argv, digest):
+    import hashlib
+
+    assert main(["growth"] + argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_explicit_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2}))

@@ -1,9 +1,71 @@
+import random
 from itertools import product
 
 import pytest
 
-from twistlab.growth import gk_estimate, growth_table
+from twistlab.action import default_action
+from twistlab.cli import main
+from twistlab.growth import GrowthTable, gk_estimate, growth_table
 from twistlab.ring import RingContext
+from twistlab.tower import TowerConfig, build_tower
+
+
+class _CoordRowSpace:
+    """Echelon basis on coordinate tuples, reduced entry by entry (the
+    reference for the code-based _RowSpace)."""
+
+    def __init__(self, field, dim):
+        self.field, self.dim = field, dim
+        self.rows, self.pivots = [], []
+
+    def insert(self, vec) -> bool:
+        F = self.field
+        vec = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            c = vec[piv]
+            if c:
+                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
+        piv = next((i for i, v in enumerate(vec) if v), None)
+        if piv is None:
+            return False
+        inv = F.inv(vec[piv])
+        self.rows.append([F.mul(inv, v) for v in vec])
+        self.pivots.append(piv)
+        return True
+
+    def full(self) -> bool:
+        return len(self.rows) == self.dim
+
+
+def reference_growth_table(ctx, generators, n_max, max_vectors=500_000):
+    """growth_table with one FieldElement product, one Frobenius and one
+    coordinate expansion per term pair."""
+    gen_set = [ctx.one()] + [g for g in generators if not g.is_zero()]
+    deg = ctx.level.degree
+    zero_word = (0,) * ctx.n
+    spaces = {zero_word: _CoordRowSpace(ctx.level.base, deg)}
+    spaces[zero_word].insert(ctx.level.one().coords)
+    frontier = [(zero_word, ctx.level.one())]
+    rows, truncated_at, total = [1], None, 1
+    for step in range(1, n_max + 1):
+        new_entries = []
+        for word, coeff in frontier:
+            e = ctx.word_exponent(word)
+            for g in gen_set[1:]:
+                for h, d in g.terms.items():
+                    w = tuple(a + b for a, b in zip(word, h))
+                    val = coeff * ctx.frob(d, e)
+                    space = spaces.setdefault(w, _CoordRowSpace(ctx.level.base, deg))
+                    if not val.is_zero() and not space.full() and space.insert(val.coords):
+                        new_entries.append((w, val))
+                        total += 1
+        frontier = new_entries
+        rows.append(rows[-1] + len(new_entries))
+        if total > max_vectors:
+            truncated_at = step
+            break
+    return GrowthTable(generators=gen_set, rows=rows, n_max=len(rows) - 1,
+                       truncated_at=truncated_at)
 
 
 def l1_ball(n, radius):
@@ -103,3 +165,47 @@ def test_csv_shape(ctx_n1_k1):
     assert lines[0] == "N,dim"
     assert lines[1] == "0,1"
     assert len(lines) == 14
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 9)])
+def test_code_echelon_matches_coordinate_reference(p, q):
+    tower = build_tower(TowerConfig(p, q, 2))
+    rng = random.Random(f"growth-oracle-{p}-{q}")
+    for n in (1, 2, 3):
+        action = default_action(n, p)
+        for k in range(tower.k_max + 1):
+            ctx = RingContext(tower, action, k)
+            for _ in range(2):
+                gens = [ctx.random_element(rng, max_terms=3, coord_bound=1)
+                        for _ in range(rng.randint(1, 3))]
+                n_max = 4 if n < 3 else 3
+                got = growth_table(ctx, gens, n_max=n_max)
+                want = reference_growth_table(ctx, gens, n_max)
+                assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+    ctx = RingContext(tower, default_action(2, p), 2)
+    gens = [ctx.random_element(rng, max_terms=3, coord_bound=1) for _ in range(3)]
+    got = growth_table(ctx, gens, n_max=8, max_vectors=40)
+    want = reference_growth_table(ctx, gens, 8, max_vectors=40)
+    assert got.truncated_at is not None
+    assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+
+
+def test_growth_makes_no_field_element_per_product(tower223, action_n2, field_op_counts):
+    ctx = RingContext(tower223, action_n2, 2)
+    table = growth_table(ctx, None, n_max=8)
+    assert table.rows[-1] > 100
+    assert dict(field_op_counts) == {}
+
+
+@pytest.mark.parametrize("kwargs", [{"n_max": -1}, {"max_vectors": 0}])
+def test_negative_budgets_are_refused(ctx_n1_k1, kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        growth_table(ctx_n1_k1, None, **kwargs)
+
+
+def test_cli_refuses_negative_nmax(capsys):
+    assert main(["growth", "--nmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be >= 0, got -1\n"

@@ -2,8 +2,23 @@ import random
 
 import pytest
 
+from twistlab.action import default_action
 from twistlab.errors import ContextMismatchError, NotAUnitError
 from twistlab.ring import RingContext, RingElement, parse_element
+from twistlab.tower import TowerConfig, build_tower
+
+
+def reference_mul(a, b):
+    """Product by one FieldElement multiply and Frobenius per term pair."""
+    ctx = a.ctx
+    out = {}
+    for g, c in a.terms.items():
+        e = ctx.word_exponent(g)
+        for h, d in b.terms.items():
+            w = tuple(x + y for x, y in zip(g, h))
+            val = c * ctx.frob(d, e)
+            out[w] = out[w] + val if w in out else val
+    return RingElement(ctx, out)
 
 
 def test_twisted_monomial_rule(ctx_n2_k1):
@@ -217,3 +232,31 @@ def test_degenerate_level_zero_ring(tower223, action_n2):
         r = ctx0.random_element(rng)
         s = ctx0.random_element(rng)
         assert r * s == s * r
+
+
+@pytest.mark.parametrize("q,levels", [(2, range(4)), (3, range(3))])
+def test_code_product_matches_field_element_reference(tower223, q, levels):
+    tower = tower223 if q == 2 else build_tower(TowerConfig(2, q, 2))
+    rng = random.Random(f"ring-oracle-{q}")
+    for n in (1, 2):
+        action = default_action(n, 2)
+        for k in levels:
+            ctx = RingContext(tower, action, k)
+            for _ in range(40):
+                a = ctx.random_element(rng, max_terms=3, coord_bound=1)
+                b = ctx.random_element(rng, max_terms=3, coord_bound=1)
+                assert a * b == reference_mul(a, b)
+            # x1 - x1 cancels in (1 + x1)(1 - x1) in every characteristic
+            one, x1 = ctx.one(), ctx.gen(1)
+            prod = (one + x1) * (one - x1)
+            assert prod == reference_mul(one + x1, one - x1) == one - x1 * x1
+            assert (1,) + (0,) * (n - 1) not in prod.terms
+
+
+def test_product_makes_no_field_element_per_term_pair(ctx_n2_k2, field_op_counts):
+    a = parse_element(ctx_n2_k2, "t + (t^2 + 1)*x1 + t^3*x2^-1")
+    b = parse_element(ctx_n2_k2, "1 + t*x1^-1 + (t + 1)*x1*x2")
+    field_op_counts.clear()
+    prod = a * b
+    assert dict(field_op_counts) == {}
+    assert prod == reference_mul(a, b)
