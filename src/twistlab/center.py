@@ -100,9 +100,6 @@ class KernelLattice:
         h = tuple(a - b for a, b in zip(word, r))
         return r, h
 
-    def coset_representative(self, word) -> tuple:
-        return self.reduce(word)[0]
-
     def lattice_coordinates(self, word) -> tuple:
         """Coordinates of a lattice member in the HNF basis."""
         v = list(word)
@@ -193,12 +190,7 @@ def is_central(r: RingElement) -> bool:
 
 def is_central_structural(r: RingElement, lattice: KernelLattice) -> bool:
     """Structural test: support inside the kernel lattice, coefficients in GF(q)."""
-    for w, c in r.terms.items():
-        if not c.in_base_field():
-            return False
-        if not lattice.contains(w):
-            return False
-    return True
+    return all(c.in_base_field() and lattice.contains(w) for w, c in r.terms.items())
 
 
 @dataclass(frozen=True)
@@ -220,16 +212,9 @@ def free_basis(ctx: RingContext, lattice: KernelLattice = None) -> FreeBasis:
     if lattice is None:
         lattice = kernel_lattice(ctx)
     theta = ctx.theta()
-    deg = ctx.level.degree
-    field_basis = []
-    cur = ctx.level.one()
-    for _ in range(deg):
-        field_basis.append(cur)
-        cur = cur * theta
+    field_basis = [theta**i for i in range(ctx.level.degree)]
     reps = lattice.box_representatives()
-    elements = tuple(
-        ctx.monomial(c, g) for g in reps for c in field_basis
-    )
+    elements = tuple(ctx.monomial(c, g) for g in reps for c in field_basis)
     return FreeBasis(
         field_basis=tuple(field_basis), coset_reps=tuple(reps), elements=elements
     )

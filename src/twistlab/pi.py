@@ -3,14 +3,15 @@
 The standard polynomial of degree m is the signed sum of all m! orderings of
 its arguments.  It is evaluated by expanding on the first factor over index
 subsets, S(T) = sum_i (-1)^{#{j in T : j < i}} x_i S(T - {i}), one subset
-size at a time: at most m * 2^(m-1) ring products instead of one product per
-permutation prefix.  Identity testing samples random tuples from a level
-ring: the standard polynomials are multilinear, and the level ring sits
-inside its central quotient division ring with central denominators, so a
-multilinear identity holds on the ring iff it holds on the quotient.
-Vanishing results are reported as "vanished in N trials", never as proofs;
-non-identities are proved by the exhibited witness with its exact nonzero
-value.
+size at a time on {word: code} dicts: at most m * 2^(m-1) code-level twisted
+products (ring._mul_codes) instead of one ring product per permutation
+prefix, and one ring element at the end.  Identity testing samples random
+tuples from a level ring: the standard polynomials are multilinear, and the
+level ring sits inside its central quotient division ring with central
+denominators, so a multilinear identity holds on the ring iff it holds on
+the quotient.  Vanishing results are reported as "vanished in N trials",
+never as proofs; non-identities are proved by the exhibited witness with its
+exact nonzero value.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetError
-from .ring import RingContext, RingElement
+from .ring import RingContext, RingElement, _from_codes, _mul_codes
 
-MAX_DEGREE = 8  # input guard: at most m * 2^(m-1) = 1,024 ring products
+MAX_DEGREE = 8  # input guard: m * 2^(m-1) <= 1,024 code-level twisted products
 
 # Sample-element sizes per degree: the support of a product grows with the
 # product of its factors' supports, so high degrees draw sparser elements.
@@ -33,28 +34,32 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
     """Alternating sum over all orderings of the arguments, computed exactly.
 
     S(T) for every index subset T of one size is built from the subsets one
-    smaller: putting x_i first inverts it against every smaller index of T.
+    smaller: putting x_i first inverts it against every smaller index of T,
+    so the sign picks x_i or its negated copy.  Layers hold {word: code}.
     """
     m = len(elements)
     if m == 0:
         raise ValueError("need at least one argument")
     if m > MAX_DEGREE:
         raise BudgetError(f"degree {m} exceeds the budget {MAX_DEGREE}")
-    layer = {1 << i: x for i, x in enumerate(elements)}
+    for x in elements[1:]:
+        elements[0]._check(x)
+    ctx = elements[0].ctx
+    neg = ctx.level.neg
+    xs = [{w: c.code for w, c in x.terms.items()} for x in elements]
+    signed = (xs, [{w: neg(c) for w, c in x.items()} for x in xs])
+    layer = {1 << i: x for i, x in enumerate(xs)}
     for _ in range(m - 1):
         grown: dict = {}
         for rest, value in layer.items():
-            for i, x in enumerate(elements):
+            for i in range(m):
                 bit = 1 << i
-                if rest & bit:
-                    continue
-                term = x * value
-                if bin(rest & (bit - 1)).count("1") & 1:
-                    term = -term
-                prev = grown.get(rest | bit)
-                grown[rest | bit] = term if prev is None else prev + term
-        layer = grown
-    return layer[(1 << m) - 1]
+                if not rest & bit:
+                    odd = bin(rest & (bit - 1)).count("1") & 1
+                    out = grown.setdefault(rest | bit, {})
+                    _mul_codes(ctx, signed[odd][i], value, out)
+        layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}
+    return _from_codes(ctx, layer[(1 << m) - 1])
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,7 @@ def test_identity(ctx: RingContext, degree: int, trials: int, seed: int,
     rng = random.Random(seed)
     vanish = 0
     witness = None
-    run = 0
-    for _ in range(trials):
-        run += 1
+    for run in range(1, trials + 1):
         args = [ctx.random_element(rng, max_terms=max_terms) for _ in range(degree)]
         value = standard_polynomial(args)
         if value.is_zero():
@@ -158,7 +161,6 @@ def pi_degree_scan(contexts: Sequence[RingContext], trials: int, seed: int,
     for ctx in contexts:
         threshold = 2 * ctx.tower.p**ctx.k
         reports = []
-        untested = []
         largest_failing = None
         smallest_vanishing = None
         for m in range(2, max_degree + 1, 2):
@@ -171,15 +173,13 @@ def pi_degree_scan(contexts: Sequence[RingContext], trials: int, seed: int,
                 largest_failing = m
             elif smallest_vanishing is None:
                 smallest_vanishing = m
-        for m in range(max_degree + 2, threshold + 1, 2):
-            untested.append(m)
         rows.append(
             ScanRow(
                 k=ctx.k,
                 largest_failing_degree=largest_failing,
                 smallest_vanishing_degree=smallest_vanishing,
                 reports=tuple(reports),
-                untested=tuple(untested),
+                untested=tuple(range(max_degree + 2, threshold + 1, 2)),
             )
         )
     return rows

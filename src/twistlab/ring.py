@@ -9,7 +9,9 @@ automorphism attached to the left word:
 
 with sigma_g = Frobenius^(action exponent of g at this level).  Homogeneous
 elements (single-term) are exactly the units; the support is pruned of zero
-coefficients so structural equality is semantic equality.
+coefficients so structural equality is semantic equality.  Sums and
+products run on {word: code} dicts of level codes, products through the one
+kernel _mul_codes, and each result is wrapped as an element once.
 
 A context bundles the tower, the acting group, the level, and the
 independence certification performed when the context is created.
@@ -18,6 +20,7 @@ independence certification performed when the context is created.
 from __future__ import annotations
 
 import re
+from operator import add as _add_ints
 
 from .action import ActionConfig, action_exponent, least_certified_level
 from .errors import ContextMismatchError, NotAUnitError
@@ -70,14 +73,21 @@ class RingContext:
     def one(self) -> "RingElement":
         return self.monomial(self.level.one(), (0,) * self.n)
 
-    def monomial(self, coeff, word) -> "RingElement":
+    def _coeff(self, coeff) -> FieldElement:
+        """An int read in the prime field, or a field element of this level;
+        an element of another level is refused."""
+        level = self.level
         if isinstance(coeff, int):
-            coeff = self.level.from_base(self.level.base.from_int(coeff))
+            return FieldElement(level, coeff % level.char)
+        if coeff.level is not level and coeff.level != level:
+            raise ValueError("field elements belong to different levels")
+        return coeff
+
+    def monomial(self, coeff, word) -> "RingElement":
+        coeff = self._coeff(coeff)
         word = tuple(word)
         if len(word) != self.n:
             raise ValueError(f"word has length {len(word)}, expected {self.n}")
-        if coeff.is_zero():
-            return self.zero()
         return RingElement(self, {word: coeff})
 
     def gen(self, i: int, e: int = 1) -> "RingElement":
@@ -192,58 +202,47 @@ class RingElement:
         w = min(self.terms, key=key) if key is not None else min(self.terms)
         return w, self.terms[w]
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Term-wise op(self, other) on codes, for op = level.add or sub."""
         if isinstance(other, int):
-            other = self.ctx.monomial(other, (0,) * self.ctx.n)
+            other = self.ctx.scalar(other)
         self._check(other)
-        out = dict(self.terms)
+        out = {w: c.code for w, c in self.terms.items()}
         for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return RingElement(self.ctx, out)
+            out[w] = op(out.get(w, 0), c.code)
+        return _from_codes(self.ctx, out)
+
+    def __add__(self, other):
+        return self._combine(other, self.ctx.level.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ctx, {w: -c for w, c in self.terms.items()})
+        neg = self.ctx.level.neg
+        return _from_codes(self.ctx, {w: neg(c.code) for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.monomial(other, (0,) * self.ctx.n)
-        return self + (-other)
+        return self._combine(other, self.ctx.level.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.monomial(other, (0,) * self.ctx.n)
-        elif isinstance(other, FieldElement):
+        if isinstance(other, (int, FieldElement)):
             other = self.ctx.scalar(other)
         self._check(other)
-        # (c g)(d h) = exp(log c + f_g * log d) (g + h) on level codes: sums
-        # accumulate as codes, and each is wrapped once (zero sums dropped)
-        ctx, level = self.ctx, self.ctx.level
-        exp, log, units = level.exp, level.log, level.units
-        out: dict = {}
-        for g, c in self.terms.items():
-            lc, f = log[c.code], ctx.twist(g)
-            for h, d in other.terms.items():
-                w = tuple(a + b for a, b in zip(g, h))
-                val = exp[(lc + f * log[d.code]) % units]
-                prev = out.get(w)
-                out[w] = val if prev is None else level.add(prev, val)
-        return RingElement(ctx, {w: FieldElement(level, c) for w, c in out.items()})
+        # one wrap of the kernel's {word: code} sums; zero sums are dropped
+        left = {w: c.code for w, c in self.terms.items()}
+        right = {w: c.code for w, c in other.terms.items()}
+        out = _mul_codes(self.ctx, left, right, {})
+        return _from_codes(self.ctx, out)
 
     def __rmul__(self, other):
         # Left multiplication by a plain coefficient never twists.
-        if isinstance(other, int):
-            other = self.ctx.level.from_base(self.ctx.level.base.from_int(other))
-        if isinstance(other, FieldElement):
-            return RingElement(
-                self.ctx, {w: other * c for w, c in self.terms.items()}
-            )
-        return NotImplemented
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        c, mul = self.ctx._coeff(other).code, self.ctx.level.mul
+        return _from_codes(self.ctx, {w: mul(c, d.code) for w, d in self.terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -304,6 +303,33 @@ class RingElement:
         for w in sorted(self.terms):
             parts.append(_term_literal(self.ctx, w, self.terms[w]))
         return " + ".join(parts)
+
+
+def _from_codes(ctx: RingContext, codes: dict) -> RingElement:
+    """The element with terms {word: code}, zero codes dropped, in one pass."""
+    level = ctx.level
+    out = RingElement.__new__(RingElement)
+    out.ctx = ctx
+    out.terms = {w: FieldElement(level, c) for w, c in codes.items() if c}
+    return out
+
+
+def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
+    """Add left * right into out, on {word: nonzero code} dicts.
+
+    (c g)(d h) = c sigma_g(d) (g + h) = exp(log c + f_g log d) (g + h), with
+    f_g = ctx.twist(g); sums accumulate by level.add, so out may hold zeros.
+    """
+    level = ctx.level
+    exp, log, units, add = level.exp, level.log, level.units, level.add
+    for g, c in left.items():
+        lc, f = log[c], ctx.twist(g)
+        for h, d in right.items():
+            w = tuple(map(_add_ints, g, h))
+            val = exp[(lc + f * log[d]) % units]
+            prev = out.get(w)
+            out[w] = val if prev is None else add(prev, val)
+    return out
 
 
 def _coeff_literal(coeff: FieldElement) -> tuple:
@@ -388,18 +414,18 @@ class _Parser:
         return out
 
     def element(self) -> RingElement:
-        negate = False
+        # terms accumulate as codes: one wrap per literal, not one per + or -
+        level, out = self.ctx.level, {}
+        op = level.add
         if self.peek() == "-":
             self.take()
-            negate = True
-        out = self.term()
-        if negate:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            nxt = self.term()
-            out = out - nxt if op == "-" else out + nxt
-        return out
+            op = level.sub
+        while True:
+            for w, c in self.term().terms.items():
+                out[w] = op(out.get(w, 0), c.code)
+            if self.peek() not in ("+", "-"):
+                return _from_codes(self.ctx, out)
+            op = level.sub if self.take() == "-" else level.add
 
     def term(self) -> RingElement:
         out = self.factor()

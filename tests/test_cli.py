@@ -374,6 +374,31 @@ def test_growth_report_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# The standard polynomial and ring sums run on level codes; these reports'
+# values, witnesses and trial counts keep their bytes.
+PI_GOLDENS = [
+    (["pi-test", "--k", "2", "--degree", "8", "--trials", "20"],
+     "b697741c0e400d40de278e6f2b88cebacf4e28ff8cf7e88a47487f510427dbcc"),
+    (["pi-scan", "--n", "2", "--k", "2", "--trials", "40"],
+     "d8a9ad1a6d873d676798ae9d8267bf9dbefc7502c5b7ec80f342ddbc26779e72"),
+    (["pi-test", "--p", "3", "--n", "1", "--k", "1", "--degree", "4", "--trials", "30",
+      "--seed", "5"],
+     "6f802858b1ea280b82c745243ba813f50e666f8383d4dec7bbaf18f7245cfa35"),
+    (["simplicity", "--n", "4", "--k", "1", "--kmax", "4", "--element",
+      "x1 + t*x2*x3^-1 + x1^-1*x4"],
+     "7422459a8fb83b51677fb34f0f58b939fbd6a6b1ca9c485c5ae74bfb92adf429"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PI_GOLDENS)
+def test_pi_and_simplicity_report_bytes_are_pinned(capsys, argv, digest):
+    import hashlib
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_explicit_flags_beat_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2}))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistlab.errors import BudgetError
+from twistlab.errors import BudgetError, ContextMismatchError
 from twistlab.pi import pi_degree_scan, standard_polynomial
 from twistlab.pi import test_identity as run_identity_trials
 from twistlab.ring import RingContext, RingElement
@@ -183,6 +183,26 @@ def test_scan_refuses_an_empty_level_list():
         pi_degree_scan([], trials=5, seed=0)
 
 
+def reference_standard_polynomial(elements):
+    """Reference: the subset recurrence on RingElement products and sums."""
+    m = len(elements)
+    layer = {1 << i: x for i, x in enumerate(elements)}
+    for _ in range(m - 1):
+        grown = {}
+        for rest, value in layer.items():
+            for i, x in enumerate(elements):
+                bit = 1 << i
+                if rest & bit:
+                    continue
+                term = x * value
+                if bin(rest & (bit - 1)).count("1") & 1:
+                    term = -term
+                prev = grown.get(rest | bit)
+                grown[rest | bit] = term if prev is None else prev + term
+        layer = grown
+    return layer[(1 << m) - 1]
+
+
 def _permutation_sum(elements):
     """Reference: the signed sum over every ordering, one product each."""
     ctx = elements[0].ctx
@@ -233,3 +253,68 @@ def test_degree_eight_uses_at_most_m_2_to_the_m_minus_1_products(
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
     standard_polynomial(args)
     assert calls <= 8 * 2**7
+
+
+@pytest.mark.parametrize("p,q,k", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
+                                   (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_code_recurrence_matches_ring_element_recurrence(p, q, k):
+    from twistlab.action import default_action
+
+    ctx = RingContext(build_tower(TowerConfig(p, q, k)), default_action(2, p), k)
+    rng = random.Random(f"pi-oracle-{p}-{q}-{k}")
+    for m in range(1, 7):
+        # plain, with a zero argument, with a repeated argument
+        for shape in ("plain", "zero", "repeat")[: 3 if m >= 2 else 2]:
+            args = [ctx.random_element(rng, max_terms=2) for _ in range(m)]
+            if shape == "zero":
+                args[rng.randrange(m)] = ctx.zero()
+            elif shape == "repeat":
+                i, j = rng.sample(range(m), 2)
+                args[j] = args[i]
+            value = standard_polynomial(args)
+            expected = reference_standard_polynomial(args)
+            assert value.to_literal() == expected.to_literal(), (m, shape)
+            assert shape == "plain" or value.is_zero()
+
+
+def test_mixed_contexts_are_refused(ctx_n2_k1, ctx_n2_k2, ctx_n1_k1):
+    rng = random.Random(9)
+    args = [ctx_n2_k1.random_element(rng) for _ in range(4)]
+    for other in (ctx_n2_k2, ctx_n1_k1):
+        for slot in (0, 3):
+            mixed = list(args)
+            mixed[slot] = other.one()
+            with pytest.raises(ContextMismatchError):
+                standard_polynomial(mixed)
+    # also when every argument is zero, so no product would ever see them
+    with pytest.raises(ContextMismatchError):
+        standard_polynomial([ctx_n2_k1.zero(), ctx_n2_k2.zero()])
+
+
+def test_degree_eight_makes_at_most_m_2_to_the_m_minus_1_kernel_calls(
+    ctx_n2_k2, monkeypatch, field_op_counts
+):
+    import twistlab.pi
+
+    rng = random.Random(8)
+    args = [ctx_n2_k2.random_element(rng, max_terms=2) for _ in range(8)]
+    counts = {"kernel": 0, "ring_mul": 0}
+    kernel, ring_mul = twistlab.pi._mul_codes, RingElement.__mul__
+
+    def counting_kernel(*a):
+        counts["kernel"] += 1
+        return kernel(*a)
+
+    def counting_ring_mul(self, other):
+        counts["ring_mul"] += 1
+        return ring_mul(self, other)
+
+    monkeypatch.setattr(twistlab.pi, "_mul_codes", counting_kernel)
+    monkeypatch.setattr(RingElement, "__mul__", counting_ring_mul)
+    field_op_counts.clear()
+    value = standard_polynomial(args)
+    assert 0 < counts["kernel"] <= 8 * 2**7
+    assert counts["ring_mul"] == 0
+    assert dict(field_op_counts) == {}
+    monkeypatch.undo()
+    assert value == reference_standard_polynomial(args)

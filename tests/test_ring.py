@@ -1,11 +1,14 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab.action import default_action
 from twistlab.errors import ContextMismatchError, NotAUnitError
 from twistlab.ring import RingContext, RingElement, parse_element
-from twistlab.tower import TowerConfig, build_tower
+from twistlab.tower import TowerConfig, build_tower, tower_from_json, tower_to_json
 
 
 def reference_mul(a, b):
@@ -19,6 +22,15 @@ def reference_mul(a, b):
             val = c * ctx.frob(d, e)
             out[w] = out[w] + val if w in out else val
     return RingElement(ctx, out)
+
+
+def reference_add(a, b, sign=1):
+    """a + sign * b by one FieldElement add (and negation) per shared word."""
+    out = dict(a.terms)
+    for w, c in b.terms.items():
+        c = c if sign > 0 else -c
+        out[w] = out[w] + c if w in out else c
+    return RingElement(a.ctx, out)
 
 
 def test_twisted_monomial_rule(ctx_n2_k1):
@@ -260,3 +272,87 @@ def test_product_makes_no_field_element_per_term_pair(ctx_n2_k2, field_op_counts
     prod = a * b
     assert dict(field_op_counts) == {}
     assert prod == reference_mul(a, b)
+
+
+def test_coefficient_from_another_level_is_refused(tower223, action_n2):
+    ctx2 = RingContext(tower223, action_n2, 2)
+    low, high = tower223.level(1).generator(), tower223.level(3).generator()
+    r = ctx2.one() + ctx2.gen(1)
+    for c in (low, high):
+        with pytest.raises(ValueError, match="different levels"):
+            ctx2.monomial(c, (1, 0))
+        with pytest.raises(ValueError, match="different levels"):
+            ctx2.scalar(c)
+        with pytest.raises(ValueError, match="different levels"):
+            r * c
+        with pytest.raises(ValueError, match="different levels"):
+            c * r
+    # the embedded coefficient is the one that belongs here
+    theta1 = tower223.embed(low, 2)
+    assert r * theta1 == r * ctx2.scalar(theta1) == reference_mul(r, ctx2.scalar(theta1))
+
+
+def test_coefficient_from_an_equal_level_is_accepted(tower223, action_n2):
+    # a tower rebuilt from its JSON has equal, not identical, levels
+    copy = tower_from_json(tower_to_json(tower223))
+    ctx = RingContext(tower223, action_n2, 2)
+    theta = copy.level(2).generator()
+    assert theta.level is not ctx.level
+    assert ctx.scalar(theta) == ctx.scalar(ctx.theta())
+    assert theta * ctx.gen(1) == ctx.monomial(ctx.theta(), (1, 0))
+
+
+def test_integer_coefficients_read_in_the_prime_field():
+    ctx = RingContext(build_tower(TowerConfig(2, 3, 1)), default_action(1, 2), 1)
+    x1 = ctx.gen(1)
+    assert ctx.monomial(4, (1,)) == x1 == 4 * x1 == x1 * 4
+    assert ctx.monomial(3, (1,)).is_zero() and (x1 * 3).is_zero()
+    assert 2 * x1 == x1 + x1 == -x1
+
+
+def test_subtraction_builds_no_negation(ctx_n2_k2, monkeypatch):
+    a = parse_element(ctx_n2_k2, "t + x1 + t^3*x2^-1")
+    b = parse_element(ctx_n2_k2, "t + (t + 1)*x1*x2")
+    calls = []
+    neg = RingElement.__neg__
+    monkeypatch.setattr(RingElement, "__neg__", lambda r: calls.append(1) or neg(r))
+    assert a - b == reference_add(a, b, -1)
+    assert calls == []
+
+
+# Ring axioms on every level the code-level arithmetic serves, with an
+# independent FieldElement oracle for products and sums.
+AXIOM_CONTEXTS = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2),
+                  (3, 2, 1), (3, 2, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _axiom_context(p, q, k):
+    return RingContext(build_tower(TowerConfig(p, q, 3 if (p, q) == (2, 2) else 2)),
+                       default_action(2, p), k)
+
+
+def _elements(ctx, count):
+    word = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    code = st.integers(0, ctx.level.order - 1).map(ctx.level.from_code)
+    terms = st.dictionaries(word, code, max_size=3)
+    return st.lists(terms.map(lambda t: RingElement(ctx, t)),
+                    min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_axioms_hold_on_codes(data):
+    ctx = _axiom_context(*data.draw(st.sampled_from(AXIOM_CONTEXTS)))
+    a, b, c = data.draw(_elements(ctx, 3))
+    coeff = ctx.level.from_code(data.draw(st.integers(0, ctx.level.order - 1)))
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * b == reference_mul(a, b)
+    assert a + b == reference_add(a, b)
+    assert a - b == a + (-b) == reference_add(a, b, -1)
+    assert (a - a).is_zero() and -(-a) == a
+    assert 0 + a == a == sum([a]) and sum([a, b, c]) == (a + b) + c
+    assert coeff * a == ctx.scalar(coeff) * a
+    assert a * coeff == a * ctx.scalar(coeff)
