@@ -18,7 +18,7 @@ from itertools import product
 
 from .action import action_exponent
 from .errors import IndependenceError, InternalFaultError
-from .ring import RingContext, RingElement
+from .ring import RingContext, RingElement, _from_codes
 
 
 def _centered(x: int, d: int) -> int:
@@ -190,7 +190,8 @@ def is_central(r: RingElement) -> bool:
 
 def is_central_structural(r: RingElement, lattice: KernelLattice) -> bool:
     """Structural test: support inside the kernel lattice, coefficients in GF(q)."""
-    return all(c.in_base_field() and lattice.contains(w) for w, c in r.terms.items())
+    q = r.ctx.level.base.q
+    return all(c < q and lattice.contains(w) for w, c in r.codes.items())
 
 
 @dataclass(frozen=True)
@@ -227,20 +228,14 @@ def decompose_over_center(r: RingElement, basis: FreeBasis,
     Returns the flat list of central ring elements in basis order; the
     decomposition is exact and unique.
     """
-    ctx = r.ctx
-    deg = len(basis.field_basis)
     coords = [dict() for _ in range(basis.size())]
     rep_index = {g: j for j, g in enumerate(basis.coset_reps)}
-    for w, c in r.terms.items():
-        rep, h = lattice.reduce(w)
+    for w, c in r.codes.items():
+        rep, h = lattice.reduce(w)  # w = rep + h: each slot gets h once
         j = rep_index[rep]
-        for i, a in enumerate(c.coords):
-            if a:
-                slot = coords[basis.index_of(i, j)]
-                prev = slot.get(h)
-                val = ctx.level.from_base(a)
-                slot[h] = val if prev is None else prev + val
-    return [RingElement(ctx, terms) for terms in coords]
+        for i, a in enumerate(r.ctx.level._digits(c)):
+            coords[basis.index_of(i, j)][h] = a
+    return [_from_codes(r.ctx, codes) for codes in coords]
 
 
 def recompose(zs, basis: FreeBasis) -> RingElement:

@@ -98,7 +98,7 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
     exp, log, units = level.exp, level.log, level.units
     powers = [level.base.q**i for i in range(level.degree)]
     # generator terms, in order, as (word, log of coefficient)
-    terms = [(h, log[d.code]) for g in gen_set[1:] for h, d in g.terms.items()]
+    terms = [(h, log[d]) for g in gen_set[1:] for h, d in g.codes.items()]
     zero_word = (0,) * ctx.n
     spaces = {zero_word: _RowSpace(level, powers)}
     spaces[zero_word].insert(1)

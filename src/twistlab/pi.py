@@ -46,7 +46,7 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
         elements[0]._check(x)
     ctx = elements[0].ctx
     neg = ctx.level.neg
-    xs = [{w: c.code for w, c in x.terms.items()} for x in elements]
+    xs = [x.codes for x in elements]
     signed = (xs, [{w: neg(c) for w, c in x.items()} for x in xs])
     layer = {1 << i: x for i, x in enumerate(xs)}
     for _ in range(m - 1):

@@ -24,7 +24,7 @@ from .center import (
     kernel_lattice,
 )
 from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
-from .ring import RingContext, RingElement, same_context
+from .ring import RingContext, RingElement, _from_codes, same_context
 
 # Largest |supp(s)|^(p^k) for which s is inverted: every minor that Bareiss
 # forms from the splitting matrix expands to at most that many terms.
@@ -168,10 +168,10 @@ def central_to_laurent(z: RingElement, lattice: KernelLattice) -> LaurentPoly:
     """View a central element as a Laurent polynomial in the lattice basis."""
     field = z.ctx.level.base
     terms = {}
-    for w, c in z.terms.items():
-        if not c.in_base_field():
+    for w, c in z.codes.items():
+        if c >= field.q:
             raise ValueError("element has a coefficient outside GF(q)")
-        terms[lattice.lattice_coordinates(w)] = c.code
+        terms[lattice.lattice_coordinates(w)] = c
     return LaurentPoly(field, len(lattice.basis), terms)
 
 
@@ -179,11 +179,9 @@ def laurent_to_central(poly: LaurentPoly, ctx: RingContext,
                        lattice: KernelLattice) -> RingElement:
     """The element of L[Lambda] with these lattice coordinates; central when
     every coefficient lies in GF(q)."""
-    terms = {}
-    for e, c in poly.terms.items():
-        word = lattice.from_lattice_coordinates(e)
-        terms[word] = ctx.level.from_code(c)
-    return RingElement(ctx, terms)
+    return _from_codes(ctx, {
+        lattice.from_lattice_coordinates(e): c for e, c in poly.terms.items()
+    })
 
 
 def bareiss_solve(matrix, rhs=None):
@@ -268,10 +266,10 @@ def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
     reps = lattice.box_representatives()
     row_of = {w: i for i, w in enumerate(reps)}
     entries = [[{} for _ in reps] for _ in reps]
-    for w, c in s.terms.items():
+    for w, c in s.codes.items():
         for j, wj in enumerate(reps):
             wi, lam = lattice.reduce(tuple(a + b for a, b in zip(w, wj)))
-            coeff = ctx.frob(c, -ctx.word_exponent(wi)).code
+            coeff = ctx.level.frob_code(c, -ctx.word_exponent(wi))
             entries[row_of[wi]][j][lattice.lattice_coordinates(lam)] = coeff
     nvars = len(lattice.basis)
     return [[LaurentPoly(ctx.level, nvars, e) for e in row] for row in entries]
@@ -367,10 +365,10 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
     d = lattice.index
-    if len(s.terms) ** d > INVERSION_BUDGET:
+    if len(s.codes) ** d > INVERSION_BUDGET:
         raise BudgetError(
-            f"inverting a {len(s.terms)}-term element at degree {d} may form "
-            f"{len(s.terms)}^{d} terms per minor, over the budget {INVERSION_BUDGET}"
+            f"inverting a {len(s.codes)}-term element at degree {d} may form "
+            f"{len(s.codes)}^{d} terms per minor, over the budget {INVERSION_BUDGET}"
         )
     rho = splitting_representation(s, lattice)
     one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)

@@ -8,10 +8,11 @@ automorphism attached to the left word:
     (c g)(d h) = (c * sigma_g(d)) (g + h)
 
 with sigma_g = Frobenius^(action exponent of g at this level).  Homogeneous
-elements (single-term) are exactly the units; the support is pruned of zero
-coefficients so structural equality is semantic equality.  Sums and
-products run on {word: code} dicts of level codes, products through the one
-kernel _mul_codes, and each result is wrapped as an element once.
+elements (single-term) are exactly the units.  An element stores its
+coefficients as level codes, {word: nonzero code}, so structural equality
+is semantic equality; sums, products, lifts and literals work on that dict
+directly, products through the one kernel _mul_codes.  The FieldElement
+view {word: FieldElement} is built on demand.
 
 A context bundles the tower, the acting group, the level, and the
 independence certification performed when the context is created.
@@ -68,34 +69,34 @@ class RingContext:
     # -- element factories ---------------------------------------------------
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return _from_codes(self, {})
 
     def one(self) -> "RingElement":
-        return self.monomial(self.level.one(), (0,) * self.n)
+        return self.monomial(1, (0,) * self.n)
 
-    def _coeff(self, coeff) -> FieldElement:
-        """An int read in the prime field, or a field element of this level;
-        an element of another level is refused."""
+    def _coeff(self, coeff) -> int:
+        """Code of an int read in the prime field, or of a field element of
+        this level; an element of another level is refused."""
         level = self.level
         if isinstance(coeff, int):
-            return FieldElement(level, coeff % level.char)
+            return coeff % level.char
         if coeff.level is not level and coeff.level != level:
             raise ValueError("field elements belong to different levels")
-        return coeff
+        return coeff.code
 
     def monomial(self, coeff, word) -> "RingElement":
-        coeff = self._coeff(coeff)
+        code = self._coeff(coeff)
         word = tuple(word)
         if len(word) != self.n:
             raise ValueError(f"word has length {len(word)}, expected {self.n}")
-        return RingElement(self, {word: coeff})
+        return _from_codes(self, {word: code})
 
     def gen(self, i: int, e: int = 1) -> "RingElement":
         """x_i^e, i 1-based: one monomial, as every Frobenius fixes 1."""
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         word = tuple(e if j == i - 1 else 0 for j in range(self.n))
-        return self.monomial(self.level.one(), word)
+        return self.monomial(1, word)
 
     def gens(self) -> list:
         return [self.gen(i) for i in range(1, self.n + 1)]
@@ -109,7 +110,7 @@ class RingContext:
 
     def default_generators(self) -> list:
         """theta and all x_i^(+-1): generates the ring as an algebra over GF(q)."""
-        gens = [self.scalar(self.theta())]
+        gens = [_from_codes(self, {(0,) * self.n: self.level.generator_code()})]
         for i in range(1, self.n + 1):
             gens.extend([self.gen(i), self.gen(i, -1)])
         return gens
@@ -119,13 +120,13 @@ class RingContext:
         """Sparse random element: 1..max_terms distinct words with coordinates
         in [-coord_bound, coord_bound] and nonzero coefficients."""
         n_terms = rng.randint(min_terms, max_terms)
-        terms = {}
-        while len(terms) < n_terms:
+        codes = {}
+        while len(codes) < n_terms:
             word = tuple(
                 rng.randint(-coord_bound, coord_bound) for _ in range(self.n)
             )
-            terms[word] = self.level.random_element(rng, nonzero=True)
-        return RingElement(self, terms)
+            codes[word] = rng.randrange(1, self.level.order)
+        return _from_codes(self, codes)
 
     def lift_level(self, k: int) -> "RingContext":
         """Context at a higher level over the same tower and action."""
@@ -154,13 +155,25 @@ def same_context(a: RingContext, b: RingContext) -> bool:
 
 
 class RingElement:
-    """A finitely supported sum of twisted monomials; immutable."""
+    """A finitely supported sum of twisted monomials; immutable.
 
-    __slots__ = ("ctx", "terms")
+    The stored coefficients are codes, {word: nonzero code}; terms is a
+    read-only view of them as {word: FieldElement}.
+    """
+
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: RingContext, terms: dict):
+        """terms: {word: field element of ctx's level, or an int read in the
+        prime field}; a field element of another level is refused."""
         self.ctx = ctx
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        codes = {w: ctx._coeff(c) for w, c in terms.items()}
+        self.codes = {w: c for w, c in codes.items() if c}
+
+    @property
+    def terms(self) -> dict:
+        level = self.ctx.level
+        return {w: FieldElement(level, c) for w, c in self.codes.items()}
 
     def _check(self, other: "RingElement"):
         if not same_context(self.ctx, other.ctx):
@@ -169,21 +182,20 @@ class RingElement:
             )
 
     def support(self) -> tuple:
-        return tuple(sorted(self.terms))
+        return tuple(sorted(self.codes))
 
     def coefficient(self, word) -> FieldElement:
-        return self.terms.get(tuple(word), self.ctx.level.zero())
+        return FieldElement(self.ctx.level, self.codes.get(tuple(word), 0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.codes
 
     def is_homogeneous(self) -> bool:
-        return len(self.terms) <= 1
+        return len(self.codes) <= 1
 
     def grade_component(self, word) -> "RingElement":
         word = tuple(word)
-        c = self.terms.get(word)
-        return RingElement(self.ctx, {word: c} if c is not None else {})
+        return _from_codes(self.ctx, {word: self.codes.get(word, 0)})
 
     def leading_term(self, key=None):
         """Support point maximal in the given total order, with coefficient.
@@ -191,25 +203,25 @@ class RingElement:
         The default order is lexicographic on word vectors; any key function
         inducing a total group order may be passed instead.
         """
-        if not self.terms:
+        if not self.codes:
             raise ValueError("the zero element has no leading term")
-        w = max(self.terms, key=key) if key is not None else max(self.terms)
-        return w, self.terms[w]
+        w = max(self.codes, key=key) if key is not None else max(self.codes)
+        return w, self.coefficient(w)
 
     def trailing_term(self, key=None):
-        if not self.terms:
+        if not self.codes:
             raise ValueError("the zero element has no trailing term")
-        w = min(self.terms, key=key) if key is not None else min(self.terms)
-        return w, self.terms[w]
+        w = min(self.codes, key=key) if key is not None else min(self.codes)
+        return w, self.coefficient(w)
 
     def _combine(self, other, op):
         """Term-wise op(self, other) on codes, for op = level.add or sub."""
         if isinstance(other, int):
             other = self.ctx.scalar(other)
         self._check(other)
-        out = {w: c.code for w, c in self.terms.items()}
-        for w, c in other.terms.items():
-            out[w] = op(out.get(w, 0), c.code)
+        out = dict(self.codes)
+        for w, c in other.codes.items():
+            out[w] = op(out.get(w, 0), c)
         return _from_codes(self.ctx, out)
 
     def __add__(self, other):
@@ -219,7 +231,7 @@ class RingElement:
 
     def __neg__(self):
         neg = self.ctx.level.neg
-        return _from_codes(self.ctx, {w: neg(c.code) for w, c in self.terms.items()})
+        return _from_codes(self.ctx, {w: neg(c) for w, c in self.codes.items()})
 
     def __sub__(self, other):
         return self._combine(other, self.ctx.level.sub)
@@ -231,18 +243,14 @@ class RingElement:
         if isinstance(other, (int, FieldElement)):
             other = self.ctx.scalar(other)
         self._check(other)
-        # one wrap of the kernel's {word: code} sums; zero sums are dropped
-        left = {w: c.code for w, c in self.terms.items()}
-        right = {w: c.code for w, c in other.terms.items()}
-        out = _mul_codes(self.ctx, left, right, {})
-        return _from_codes(self.ctx, out)
+        return _from_codes(self.ctx, _mul_codes(self.ctx, self.codes, other.codes, {}))
 
     def __rmul__(self, other):
         # Left multiplication by a plain coefficient never twists.
         if not isinstance(other, (int, FieldElement)):
             return NotImplemented
-        c, mul = self.ctx._coeff(other).code, self.ctx.level.mul
-        return _from_codes(self.ctx, {w: mul(c, d.code) for w, d in self.terms.items()})
+        c, mul = self.ctx._coeff(other), self.ctx.level.mul
+        return _from_codes(self.ctx, {w: mul(c, d) for w, d in self.codes.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -258,15 +266,16 @@ class RingElement:
 
     def invert_unit(self) -> "RingElement":
         """Inverse of a homogeneous element c*g; anything else is not a unit."""
-        if len(self.terms) != 1:
+        if len(self.codes) != 1:
             raise NotAUnitError(
                 "only nonzero homogeneous elements are units; support size "
-                f"{len(self.terms)}"
+                f"{len(self.codes)}"
             )
-        (g, c), = self.terms.items()
+        (g, c), = self.codes.items()
         neg_g = tuple(-a for a in g)
-        e = self.ctx.word_exponent(neg_g)
-        return self.ctx.monomial(self.ctx.frob(c.inverse(), e), neg_g)
+        level = self.ctx.level
+        inv = level.frob_code(level.inv(c), self.ctx.word_exponent(neg_g))
+        return _from_codes(self.ctx, {neg_g: inv})
 
     def lift_to(self, target: RingContext) -> "RingElement":
         """Image under the coefficient embedding into a higher-level context."""
@@ -276,10 +285,9 @@ class RingElement:
             raise ContextMismatchError("lift requires the same tower and action")
         if target.k < self.ctx.k:
             raise ValueError("cannot lift to a lower level")
-        tower = self.ctx.tower
-        return RingElement(
-            target,
-            {w: tower.embed(c, target.k) for w, c in self.terms.items()},
+        embed, k = target.tower.embed_code, self.ctx.k
+        return _from_codes(
+            target, {w: embed(c, k, target.k) for w, c in self.codes.items()}
         )
 
     def __eq__(self, other):
@@ -287,7 +295,7 @@ class RingElement:
             other = self.ctx.monomial(other, (0,) * self.ctx.n)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return same_context(self.ctx, other.ctx) and self.terms == other.terms
+        return same_context(self.ctx, other.ctx) and self.codes == other.codes
 
     def __repr__(self):
         return f"RingElement({self.to_literal()})"
@@ -297,20 +305,19 @@ class RingElement:
     def to_literal(self) -> str:
         """Canonical literal: terms in lexicographic word order, coefficients
         as polynomials in the level generator t over GF(q)."""
-        if not self.terms:
+        if not self.codes:
             return "0"
-        parts = []
-        for w in sorted(self.terms):
-            parts.append(_term_literal(self.ctx, w, self.terms[w]))
-        return " + ".join(parts)
+        digits = self.ctx.level._digits
+        return " + ".join(
+            _term_literal(w, digits(self.codes[w])) for w in sorted(self.codes)
+        )
 
 
 def _from_codes(ctx: RingContext, codes: dict) -> RingElement:
-    """The element with terms {word: code}, zero codes dropped, in one pass."""
-    level = ctx.level
+    """The element with coefficients {word: code}, zero codes dropped."""
     out = RingElement.__new__(RingElement)
     out.ctx = ctx
-    out.terms = {w: FieldElement(level, c) for w, c in codes.items() if c}
+    out.codes = {w: c for w, c in codes.items() if c}
     return out
 
 
@@ -332,10 +339,11 @@ def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     return out
 
 
-def _coeff_literal(coeff: FieldElement) -> tuple:
-    """Literal for a field coefficient; returns (text, needs_parens)."""
+def _coeff_literal(coords) -> tuple:
+    """Literal for a field coefficient given by its coordinates; returns
+    (text, needs_parens)."""
     monomials = []
-    for i, c in reversed(tuple(enumerate(coeff.coords))):
+    for i, c in reversed(tuple(enumerate(coords))):
         if not c:
             continue
         if i == 0:
@@ -347,13 +355,13 @@ def _coeff_literal(coeff: FieldElement) -> tuple:
     return text, len(monomials) > 1
 
 
-def _term_literal(ctx: RingContext, word, coeff: FieldElement) -> str:
+def _term_literal(word, coords) -> str:
     word_factors = []
     for i, a in enumerate(word, start=1):
         if a == 0:
             continue
         word_factors.append(f"x{i}" if a == 1 else f"x{i}^{a}")
-    ctext, parens = _coeff_literal(coeff)
+    ctext, parens = _coeff_literal(coords)
     if not word_factors:
         return f"({ctext})" if parens else ctext
     word_text = "*".join(word_factors)
@@ -421,8 +429,8 @@ class _Parser:
             self.take()
             op = level.sub
         while True:
-            for w, c in self.term().terms.items():
-                out[w] = op(out.get(w, 0), c.code)
+            for w, c in self.term().codes.items():
+                out[w] = op(out.get(w, 0), c)
             if self.peek() not in ("+", "-"):
                 return _from_codes(self.ctx, out)
             op = level.sub if self.take() == "-" else level.add

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .action import action_exponent
 from .errors import InternalFaultError, SeparationError
-from .ring import RingContext, RingElement
+from .ring import RingContext, RingElement, _from_codes
 from .tower import FieldElement
 
 
@@ -71,13 +71,13 @@ def random_separable_element(ctx: RingContext, rng, max_support: int = 4,
     window = ctx.tower.p**ctx.tower.k_max - 1
     size = rng.randint(2, max(2, min(max_support, window)))
     firsts = rng.sample(range(-coord_bound, -coord_bound + window), size)
-    terms = {}
+    codes = {}
     for f in firsts:
         word = (f,) + tuple(
             rng.randint(-coord_bound, coord_bound) for _ in range(ctx.n - 1)
         )
-        terms[word] = ctx.level.random_element(rng, nonzero=True)
-    return RingElement(ctx, terms)
+        codes[word] = rng.randrange(1, ctx.level.order)
+    return _from_codes(ctx, codes)
 
 
 def separating_level(ctx: RingContext, support) -> int:
@@ -136,14 +136,14 @@ def shrink_once(r: RingElement, g0, g1):
     """
     ctx = r.ctx
     g0, g1 = tuple(g0), tuple(g1)
-    if g0 not in r.terms or g1 not in r.terms or g0 == g1:
+    if g0 not in r.codes or g1 not in r.codes or g0 == g1:
         raise ValueError("g0 and g1 must be distinct support points of r")
     d = _separating_multiplier(ctx, g0, g1)
     lam = ctx.frob(d, ctx.word_exponent(g0))
     out = r * d - lam * r
-    if g0 in out.terms or g1 not in out.terms:
+    if g0 in out.codes or g1 not in out.codes:
         raise InternalFaultError("shrink step did not act as predicted")
-    if len(out.terms) >= len(r.terms):
+    if len(out.codes) >= len(r.codes):
         raise InternalFaultError("shrink step failed to reduce the support")
     step = ShrinkStep(level=ctx.k, d=d, g0=g0, g1=g1, lam=lam)
     return out, step
@@ -172,7 +172,7 @@ def unit_in_ideal(r: RingElement) -> ShrinkTrace:
         support = cur.support()
         cur, step = shrink_once(cur, support[0], support[1])
         steps.append(step)
-    if len(steps) > len(r.terms) - 1:
+    if len(steps) > len(r.codes) - 1:
         raise InternalFaultError("shrinking took more steps than support size")
     trace = ShrinkTrace(
         input_element=r,

@@ -127,9 +127,6 @@ class FieldElement:
         """Apply x -> x^(q^times); negative counts wrap around."""
         return self.level.frobenius(self, times)
 
-    def in_base_field(self) -> bool:
-        return self.code < self.level.base.q
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
@@ -163,10 +160,11 @@ class TowerLevel(ExtensionField):
         return FieldElement(self, 1)
 
     def generator(self) -> FieldElement:
+        return FieldElement(self, self.generator_code())
+
+    def generator_code(self) -> int:
         """Root of the defining polynomial: the class of X (level 0: -c_0)."""
-        if self.degree == 1:
-            return FieldElement(self, self.base.neg(self.modulus[0]))
-        return FieldElement(self, self.base.q)
+        return self.base.q if self.degree > 1 else self.base.neg(self.modulus[0])
 
     def element(self, coords) -> FieldElement:
         coords = tuple(coords)
@@ -196,12 +194,14 @@ class TowerLevel(ExtensionField):
     def frobenius(self, x: FieldElement, times: int) -> FieldElement:
         if x.level is not self and x.level != self:
             raise ValueError("element does not belong to this level")
-        t = times % self.degree  # Frobenius has order p^m = degree
-        if t == 0 or not x.code:
-            return x
-        return FieldElement(
-            self, self.exp[self.log[x.code] * self._frob_factor[t] % self.units]
-        )
+        return FieldElement(self, self.frob_code(x.code, times))
+
+    def frob_code(self, code: int, times: int) -> int:
+        """Code of x^(q^times) for x of this code; Frobenius has order p^m."""
+        if not code:
+            return 0
+        f = self._frob_factor[times % self.degree]
+        return self.exp[self.log[code] * f % self.units]
 
     def __eq__(self, other):
         return (
@@ -255,10 +255,14 @@ class Tower:
                 f"cannot embed from level {x.level.m} down to {target_level}"
             )
         upper = self.level(target_level)
-        code = x.code
-        for m in range(x.level.m, target_level):
+        return FieldElement(upper, self.embed_code(x.code, x.level.m, target_level))
+
+    def embed_code(self, code: int, source: int, target: int) -> int:
+        """Code in level target of the level-source element with this code,
+        through the per-level embedding tables; target >= source."""
+        for m in range(source, target):
             code = self._up[m][code]
-        return FieldElement(upper, code)
+        return code
 
     def frobenius(self, x: FieldElement, times: int) -> FieldElement:
         return self.levels[x.level.m].frobenius(x, times)

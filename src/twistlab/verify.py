@@ -7,6 +7,7 @@ identical results (and identical serialized reports).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .action import (
     default_action,
     independence_certificate,
     restriction_order,
+    truncate,
 )
 from .center import (
     decompose_over_center,
@@ -36,7 +38,7 @@ from .quotient import (
     invert,
     regular_representation,
 )
-from .ring import RingContext, parse_element
+from .ring import RingContext, _from_codes, parse_element
 from .simplicity import (
     random_separable_element,
     replay_trace,
@@ -245,8 +247,6 @@ def check_ring_level_embedding(ctx: RingContext, rng, trials: int) -> CheckResul
 
 
 def check_ring_commutation_rule(ctx: RingContext) -> CheckResult:
-    from .action import truncate
-
     bad = 0
     theta = ctx.theta()
     for i in range(1, ctx.n + 1):
@@ -273,6 +273,16 @@ def check_ring_literals(ctx: RingContext, rng, trials: int) -> CheckResult:
     )
 
 
+def _random_central(ctx: RingContext, lat, rng):
+    """1 to 3 lattice words with coordinates in [-2, 2] and nonzero GF(q)
+    coefficients: a member of the center."""
+    codes = {}
+    for _ in range(rng.randint(1, 3)):
+        coords = tuple(rng.randint(-2, 2) for _ in lat.basis)
+        codes[lat.from_lattice_coordinates(coords)] = rng.randrange(1, ctx.tower.q)
+    return _from_codes(ctx, codes)
+
+
 def check_center_agreement(ctx: RingContext, rng, trials: int) -> CheckResult:
     lat = kernel_lattice(ctx)
     bad = 0
@@ -281,16 +291,7 @@ def check_center_agreement(ctx: RingContext, rng, trials: int) -> CheckResult:
             r = ctx.random_element(rng)
         else:
             # structured samples: random center members, sometimes perturbed
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                coords = tuple(rng.randint(-2, 2) for _ in lat.basis)
-                word = lat.from_lattice_coordinates(coords)
-                terms[word] = ctx.level.from_base(
-                    rng.randrange(1, ctx.tower.q)
-                )
-            from .ring import RingElement
-
-            r = RingElement(ctx, terms)
+            r = _random_central(ctx, lat, rng)
             if rng.random() < 0.3:
                 r = r + ctx.random_element(rng, max_terms=1)
         if is_central(r) != is_central_structural(r, lat):
@@ -309,8 +310,6 @@ def check_center_lattice_cover(ctx: RingContext) -> CheckResult:
     lat = kernel_lattice(ctx)
     p, k = ctx.tower.p, ctx.k
     bound = 2 * p**k
-    import itertools
-
     bad = 0
     span = range(-bound, bound + 1)
     for w in itertools.product(span, repeat=ctx.n):
@@ -355,7 +354,7 @@ def check_simplicity(ctx: RingContext, rng, trials: int) -> CheckResult:
     for _ in range(trials):
         r = random_separable_element(ctx, rng)
         trace = unit_in_ideal(r)
-        if len(trace.steps) > len(r.terms) - 1:
+        if len(trace.steps) > len(r.codes) - 1:
             bad += 1
         if replay_trace(trace) != trace.final_unit:
             bad += 1
@@ -445,8 +444,6 @@ def check_growth(ctx: RingContext, rng) -> CheckResult:
     est = gk_estimate(table)
     in_range = abs(est.slope - ctx.n) <= 0.2
     # sanity bound: never more than (full coefficient space) x (word count)
-    import itertools
-
     n, deg = ctx.n, ctx.level.degree
     top = table.rows[-1]
     ball = sum(
@@ -527,14 +524,7 @@ def check_quotient_center(ctx: RingContext, rng, trials: int) -> CheckResult:
             bad += 1
     tested = 0
     while tested < trials:
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            coords = tuple(rng.randint(-2, 2) for _ in lat.basis)
-            word = lat.from_lattice_coordinates(coords)
-            terms[word] = ctx.level.from_base(rng.randrange(1, ctx.tower.q))
-        from .ring import RingElement
-
-        z = RingElement(ctx, terms)
+        z = _random_central(ctx, lat, rng)
         if z.is_zero() or is_central_structural(z.lift_to(ctx.lift_level(probe)), lat_up):
             continue  # still central above; it cannot fail at this probe
         tested += 1

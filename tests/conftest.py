@@ -37,8 +37,9 @@ def ctx_n1_k1(tower223, action_n1):
 
 @pytest.fixture
 def field_op_counts(monkeypatch):
-    """Counts of FieldElement.__mul__, TowerLevel.frobenius and
-    FieldElement.coords calls made while the test runs."""
+    """Counts of FieldElement.__mul__, TowerLevel.frobenius,
+    FieldElement.coords and FieldElement.__init__ calls made while the test
+    runs."""
     from collections import Counter
 
     from twistlab.tower import FieldElement, TowerLevel
@@ -55,4 +56,5 @@ def field_op_counts(monkeypatch):
     monkeypatch.setattr(TowerLevel, "frobenius", counted("frobenius", TowerLevel.frobenius))
     monkeypatch.setattr(FieldElement, "coords",
                         property(counted("coords", FieldElement.coords.fget)))
+    monkeypatch.setattr(FieldElement, "__init__", counted("init", FieldElement.__init__))
     return counts

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twistlab.action import default_action
 from twistlab.errors import ContextMismatchError, NotAUnitError
+from twistlab.pi import standard_polynomial
 from twistlab.ring import RingContext, RingElement, parse_element
 from twistlab.tower import TowerConfig, build_tower, tower_from_json, tower_to_json
 
@@ -292,6 +293,30 @@ def test_coefficient_from_another_level_is_refused(tower223, action_n2):
     assert r * theta1 == r * ctx2.scalar(theta1) == reference_mul(r, ctx2.scalar(theta1))
 
 
+def test_constructor_refuses_coefficient_from_another_level(tower223, action_n2):
+    ctx2 = RingContext(tower223, action_n2, 2)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="different levels"):
+            RingElement(ctx2, {(1, 0): tower223.level(m).generator()})
+    theta2 = tower223.embed(tower223.level(1).generator(), 2)
+    assert RingElement(ctx2, {(1, 0): theta2}) == ctx2.monomial(theta2, (1, 0))
+
+
+def test_arithmetic_makes_no_field_element(ctx_n2_k2, field_op_counts):
+    a = parse_element(ctx_n2_k2, "t + (t^2 + 1)*x1 + t^3*x2^-1")
+    b = parse_element(ctx_n2_k2, "1 + t*x1^-1 + (t + 1)*x1*x2")
+    c, d = ctx_n2_k2.theta(), parse_element(ctx_n2_k2, "x1 + t*x2 + (t^3 + t)*x1^-1")
+    ops = {
+        "a + b": lambda: a + b, "a - b": lambda: a - b, "-a": lambda: -a,
+        "a * b": lambda: a * b, "c * a": lambda: c * a,
+        "standard_polynomial": lambda: standard_polynomial([a, b, d, a + d]),
+    }
+    for name, op in ops.items():
+        field_op_counts.clear()
+        op()
+        assert field_op_counts["init"] == 0, name
+
+
 def test_coefficient_from_an_equal_level_is_accepted(tower223, action_n2):
     # a tower rebuilt from its JSON has equal, not identical, levels
     copy = tower_from_json(tower_to_json(tower223))
@@ -356,3 +381,33 @@ def test_ring_axioms_hold_on_codes(data):
     assert 0 + a == a == sum([a]) and sum([a, b, c]) == (a + b) + c
     assert coeff * a == ctx.scalar(coeff) * a
     assert a * coeff == a * ctx.scalar(coeff)
+
+
+# Lifts from level j to level k: every pair up to level 3 of (2, 2), and to
+# level 2 of (2, 3) and (3, 2).
+LIFTS = [(2, 2, j, k) for k in (1, 2, 3) for j in range(k)] + [
+    (p, q, j, 2) for p, q in ((2, 3), (3, 2)) for j in (0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_is_a_ring_hom_agreeing_with_the_field_embedding(data):
+    p, q, j, k = data.draw(st.sampled_from(LIFTS))
+    ctx = _axiom_context(p, q, j)
+    up = ctx.lift_level(k)
+    a, b = data.draw(_elements(ctx, 2))
+    assert (a * b).lift_to(up) == a.lift_to(up) * b.lift_to(up)
+    assert (a + b).lift_to(up) == a.lift_to(up) + b.lift_to(up)
+    embed = ctx.tower.embed
+    assert a.lift_to(up).terms == {w: embed(c, k) for w, c in a.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_literal_and_terms_round_trip(data):
+    ctx = _axiom_context(*data.draw(st.sampled_from(AXIOM_CONTEXTS)))
+    word = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    code = st.integers(1, ctx.level.order - 1).map(ctx.level.from_code)
+    r = RingElement(ctx, data.draw(st.dictionaries(word, code, max_size=4)))
+    assert parse_element(ctx, r.to_literal()) == r
+    assert RingElement(ctx, r.terms) == r
