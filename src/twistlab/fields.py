@@ -2,22 +2,24 @@
 
 A field is F[X] modulo a monic irreducible polynomial over a smaller field F.
 An element is its code: its coordinates in the basis 1, X, X^2, ... packed
-in base |F|.  Each field builds exp[i] = g^i, log[g^i] = i and
-zech[i] = log(1 + g^i) for g the least code of full multiplicative order, so
-products, powers and inverses are index arithmetic and a + b = a * (1 + b/a)
-goes through zech.  Every field here is built over its prime field GF(r) in
-steps, so a code is also the base-r integer of its GF(r) digits, and
-addition is digit-wise mod r: XOR when r = 2.
+in base |F|.  Each field builds exp[i] = g^i and log[g^i] = i for g the
+least code of full multiplicative order, so products, powers and inverses
+are index arithmetic.  Every field here is built over its prime field GF(r)
+in steps, so a code is also the base-r integer of its GF(r) digits, and
+addition is digit-wise mod r: XOR when r = 2.  Odd characteristic adds
+a + b = a * (1 + b/a) through zech[i] = log(1 + g^i), built only there.
 
 GF(q), q = r^e, is GF(r)[X] modulo the least irreducible monic polynomial of
 degree e (the first in increasing encoding order, so the construction is
 deterministic); the tower levels (tower.py) are built over GF(q) the same way.
+Irreducibility is Ben-Or's test, gcds with X^(Q^i) - X.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import xor
 
 from .errors import InternalFaultError
 
@@ -58,6 +60,9 @@ class PrimeField:
     def __init__(self, r: int):
         self.q = self.char = r
 
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.q
+
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
@@ -74,7 +79,7 @@ class PrimeField:
 
 
 class ExtensionField:
-    """base[X]/(modulus) on integer codes, with exp/log/zech tables."""
+    """base[X]/(modulus) on integer codes, with exp/log (and odd-r zech) tables."""
 
     def __init__(self, base, modulus):
         self.base = base
@@ -128,7 +133,8 @@ class ExtensionField:
     # -- table construction ----------------------------------------------------
 
     def _build_tables(self):
-        """exp, log and zech over the least code of full multiplicative order.
+        """exp, log and zech over the least code of full multiplicative order;
+        zech is None in characteristic 2, where add is XOR.
 
         exp is the orbit of 1 under multiplication by a candidate g; the
         first candidate whose orbit has length |F| - 1 is the generator.
@@ -136,24 +142,27 @@ class ExtensionField:
         order too and need no walk of their own.
 
         Until the tables exist, codes add digit-wise mod r on their base-r
-        digits: both are spread to base 2r - 1, where digit sums cannot
-        carry, added as integers and folded back mod r.  Spreading and
-        folding go through tables of the low and high halves of the digits,
-        and the walk keeps g's multiplication tables spread.
+        digits, by XOR when r = 2.  For odd r both are spread to base 2r - 1,
+        where digit sums cannot carry, added as integers and folded back mod
+        r, through tables of the low and high halves of the digits; the walk
+        keeps g's multiplication tables spread.
         """
         r, units = self.char, self.units
-        n = round(math.log(self.order, r))  # base-r digits of a code
-        h, wide = n // 2, 2 * r - 1
-        split, wide_split = r**h, wide**h
-        spread_lo, spread_hi = _rebase(r, r, wide, n, h)
-        fold_lo, fold_hi = _rebase(r, wide, r, n, h)
+        if r == 2:
+            add = xor
+        else:
+            n = round(math.log(self.order, r))  # base-r digits of a code
+            h, wide = n // 2, 2 * r - 1
+            split, wide_split = r**h, wide**h
+            spread_lo, spread_hi = _rebase(r, r, wide, n, h)
+            fold_lo, fold_hi = _rebase(r, wide, r, n, h)
 
-        def spread(a: int) -> int:
-            return spread_lo[a % split] + spread_hi[a // split]
+            def spread(a: int) -> int:
+                return spread_lo[a % split] + spread_hi[a // split]
 
-        def add(a: int, b: int) -> int:
-            s = spread(a) + spread(b)
-            return fold_lo[s % wide_split] + fold_hi[s // wide_split]
+            def add(a: int, b: int) -> int:
+                s = spread(a) + spread(b)
+                return fold_lo[s % wide_split] + fold_hi[s // wide_split]
 
         exp = array("i", [0]) * units
         log = array("i", [_NO_LOG]) * self.order
@@ -161,14 +170,21 @@ class ExtensionField:
             if log[g] != _NO_LOG:
                 continue
             lo, hi, half = self._times_tables(g, add)
-            lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
             x = 1
-            for i in range(units):
-                exp[i] = x
-                s = lo[x % half] + hi[x // half]
-                x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
-                if x == 1:
-                    break
+            if r == 2:
+                for i in range(units):
+                    exp[i] = x
+                    x = lo[x % half] ^ hi[x // half]
+                    if x == 1:
+                        break
+            else:
+                lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
+                for i in range(units):
+                    exp[i] = x
+                    s = lo[x % half] + hi[x // half]
+                    x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
+                    if x == 1:
+                        break
             if x != 1:  # an orbit that misses 1 means zero divisors
                 raise ValueError(f"{self!r}: modulus is not irreducible")
             if i == units - 1:
@@ -177,6 +193,8 @@ class ExtensionField:
                 log[exp[j]] = 0
         for i, x in enumerate(exp):
             log[x] = i
+        if r == 2:
+            return exp, log, None
         # adding 1 changes the lowest base-r digit only
         zech = array("i", (log[x + 1 - r if x % r == r - 1 else x + 1] for x in exp))
         return exp, log, zech
@@ -268,38 +286,43 @@ def poly_divmod(F, a, b):
     return poly_trim(quo), rem
 
 
-def _monic_polys(F, degree: int):
-    q = F.q
-    for code in range(q**degree):
-        coeffs, c = [], code
-        for _ in range(degree):
-            c, rem = divmod(c, q)
-            coeffs.append(rem)
-        coeffs.append(1)
-        yield coeffs
+def _mulmod(F, a, b, f):
+    """a * b mod f."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+    return poly_divmod(F, prod, f)[1]
 
 
 def is_irreducible(F, poly) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if poly[0] == 0:  # divisible by X
-        return False
-    for j in range(1, deg // 2 + 1):
-        for g in _monic_polys(F, j):
-            _, rem = poly_divmod(F, poly, g)
-            if not rem:
-                return False
-    return True
+    """Ben-Or's test for a monic poly of degree d over F, |F| = Q.
+
+    poly is reducible iff it has an irreducible factor of some degree
+    i <= d/2, that is iff gcd(X^(Q^i) - X, poly) != 1 for such an i.
+    """
+    f = poly_trim(poly)
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        x = h
+        for bit in bin(F.q)[3:]:  # h <- h^Q mod f, left-to-right binary
+            h = _mulmod(F, h, h, f)
+            if bit == "1":
+                h = _mulmod(F, h, x, f)
+        a, b = f, poly_trim([F.sub(c, int(i == 1)) for i, c in enumerate(h + [0, 0])])
+        while b:
+            a, b = b, poly_divmod(F, a, b)[1]
+        if len(a) > 1:
+            return False
+    return len(f) > 1
 
 
 def least_irreducible_poly(F, degree: int):
     """First irreducible monic polynomial of the given degree, scanning in
     increasing coefficient-encoding order."""
-    for poly in _monic_polys(F, degree):
+    q = F.q
+    for code in range(q**degree):
+        poly = [code // q**i % q for i in range(degree)] + [1]
         if is_irreducible(F, poly):
             return poly
     raise InternalFaultError(  # pragma: no cover - irreducibles always exist

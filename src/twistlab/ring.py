@@ -370,121 +370,114 @@ def _term_literal(word, coords) -> str:
     return (f"({ctext})" if parens else ctext) + "*" + word_text
 
 
-_TOKEN = re.compile(r"\s*(\d+|[t()*+\-^]|x\d+)")
-
-
-def _tokenize(text: str):
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad element literal near {text[pos:pos+12]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_TOKEN = re.compile(r"\s*(\d+|[t()*+\-^]|x\d+)|(.)", re.S)
+_MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive-descent parser for the element literal syntax.
+    """Recursive-descent parser for the element literal syntax, on
+    {word: code} dicts.
 
     Grammar (informally):
         element := ['-'] term (('+'|'-') term)*
         term    := factor ('*' factor)*
         factor  := '(' element ')' | INT | 't' ['^' INT] | 'x'I ['^' ['-'] INT]
 
-    A term denotes coefficient * group word: coefficient factors multiply in
-    the level field, x-factors add exponents per variable.  Integer literals
-    are GF(q) encodings (for prime q they read as integers mod q).
+    The factors of a term multiply in the ring through _mul_codes; a factor
+    x^h with coefficient 1 only shifts the words before it, since every
+    sigma_g fixes 1.  Integer literals are GF(q) encodings (for prime q they
+    read as integers mod q).  Parentheses nest at most _MAX_NESTING deep, so
+    no literal can exhaust the interpreter stack.
     """
 
-    def __init__(self, ctx: RingContext, tokens):
+    def __init__(self, ctx: RingContext, text: str):
         self.ctx = ctx
-        self.toks = tokens
-        self.pos = 0
+        self.zero = (0,) * ctx.n
+        self.depth = 0
+        toks = [tok for tok, _ in reversed(_TOKEN.findall(text))]
+        if "" in toks:  # a character that starts no token
+            at = next(m.start() for m in _TOKEN.finditer(text) if m.lastindex == 2)
+            raise ValueError(f"bad element literal near {text[at:at + 12]!r}")
+        self.toks = [None] + toks  # a stack: the next token is last
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> RingElement:
+    def parse(self) -> dict:
         out = self.element()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
+        if self.toks[-1] is not None:
+            raise ValueError(f"trailing input at {self.toks[-1]!r}")
         return out
 
-    def element(self) -> RingElement:
-        # terms accumulate as codes: one wrap per literal, not one per + or -
+    def element(self) -> dict:
         level, out = self.ctx.level, {}
         op = level.add
-        if self.peek() == "-":
-            self.take()
+        if self.toks[-1] == "-":
+            self.toks.pop()
             op = level.sub
         while True:
-            for w, c in self.term().codes.items():
+            for w, c in self.term().items():
                 out[w] = op(out.get(w, 0), c)
-            if self.peek() not in ("+", "-"):
-                return _from_codes(self.ctx, out)
-            op = level.sub if self.take() == "-" else level.add
+            if self.toks[-1] != "+" and self.toks[-1] != "-":
+                return {w: c for w, c in out.items() if c}
+            op = level.sub if self.toks.pop() == "-" else level.add
 
-    def term(self) -> RingElement:
+    def term(self) -> dict:
         out = self.factor()
-        while self.peek() == "*":
-            self.take()
-            out = out * self.factor()
+        while self.toks[-1] == "*":
+            self.toks.pop()
+            right = self.factor()
+            if len(right) == 1 and 1 in right.values():
+                (h,) = right
+                out = {tuple(map(_add_ints, g, h)): c for g, c in out.items()}
+            else:
+                out = _mul_codes(self.ctx, out, right, {})
+                out = {w: c for w, c in out.items() if c}
         return out
 
-    def factor(self) -> RingElement:
-        tok = self.take()
+    def factor(self) -> dict:
+        ctx, tok = self.ctx, self.toks.pop()
         if tok is None:
             raise ValueError("unexpected end of literal")
         if tok == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ValueError(f"parentheses nest more than {_MAX_NESTING} deep")
             inner = self.element()
-            self.expect(")")
+            tok = self.toks.pop()
+            if tok != ")":
+                raise ValueError(f"expected ')', got {tok!r}")
+            self.depth -= 1
             return inner
         if tok == "t":
-            exp = 1
-            if self.peek() == "^":
-                self.take()
-                exp = self._int()
-            return self.ctx.scalar(self.ctx.theta() ** exp)
-        if tok.startswith("x"):
-            idx = int(tok[1:])
-            exp = 1
-            if self.peek() == "^":
-                self.take()
-                exp = self._signed_int()
-            return self.ctx.gen(idx, exp)
-        if tok.isdigit():
+            code = (ctx.theta() ** self._exponent(signed=False)).code
+        elif tok[0] == "x":
+            i, e = int(tok[1:]), self._exponent(signed=True)
+            if not 1 <= i <= ctx.n:
+                raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
+            return {tuple(e if j == i else 0 for j in range(1, ctx.n + 1)): 1}
+        elif tok.isdigit():
             code = int(tok)
-            if code >= self.ctx.tower.q:
+            if code >= ctx.tower.q:
                 raise ValueError(
-                    f"coefficient encoding {code} out of range for GF({self.ctx.tower.q})"
+                    f"coefficient encoding {code} out of range for GF({ctx.tower.q})"
                 )
-            return self.ctx.scalar(self.ctx.level.from_base(code))
-        raise ValueError(f"unexpected token {tok!r}")
+        else:
+            raise ValueError(f"unexpected token {tok!r}")
+        return {self.zero: code} if code else {}
 
-    def _int(self) -> int:
-        tok = self.take()
+    def _exponent(self, signed: bool) -> int:
+        """The INT after an optional '^', else 1; negated after '-' if signed."""
+        if self.toks[-1] != "^":
+            return 1
+        self.toks.pop()
+        sign = 1
+        if signed and self.toks[-1] == "-":
+            self.toks.pop()
+            sign = -1
+        tok = self.toks.pop()
         if tok is None or not tok.isdigit():
             raise ValueError(f"expected integer, got {tok!r}")
-        return int(tok)
-
-    def _signed_int(self) -> int:
-        if self.peek() == "-":
-            self.take()
-            return -self._int()
-        return self._int()
+        return sign * int(tok)
 
 
 def parse_element(ctx: RingContext, text: str) -> RingElement:
     """Parse the element literal syntax; round-trips with to_literal()."""
-    return _Parser(ctx, _tokenize(text)).parse()
+    return _from_codes(ctx, _Parser(ctx, text).parse())

@@ -1,12 +1,13 @@
 """Finite-field towers GF(q) = L_0 <= L_1 <= L_2 <= ... with L_m = GF(q^(p^m)).
 
 Each level is GF(q)[X] modulo a deterministic irreducible defining polynomial
-of degree p^m, built like GF(q) itself (fields.ExtensionField): an element
-is its code, its coordinates in the basis 1, X, X^2, ... packed in base q,
-and products, powers, inverses and sums go through exp/log/zech tables.  The
-q-power Frobenius multiplies logs by q.  Levels embed into the next through
-a stored image of X (the root of the defining polynomial with least
-coordinate vector), applied through a code table.
+of degree p^m (the least one, by Ben-Or's test), built like GF(q) itself
+(fields.ExtensionField): an element is its code, its base-q coordinates in
+the basis 1, X, X^2, ...  Products, powers and inverses go through exp/log
+tables; sums are XOR in characteristic 2 and otherwise use a Zech table,
+which only odd characteristic builds.  The q-power Frobenius multiplies logs
+by q.  Levels embed into the next through a stored image of X (the root of
+the defining polynomial with least coordinate vector), via a code table.
 
 All values are immutable after construction and every operation is pure.
 """

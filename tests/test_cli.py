@@ -232,6 +232,20 @@ def test_zero_denominator_exits_2(tmp_path, capsys, command):
     assert err == "error: zero denominator\n"
 
 
+@pytest.mark.parametrize("depth", [900, 3000])
+@pytest.mark.parametrize("command", [
+    ["simplicity", "--element", "{}"],
+    ["invert", "--element", "{}"],
+    ["invert", "--element", "1 + x1", "--den", "{}"],
+])
+def test_deeply_nested_literal_exits_2(tmp_path, capsys, command, depth):
+    deep = "(" * depth + "1 + x1" + ")" * depth
+    code, text = run(tmp_path, *[a.format(deep) for a in command], "--n", "1")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == "error: parentheses nest more than 100 deep\n"
+
+
 def test_inversion_over_budget_exits_2(tmp_path, capsys):
     # 5 terms at degree 8: 5^8 > INVERSION_BUDGET
     code, text = run(

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from twistlab.fields import BaseField, factor_prime_power, is_prime
+from twistlab.fields import (
+    BaseField,
+    PrimeField,
+    factor_prime_power,
+    is_irreducible,
+    is_prime,
+    poly_divmod,
+)
 
 
 def prime_powers(limit):
@@ -129,3 +136,52 @@ def test_products_match_sympy_at_1024():
     for _ in range(2000):
         a, b = rng.randrange(1024), rng.randrange(1024)
         assert _dense(F._digits(F.mul(a, b))) == product(a, b)
+
+
+# -- reference irreducibility test ----------------------------------------------
+# The former is_irreducible, kept as an oracle for Ben-Or's test: trial
+# division by every monic polynomial of degree <= deg/2.
+
+
+def monic_polys(F, degree):
+    q = F.q
+    for code in range(q**degree):
+        yield [code // q**i % q for i in range(degree)] + [1]
+
+
+def trial_division_irreducible(F, poly):
+    deg = len(poly) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    if poly[0] == 0:  # divisible by X
+        return False
+    for j in range(1, deg // 2 + 1):
+        for g in monic_polys(F, j):
+            _, rem = poly_divmod(F, poly, g)
+            if not rem:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field,q,max_degree", [
+    (PrimeField, 2, 8), (BaseField, 2, 8), (PrimeField, 3, 5), (BaseField, 3, 5),
+    (BaseField, 4, 3), (BaseField, 9, 3),
+], ids=["prime2", "2", "prime3", "3", "4", "9"])
+def test_ben_or_matches_trial_division(field, q, max_degree):
+    field = field(q)
+    for degree in range(max_degree + 1):
+        for poly in monic_polys(field, degree):
+            assert is_irreducible(field, poly) == trial_division_irreducible(field, poly), poly
+
+
+@pytest.mark.parametrize("r,max_degree", [(2, 8), (3, 5), (5, 3)])
+def test_ben_or_matches_sympy(r, max_degree):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    F = PrimeField(r)
+    for degree in range(1, max_degree + 1):
+        for poly in monic_polys(F, degree):
+            assert is_irreducible(F, poly) == gt.gf_irreducible_p(_dense(poly), r, ZZ), poly

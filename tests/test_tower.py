@@ -371,7 +371,8 @@ def test_table_generator_is_least_code_of_full_order():
 
 
 # Parent-commit outputs of tower_to_json; the embedding is the root with the
-# least coordinate tuple, which is not the least code.
+# least coordinate tuple, which is not the least code.  The q = 1024 and
+# q = 729 towers were recorded with the trial-division irreducibility test.
 GOLDEN_TOWERS = {
     (2, 2, 4): [
         ([0, 1], [0, 0]),
@@ -408,6 +409,14 @@ GOLDEN_TOWERS = {
         ([1, 2, 0, 1], [0, 0, 1, 0, 2, 0, 2, 0, 0]),
         ([1, 0, 1, 2, 0, 0, 0, 0, 0, 1], None),
     ],
+    (2, 1024, 1): [
+        ([0, 1], [0, 0]),
+        ([128, 1, 1], None),
+    ],
+    (2, 729, 1): [
+        ([0, 1], [0, 0]),
+        ([3, 0, 1], None),
+    ],
 }
 
 
@@ -426,14 +435,17 @@ def test_tower_json_matches_golden(config):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-@pytest.mark.parametrize("poly,match", [
-    ([1, 0, 0, 0, 1], "irreducible"),  # (X + 1)^4
-    ([1, 1, 0, 0, 2], "monic"),
-    ([1, 5, 0, 0, 1], "monic"),
-])
-def test_json_rejects_bad_polynomial(tower223, poly, match):
-    data = tower_to_json(tower223)
-    data["levels"][2]["defining_polynomial"] = poly
+@pytest.mark.parametrize("config,m,poly,match", [
+    ((2, 2, 3), 2, [1, 0, 0, 0, 1], "irreducible"),  # (X + 1)^4
+    ((2, 2, 3), 2, [1, 1, 0, 0, 2], "monic"),
+    ((2, 2, 3), 2, [1, 5, 0, 0, 1], "monic"),
+    # the monic polynomial just before the least irreducible X^2 + X + 128,
+    # so reducible, though it has no root 0 or 1
+    ((2, 1024, 1), 1, [127, 1, 1], "irreducible"),
+], ids=["poly0-irreducible", "poly1-monic", "poly2-monic", "q1024-irreducible"])
+def test_json_rejects_bad_polynomial(config, m, poly, match):
+    data = tower_to_json(build_tower(TowerConfig(*config)))
+    data["levels"][m]["defining_polynomial"] = poly
     with pytest.raises(ValueError, match=match):
         tower_from_json(data)
 
