@@ -86,36 +86,25 @@ class KernelLattice:
         return not any(self.reduce(word)[0])
 
     def reduce(self, word):
-        """Split word = h + r with h in the lattice and r in the fundamental
-        box; returns (r, h)."""
-        v = list(word)
-        n = len(v)
-        for i in range(n):
-            d = self.basis[i][i]
-            q = v[i] // d
-            if q:
-                for j in range(i, n):
-                    v[j] -= q * self.basis[i][j]
-        r = tuple(v)
-        h = tuple(a - b for a, b in zip(word, r))
-        return r, h
-
-    def lattice_coordinates(self, word) -> tuple:
-        """Coordinates of a lattice member in the HNF basis."""
+        """Split word = r + h with r in the fundamental box and h in the
+        lattice; returns (r, the coordinates of h in the HNF basis)."""
         v = list(word)
         n = len(v)
         coords = []
         for i in range(n):
-            d = self.basis[i][i]
-            if v[i] % d:
-                raise ValueError(f"{word} is not in the kernel lattice")
-            q = v[i] // d
+            q = v[i] // self.basis[i][i]
             coords.append(q)
-            for j in range(i, n):
-                v[j] -= q * self.basis[i][j]
-        if any(v):
+            if q:
+                for j in range(i, n):
+                    v[j] -= q * self.basis[i][j]
+        return tuple(v), tuple(coords)
+
+    def lattice_coordinates(self, word) -> tuple:
+        """Coordinates of a lattice member in the HNF basis."""
+        r, coords = self.reduce(word)
+        if any(r):
             raise ValueError(f"{word} is not in the kernel lattice")
-        return tuple(coords)
+        return coords
 
     def from_lattice_coordinates(self, coords) -> tuple:
         n = len(self.basis)
@@ -231,7 +220,8 @@ def decompose_over_center(r: RingElement, basis: FreeBasis,
     coords = [dict() for _ in range(basis.size())]
     rep_index = {g: j for j, g in enumerate(basis.coset_reps)}
     for w, c in r.codes.items():
-        rep, h = lattice.reduce(w)  # w = rep + h: each slot gets h once
+        rep = lattice.reduce(w)[0]
+        h = tuple(a - b for a, b in zip(w, rep))  # each slot gets h once
         j = rep_index[rep]
         for i, a in enumerate(r.ctx.level._digits(c)):
             coords[basis.index_of(i, j)][h] = a

@@ -107,35 +107,34 @@ def _config_value(action, value):
 
 
 def _apply_config_file(args, argv, ap):
-    """Config-file values override parser defaults; explicit flags win.
+    """Config-file values become the subcommand's defaults and argv is parsed
+    again, so every flag given on the command line wins, abbreviated or not.
 
     Keys are the subcommand's own option names (k_max is read as kmax);
     any other key, a mistyped value or a file that is not a JSON object is
     a usage error.
     """
     if not args.config:
-        return
+        return args
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[args.command]
     options = {
-        a.dest: a for a in sub.choices[args.command]._actions
+        a.dest: a for a in parser._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
     aliases = {"k_max": "kmax"}
-    explicit = {
-        tok[2:].split("=")[0].replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
-    }
+    defaults = {}
     for key, value in data.items():
         key = aliases.get(key, key)
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option of {args.command}")
-        if key not in explicit:
-            setattr(args, key, _config_value(options[key], value))
+        defaults[key] = _config_value(options[key], value)
+    parser.set_defaults(**defaults)
+    return ap.parse_args(argv)
 
 
 def _action(args, n=None) -> object:
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config_file(args, argv, ap)
+        args = _apply_config_file(args, argv, ap)
         return args.func(args)
     except InternalFaultError as exc:
         sys.stderr.write(f"internal consistency fault: {exc}\n")

@@ -269,21 +269,19 @@ def poly_trim(cs):
     return cs
 
 
-def poly_divmod(F, a, b):
-    """Quotient and remainder of a by b (b nonzero)."""
+def poly_mod(F, a, b):
+    """Remainder of a by b (b nonzero)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = F.inv(b[-1])
     while len(rem) >= len(b) and rem:
         shift = len(rem) - len(b)
         c = F.mul(rem[-1], inv_lead)
-        quo[shift] = c
         for i, bc in enumerate(b):
             rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
         rem = poly_trim(rem)
-    return poly_trim(quo), rem
+    return rem
 
 
 def _mulmod(F, a, b, f):
@@ -292,7 +290,7 @@ def _mulmod(F, a, b, f):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-    return poly_divmod(F, prod, f)[1]
+    return poly_mod(F, prod, f)
 
 
 def is_irreducible(F, poly) -> bool:
@@ -311,7 +309,7 @@ def is_irreducible(F, poly) -> bool:
                 h = _mulmod(F, h, x, f)
         a, b = f, poly_trim([F.sub(c, int(i == 1)) for i, c in enumerate(h + [0, 0])])
         while b:
-            a, b = b, poly_divmod(F, a, b)[1]
+            a, b = b, poly_mod(F, a, b)
         if len(a) > 1:
             return False
     return len(f) > 1

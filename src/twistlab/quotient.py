@@ -270,7 +270,7 @@ def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
         for j, wj in enumerate(reps):
             wi, lam = lattice.reduce(tuple(a + b for a, b in zip(w, wj)))
             coeff = ctx.level.frob_code(c, -ctx.word_exponent(wi))
-            entries[row_of[wi]][j][lattice.lattice_coordinates(lam)] = coeff
+            entries[row_of[wi]][j][lam] = coeff
     nvars = len(lattice.basis)
     return [[LaurentPoly(ctx.level, nvars, e) for e in row] for row in entries]
 
@@ -396,20 +396,17 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
 def invert(f: CentralFraction) -> CentralFraction:
     """Exact inverse of a nonzero central fraction, verified to multiply to 1.
 
-    Homogeneous numerators invert directly; otherwise the numerator is
-    cleared to a central element through its reduced norm, which raises
-    BudgetError past INVERSION_BUDGET.
+    The numerator is cleared to a central element through its reduced norm,
+    which raises BudgetError past INVERSION_BUDGET.  A homogeneous numerator
+    has a monomial reduced norm, so normalizing leaves denominator 1 and the
+    numerator its unique inverse.
     """
     if f.is_zero():
         raise NotAUnitError("the zero fraction has no inverse")
     ctx = f.ctx
     lat = kernel_lattice(ctx)
-    if f.num.is_homogeneous():
-        inv_num = f.num.invert_unit()
-        result = CentralFraction(ctx, f.den * inv_num, ctx.one(), lattice=lat)
-    else:
-        s, w = _central_multiple(f.num, ctx, lat)
-        result = CentralFraction(ctx, f.den * s, w, lattice=lat)
+    s, w = _central_multiple(f.num, ctx, lat)
+    result = CentralFraction(ctx, f.den * s, w, lattice=lat)
     product = f * result
     if product != CentralFraction(ctx, ctx.one(), ctx.one(), lattice=lat):
         raise InternalFaultError("inverse verification failed")

@@ -2,14 +2,18 @@
 inside the two-sided ideal it generates.
 
 At a level where two support points g0, g1 act by distinct automorphisms,
-the combination  r*d - sigma_g0(d)*r  (for a field element d separating the
-two automorphisms) cancels the g0 component, keeps the g1 component nonzero,
-and stays inside the ideal of r.  Iterating reaches a homogeneous element,
+the combination  r*theta - sigma_g0(theta)*r  cancels the g0 component, keeps
+the g1 component nonzero, and stays inside the ideal of r.  The multiplier is
+always the level generator theta: it generates the level field over GF(q),
+so distinct Frobenius powers differ on it.  The coefficient of that
+combination at w is c_w * (sigma_w(theta) - sigma_g0(theta)), so a step is
+one pass over the codes of r.  Iterating reaches a homogeneous element,
 which is a unit.  Levels must be ascended first when the current level does
 not separate the support, which is exactly why single levels have proper
 ideals while the full tower union does not.
 
-Every run returns an auditable trace that can be replayed step by step.
+Every run returns an auditable trace; replaying it recomputes each step
+through ring products, independently of the one-pass step.
 """
 
 from __future__ import annotations
@@ -82,25 +86,22 @@ def random_separable_element(ctx: RingContext, rng, max_support: int = 4,
 
 def separating_level(ctx: RingContext, support) -> int:
     """Least materialized level where all support points act by pairwise
-    distinct automorphisms."""
+    distinct automorphisms.
+
+    g - h acts trivially iff g and h act alike, so each level compares the
+    exponents of the points instead of those of their differences.
+    """
     support = [tuple(w) for w in support]
     if len(support) < 2:
         raise ValueError("separation needs at least two support points")
-    pairs = [
-        tuple(a - b for a, b in zip(support[i], support[j]))
-        for i in range(len(support))
-        for j in range(i + 1, len(support))
-    ]
-    blocking = None
     for k in range(1, ctx.tower.k_max + 1):
-        blocking = None
-        for diff in pairs:
-            if action_exponent(ctx.action, diff, k) == 0:
-                blocking = diff
-                break
-        if blocking is None:
+        exps = [action_exponent(ctx.action, w, k) for w in support]
+        if len(set(exps)) == len(exps):
             return k
-    # name one blocking pair explicitly in the error
+    # name the first colliding pair (i < j) at k_max explicitly in the error
+    i = next(i for i, e in enumerate(exps) if e in exps[i + 1:])
+    j = exps.index(exps[i], i + 1)
+    blocking = tuple(a - b for a, b in zip(support[i], support[j]))
     raise SeparationError(
         f"no materialized level separates the support; increase k_max "
         f"(blocked difference {blocking} at k_max={ctx.tower.k_max})",
@@ -108,44 +109,35 @@ def separating_level(ctx: RingContext, support) -> int:
     )
 
 
-def _separating_multiplier(ctx: RingContext, g0, g1) -> FieldElement:
-    """First power-basis element moved differently by the two automorphisms."""
-    e0 = ctx.word_exponent(g0)
-    e1 = ctx.word_exponent(g1)
-    if e0 == e1:
-        raise ValueError(
-            f"level {ctx.k} does not separate {g0} and {g1}; ascend first"
-        )
-    theta = ctx.theta()
-    cur = ctx.level.one()
-    for _ in range(ctx.level.degree):
-        if ctx.frob(cur, e0) != ctx.frob(cur, e1):
-            return cur
-        cur = cur * theta
-    raise InternalFaultError(
-        "distinct automorphisms agreed on the whole power basis"
-    )
-
-
 def shrink_once(r: RingElement, g0, g1):
     """One elimination step; returns (smaller element, step record).
 
     Precondition: g0 and g1 are distinct support points of r and the current
-    level separates them.  The output r*d - sigma_g0(d)*r drops g0 from the
-    support, keeps g1, and lies in the two-sided ideal generated by r.
+    level separates them.  The output r*d - sigma_g0(d)*r, d = theta, drops
+    g0 from the support, keeps g1, and lies in the two-sided ideal generated
+    by r.
     """
     ctx = r.ctx
     g0, g1 = tuple(g0), tuple(g1)
     if g0 not in r.codes or g1 not in r.codes or g0 == g1:
         raise ValueError("g0 and g1 must be distinct support points of r")
-    d = _separating_multiplier(ctx, g0, g1)
-    lam = ctx.frob(d, ctx.word_exponent(g0))
-    out = r * d - lam * r
+    if ctx.word_exponent(g0) == ctx.word_exponent(g1):
+        raise ValueError(
+            f"level {ctx.k} does not separate {g0} and {g1}; ascend first"
+        )
+    level = ctx.level
+    theta = level.generator_code()
+    lam = level.frob_code(theta, ctx.word_exponent(g0))
+    out = _from_codes(ctx, {
+        w: level.mul(c, level.sub(level.frob_code(theta, ctx.word_exponent(w)), lam))
+        for w, c in r.codes.items()
+    })
     if g0 in out.codes or g1 not in out.codes:
         raise InternalFaultError("shrink step did not act as predicted")
     if len(out.codes) >= len(r.codes):
         raise InternalFaultError("shrink step failed to reduce the support")
-    step = ShrinkStep(level=ctx.k, d=d, g0=g0, g1=g1, lam=lam)
+    step = ShrinkStep(level=ctx.k, d=level.from_code(theta), g0=g0, g1=g1,
+                      lam=level.from_code(lam))
     return out, step
 
 

@@ -285,41 +285,29 @@ class Tower:
         return f"Tower(p={self.p}, q={self.q}, k_max={self.k_max})"
 
 
-def _embedding_table(lower: TowerLevel, upper: TowerLevel):
-    """Codes in upper of every element of lower, by Horner at the image of X."""
-    theta = upper._code(lower.embedding_up)
-    table = array("i", [0]) * lower.order
-    for code in range(lower.order):
-        acc = 0
-        for c in reversed(lower._digits(code)):
-            acc = upper.add(upper.mul(acc, theta), c)
-        table[code] = acc
-    return table
-
-
-def _eval_poly(level: TowerLevel, coeffs, x: FieldElement) -> FieldElement:
-    """Evaluate a polynomial with GF(q) coefficients at x (Horner)."""
-    acc = level.zero()
+def _horner(level: TowerLevel, coeffs, x: int) -> int:
+    """Code of the polynomial with GF(q) coefficients at the code x."""
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + level.from_base(c)
+        acc = level.add(level.mul(acc, x), c)
     return acc
 
 
-def _root_candidates(lower: TowerLevel, upper: TowerLevel):
-    """The copy of lower inside upper: zero and the (|lower| - 1)-th roots of
-    unity, the powers of g^((|upper| - 1) / (|lower| - 1))."""
-    yield upper.zero()
-    step = upper.units // lower.units
-    for j in range(lower.units):
-        yield FieldElement(upper, upper.exp[j * step])
+def _embedding_table(lower: TowerLevel, upper: TowerLevel):
+    """Codes in upper of every element of lower, by Horner at the image of X."""
+    theta = upper._code(lower.embedding_up)
+    return array("i", [_horner(upper, lower._digits(code), theta)
+                       for code in range(lower.order)])
 
 
 def _find_embedding(lower: TowerLevel, upper: TowerLevel):
-    roots = [
-        x.coords
-        for x in _root_candidates(lower, upper)
-        if _eval_poly(upper, lower.modulus, x).is_zero()
-    ]
+    """Least root, by coordinate tuple, of lower's defining polynomial among
+    the copy of lower inside upper: zero and the (|lower| - 1)-th roots of
+    unity, the powers of g^((|upper| - 1) / (|lower| - 1))."""
+    step = upper.units // lower.units
+    candidates = [0] + [upper.exp[j * step] for j in range(lower.units)]
+    roots = [upper._digits(x) for x in candidates
+             if not _horner(upper, lower.modulus, x)]
     if not roots:
         raise InternalFaultError(
             f"defining polynomial of level {lower.m} has no root in level {upper.m}"
@@ -386,7 +374,7 @@ def tower_from_json(data: dict, budget: int = DEFAULT_FIELD_BUDGET) -> Tower:
         if up is None:
             raise ValueError(f"level {m} is missing its embedding")
         image = levels[m + 1].element(up)
-        if not _eval_poly(levels[m + 1], levels[m].modulus, image).is_zero():
+        if _horner(levels[m + 1], levels[m].modulus, image.code):
             raise ValueError(f"stored embedding for level {m} is not a root")
         levels[m].embedding_up = tuple(up)
     return Tower(config, levels)

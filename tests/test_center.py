@@ -185,6 +185,22 @@ def test_lattice_membership_bounded_enumeration(ctx_n2_k2):
         assert lat.contains(w) == in_kernel
 
 
+def test_reduce_splits_into_box_representative_and_lattice_coordinates(ctx_n2_k2):
+    from itertools import product
+
+    lat = kernel_lattice(ctx_n2_k2)
+    box = set(lat.box_representatives())
+    for w in product(range(-9, 10), repeat=2):
+        r, coords = lat.reduce(w)
+        assert r in box
+        h = lat.from_lattice_coordinates(coords)
+        assert tuple(a + b for a, b in zip(r, h)) == w
+        assert lat.lattice_coordinates(h) == coords
+        if any(r):
+            with pytest.raises(ValueError, match="not in the kernel lattice"):
+                lat.lattice_coordinates(w)
+
+
 def test_lattice_nesting(tower223, action_n2):
     lats = [
         kernel_lattice(RingContext(tower223, action_n2, k)) for k in (1, 2, 3)

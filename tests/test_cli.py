@@ -421,6 +421,20 @@ def test_explicit_flags_beat_config_file(tmp_path):
     assert json.loads(text)["result"]["index"] == 2
 
 
+@pytest.mark.parametrize("config,argv,key,want", [
+    ({"nmax": 20}, ["growth", "--n", "1", "--k", "1", "--nm", "12", "--format", "json"],
+     "nmax", 12),
+    ({"seed": 5}, ["center", "--se", "3"], "seed", 3),
+    ({"seed": 5, "k": 2}, ["center", "--seed=3"], "k", 2),
+])
+def test_abbreviated_flags_beat_config_file(tmp_path, config, argv, key, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run(tmp_path, *argv, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(text)["config"][key] == want
+
+
 def test_reports_embed_version_and_seed(tmp_path):
     import twistlab
 

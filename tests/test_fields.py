@@ -8,7 +8,7 @@ from twistlab.fields import (
     factor_prime_power,
     is_irreducible,
     is_prime,
-    poly_divmod,
+    poly_mod,
 )
 
 
@@ -159,8 +159,7 @@ def trial_division_irreducible(F, poly):
         return False
     for j in range(1, deg // 2 + 1):
         for g in monic_polys(F, j):
-            _, rem = poly_divmod(F, poly, g)
-            if not rem:
+            if not poly_mod(F, poly, g):
                 return False
     return True
 

@@ -336,11 +336,43 @@ def test_determinant_never_vanishes_for_nonzero_elements(ctx_n1_k1, lat1):
         assert not bareiss_determinant(lmat).is_zero()
 
 
-def test_invert_homogeneous_fast_path(ctx_n1_k1, lat1):
+def test_invert_homogeneous_numerator(ctx_n1_k1, lat1):
     x = ctx_n1_k1.gen(1)
     g = invert(frac(ctx_n1_k1, x, lat=lat1))
     assert g.num == x.invert_unit()
     assert g.den == ctx_n1_k1.one()
+
+
+# -- reference inversion of a unit numerator ----------------------------------------
+# The former homogeneous branch of invert, kept as an oracle: c x^g / z inverts
+# to z (c x^g)^(-1) / 1, with no reduced norm formed.
+
+
+def reference_invert_homogeneous(f, lat):
+    inv = f.den * f.num.invert_unit()
+    return normalized(CentralFraction(f.ctx, inv, f.ctx.one(), lattice=lat), lat)
+
+
+@pytest.mark.parametrize("p,q,n,k", [(2, 2, n, k) for n in (1, 2) for k in range(4)]
+                         + [(2, 3, 1, k) for k in range(4)]
+                         + [(3, 2, 2, k) for k in range(3)])
+def test_invert_homogeneous_numerators_match_unit_inverse(p, q, n, k):
+    tower = build_tower(TowerConfig(p, q, max(k, 1)))
+    ctx = RingContext(tower, default_action(n, p), k)
+    lat = kernel_lattice(ctx)
+    rng = random.Random(100 * k + 10 * n + p)
+    for _ in range(4):
+        num = ctx.random_element(rng, max_terms=1)
+        central = ctx.monomial(ctx.level.from_base(rng.randrange(1, q)),
+                               lat.from_lattice_coordinates(
+                                   [rng.randint(-2, 2) for _ in range(n)]))
+        for den in (ctx.one(), central, central + ctx.one()):
+            if den.is_zero():
+                continue
+            f = CentralFraction(ctx, num, den, lattice=lat)
+            got, want = invert(f), reference_invert_homogeneous(f, lat)
+            assert (got.num.to_literal(), got.den.to_literal()) == (
+                want.num.to_literal(), want.den.to_literal())
 
 
 def test_invert_one_plus_x1(ctx_n1_k1, lat1):

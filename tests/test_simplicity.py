@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistlab.action import action_exponent, truncate
-from twistlab.errors import SeparationError
+from twistlab.action import action_exponent, default_action, truncate
+from twistlab.errors import InternalFaultError, SeparationError
+from twistlab.ring import RingContext
 from twistlab.simplicity import (
     random_separable_element,
     replay_trace,
@@ -11,6 +14,104 @@ from twistlab.simplicity import (
     shrink_once,
     unit_in_ideal,
 )
+from twistlab.tower import TowerConfig, build_tower
+
+# -- reference routines ----------------------------------------------------------
+# The former searches, kept as oracles: the multiplier scanned the power
+# basis for the first element two automorphisms move apart, a step was the
+# ring-product combination r*d - lam*r, and separation compared the action
+# exponents of all pairwise differences.
+
+
+def reference_separating_multiplier(ctx, g0, g1):
+    e0 = ctx.word_exponent(g0)
+    e1 = ctx.word_exponent(g1)
+    if e0 == e1:
+        raise ValueError(
+            f"level {ctx.k} does not separate {g0} and {g1}; ascend first"
+        )
+    theta = ctx.theta()
+    cur = ctx.level.one()
+    for _ in range(ctx.level.degree):
+        if ctx.frob(cur, e0) != ctx.frob(cur, e1):
+            return cur
+        cur = cur * theta
+    raise InternalFaultError(
+        "distinct automorphisms agreed on the whole power basis"
+    )
+
+
+def reference_shrink_once(r, g0, g1):
+    d = reference_separating_multiplier(r.ctx, g0, g1)
+    lam = r.ctx.frob(d, r.ctx.word_exponent(g0))
+    return r * d - lam * r, d, lam
+
+
+def reference_separating_level(ctx, support):
+    """(level, None), or (None, blocking difference at k_max)."""
+    pairs = [
+        tuple(a - b for a, b in zip(support[i], support[j]))
+        for i in range(len(support))
+        for j in range(i + 1, len(support))
+    ]
+    for k in range(1, ctx.tower.k_max + 1):
+        blocking = next(
+            (d for d in pairs if action_exponent(ctx.action, d, k) == 0), None
+        )
+        if blocking is None:
+            return k, None
+    return None, blocking
+
+
+# (p, q, k_max): every level of each tower is within the field budget, so
+# (3, 2) stops at level 2 (level 3 would be GF(2^27))
+SHRINK_TOWERS = [(2, 2, 3), (3, 2, 2), (2, 3, 3)]
+
+
+def _context(p, q, k_max, k, n=2):
+    return RingContext(build_tower(TowerConfig(p, q, k_max)), default_action(n, p), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shrink_step_matches_power_basis_search_and_ring_products(data):
+    p, q, k_max = data.draw(st.sampled_from(SHRINK_TOWERS))
+    ctx = _context(p, q, k_max, data.draw(st.integers(1, k_max)))
+    r = random_separable_element(ctx, random.Random(data.draw(st.integers(0, 2**32))))
+    g0, g1 = r.support()[:2]
+    if ctx.word_exponent(g0) == ctx.word_exponent(g1):  # refused alike
+        with pytest.raises(ValueError) as ours:
+            shrink_once(r, g0, g1)
+        with pytest.raises(ValueError) as ref:
+            reference_shrink_once(r, g0, g1)
+        assert str(ours.value) == str(ref.value)
+    level = separating_level(ctx, r.support())
+    cur = r.lift_to(ctx.lift_level(max(level, ctx.k)))
+    while not cur.is_homogeneous():
+        g0, g1 = cur.support()[:2]
+        out, step = shrink_once(cur, g0, g1)
+        ref_out, d, lam = reference_shrink_once(cur, g0, g1)
+        assert (step.level, step.d, step.lam, step.g0, step.g1) == (
+            cur.ctx.k, d, lam, g0, g1)
+        assert out == ref_out
+        cur = out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_separating_level_matches_pairwise_differences(data):
+    k_max = data.draw(st.integers(1, 3))
+    ctx = _context(2, 2, k_max, 1, n=data.draw(st.integers(1, 3)))
+    word = st.tuples(*[st.integers(-9, 9)] * ctx.n)
+    support = data.draw(st.lists(word, min_size=2, max_size=6, unique=True))
+    level, blocking = reference_separating_level(ctx, support)
+    if level is not None:
+        assert separating_level(ctx, support) == level
+    else:
+        with pytest.raises(SeparationError) as err:
+            separating_level(ctx, support)
+        assert err.value.blocking_pair == blocking
+        assert f"blocked difference {blocking} at k_max={k_max}" in str(err.value)
 
 
 def test_separating_level_examples(ctx_n2_k1):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from twistlab.errors import BudgetError
+from twistlab.errors import BudgetError, InternalFaultError
 from twistlab.fields import is_irreducible
 from twistlab.tower import (
+    FieldElement,
     TowerConfig,
     build_tower,
     tower_from_json,
@@ -85,6 +86,56 @@ def test_embedding_is_a_root_by_exhaustive_search(tower223):
                 roots.append(x.coords)
         assert len(roots) == lower.degree  # separable: full root count
         assert lower.embedding_up == min(roots)  # lex-least chosen
+
+
+# -- reference embedding search ------------------------------------------------
+# The former search on field elements, kept as an oracle for the code-level
+# Horner evaluation: every candidate in the copy of the lower level is a
+# FieldElement, and the polynomial is evaluated by element arithmetic.
+
+
+def reference_eval_poly(level, coeffs, x):
+    acc = level.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + level.from_base(c)
+    return acc
+
+
+def reference_root_candidates(lower, upper):
+    yield upper.zero()
+    step = upper.units // lower.units
+    for j in range(lower.units):
+        yield FieldElement(upper, upper.exp[j * step])
+
+
+def reference_find_embedding(lower, upper):
+    roots = [
+        x.coords
+        for x in reference_root_candidates(lower, upper)
+        if reference_eval_poly(upper, lower.modulus, x).is_zero()
+    ]
+    if not roots:
+        raise InternalFaultError("no root")
+    return min(roots)
+
+
+def _largest_k_max(p, q):
+    """Highest k_max whose tower fits the default field budget; a smaller
+    k_max builds the same levels, so its embeddings are a prefix of these."""
+    k = 1
+    while True:
+        try:
+            TowerConfig(p, q, k + 1).validate()
+        except BudgetError:
+            return k
+        k += 1
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in (2, 3) for q in (2, 3, 4)])
+def test_embeddings_match_field_element_search(p, q):
+    tower = build_tower(TowerConfig(p, q, _largest_k_max(p, q)))
+    for lower, upper in zip(tower.levels, tower.levels[1:]):
+        assert lower.embedding_up == reference_find_embedding(lower, upper)
 
 
 def test_embed_generator_matches_stored_image(tower223):
@@ -221,6 +272,18 @@ def test_json_rejects_corrupt_embedding(tower223):
     data["levels"][0]["embedding_up"] = [1, 1]  # not a root of X
     with pytest.raises(ValueError):
         tower_from_json(data)
+
+
+def test_json_rejects_malformed_embedding_coordinates(tower223):
+    # the root check runs on codes; [code of the root, 0, 0, 0] packs to the
+    # root's code too, so only the coordinate check refuses it
+    data = tower_to_json(tower223)
+    root = tower223.level(2)._code(tower223.level(1).embedding_up)
+    for up, match in (([root, 0, 0, 0], r"must lie in \[0, 2\)"),
+                      ([0, 0, 0], "needs 4 coordinates")):
+        data["levels"][1]["embedding_up"] = up
+        with pytest.raises(ValueError, match=match):
+            tower_from_json(data)
 
 
 def test_towers_are_cached():
