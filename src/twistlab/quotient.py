@@ -14,6 +14,7 @@ singular matrix or a determinant outside the center aborts loudly.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .center import (
@@ -78,7 +79,7 @@ class LaurentPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
         return LaurentPoly(self.field, self.nvars, out)
 
@@ -92,7 +93,7 @@ class LaurentPoly:
         return LaurentPoly(
             self.field,
             self.nvars,
-            {tuple(a + b for a, b in zip(e, offset)): c for e, c in self.terms.items()},
+            {tuple(map(operator.add, e, offset)): c for e, c in self.terms.items()},
         )
 
     def min_exponents(self) -> tuple:
@@ -116,27 +117,28 @@ class LaurentPoly:
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero(self.field, self.nvars)
         F = self.field
         m_self, m_other = self.min_exponents(), other.min_exponents()
-        a = self.shift(tuple(-v for v in m_self))
+        rem = self.shift(tuple(-v for v in m_self)).terms
         b = other.shift(tuple(-v for v in m_other))
         quo: dict = {}
         lead_b, lead_bc = b.leading()
         inv_lead = F.inv(lead_bc)
         # both operands are ordinary after the content shift, so the lex
         # leading exponent strictly decreases in a well-order: this terminates
-        while not a.is_zero():
-            lead_a, lead_ac = a.leading()
-            mono = tuple(x - y for x, y in zip(lead_a, lead_b))
+        while rem:
+            lead_a = max(rem)
+            mono = tuple(map(operator.sub, lead_a, lead_b))
             if any(v < 0 for v in mono):
                 raise InternalFaultError("polynomial division is not exact")
-            c = F.mul(lead_ac, inv_lead)
-            quo[mono] = c
-            piece = LaurentPoly(F, self.nvars, {mono: c})
-            a = a - piece * b
-        shift_back = tuple(x - y for x, y in zip(m_self, m_other))
+            c = quo[mono] = F.mul(rem[lead_a], inv_lead)
+            for e, d in b.terms.items():  # rem -= c x^mono b, in place
+                e = tuple(map(operator.add, e, mono))
+                if v := F.sub(rem.get(e, 0), F.mul(c, d)):
+                    rem[e] = v
+                else:
+                    del rem[e]
+        shift_back = tuple(map(operator.sub, m_self, m_other))
         return LaurentPoly(F, self.nvars, quo).shift(shift_back)
 
     def __eq__(self, other):

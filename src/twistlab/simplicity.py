@@ -94,8 +94,9 @@ def separating_level(ctx: RingContext, support) -> int:
     support = [tuple(w) for w in support]
     if len(support) < 2:
         raise ValueError("separation needs at least two support points")
+    top = [action_exponent(ctx.action, w, ctx.tower.k_max) for w in support]
     for k in range(1, ctx.tower.k_max + 1):
-        exps = [action_exponent(ctx.action, w, k) for w in support]
+        exps = [e % ctx.action.p**k for e in top]  # truncations agree mod p^k
         if len(set(exps)) == len(exps):
             return k
     # name the first colliding pair (i < j) at k_max explicitly in the error

@@ -1,12 +1,17 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twistlab.pi
+from twistlab.action import default_action
 from twistlab.errors import BudgetError, ContextMismatchError
 from twistlab.pi import pi_degree_scan, standard_polynomial
 from twistlab.pi import test_identity as run_identity_trials
-from twistlab.ring import RingContext, RingElement
+from twistlab.ring import RingContext, RingElement, _from_codes, _mul_codes
 from twistlab.tower import TowerConfig, build_tower
 
 
@@ -65,8 +70,6 @@ def test_multilinearity_in_each_slot(ctx_n2_k1):
 
 def test_budget_guards():
     tower = build_tower(TowerConfig(2, 2, 2))
-    from twistlab.action import default_action
-
     ctx = RingContext(tower, default_action(1, 2), 1)
     with pytest.raises(BudgetError):
         standard_polynomial([ctx.one()] * 9)
@@ -160,8 +163,6 @@ def test_every_tested_degree_fails_at_some_level(tower223, action_n2):
 
 def test_scan_marks_untested_degrees():
     tower = build_tower(TowerConfig(3, 2, 2))
-    from twistlab.action import default_action
-
     ctx = RingContext(tower, default_action(1, 3), 2)
     rows = pi_degree_scan([ctx], trials=5, seed=9, max_degree=4)
     # the expected identity threshold 2*p^k = 18 is far beyond the budget
@@ -222,8 +223,6 @@ def _permutation_sum(elements):
                                    (2, 3, 2)])
 def test_standard_polynomial_matches_permutation_sum(p, q, k):
     # (2, 3) is characteristic 3, where the signs do not cancel
-    from twistlab.action import default_action
-
     ctx = RingContext(build_tower(TowerConfig(p, q, k)), default_action(2, p), k)
     rng = random.Random(100 * q + k)
     nonzero_beyond_the_commutator = 0
@@ -237,29 +236,113 @@ def test_standard_polynomial_matches_permutation_sum(p, q, k):
     assert nonzero_beyond_the_commutator >= 1
 
 
-def test_degree_eight_uses_at_most_m_2_to_the_m_minus_1_products(
-    ctx_n2_k1, monkeypatch
-):
+def code_recurrence(elements):
+    """Oracle: the subset recurrence grown to the full set on {word: code}
+    dicts, one kernel call per (subset, new first index); returns the value
+    and the term pairs it multiplied."""
+    m = len(elements)
+    ctx = elements[0].ctx
+    neg = ctx.level.neg
+    xs = [x.codes for x in elements]
+    signed = (xs, [{w: neg(c) for w, c in x.items()} for x in xs])
+    layer = {1 << i: x for i, x in enumerate(xs)}
+    pairs = 0
+    for _ in range(m - 1):
+        grown = {}
+        for rest, value in layer.items():
+            for i in range(m):
+                bit = 1 << i
+                if not rest & bit:
+                    odd = bin(rest & (bit - 1)).count("1") & 1
+                    out = grown.setdefault(rest | bit, {})
+                    _mul_codes(ctx, signed[odd][i], value, out)
+                    pairs += len(xs[i]) * len(value)
+        layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}
+    return _from_codes(ctx, layer[(1 << m) - 1]), pairs
+
+
+def kernel_work(elements):
+    """standard_polynomial's value with its kernel calls and term pairs."""
+    work = {"calls": 0, "pairs": 0}
+
+    def counting(ctx, left, right, out):
+        work["calls"] += 1
+        work["pairs"] += len(left) * len(right)
+        return _mul_codes(ctx, left, right, out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twistlab.pi, "_mul_codes", counting)
+        value = standard_polynomial(elements)
+    return value, work
+
+
+def test_degree_eight_uses_at_most_m_2_to_the_m_minus_1_products(ctx_n2_k1):
+    # one-term arguments: layers 1..4 cost 56 + 168 + 280 calls, and the
+    # finish pairs the 70 subsets of size 4 with their complements; the full
+    # recurrence makes 8 * 2^7 - 8 = 1,016
     rng = random.Random(8)
     args = [ctx_n2_k1.random_element(rng, max_terms=1) for _ in range(8)]
-    calls = 0
-    mul = RingElement.__mul__
+    value, work = kernel_work(args)
+    assert work["calls"] == 574 <= 8 * 2**7
+    assert value == code_recurrence(args)[0]
 
-    def counting_mul(self, other):
-        nonlocal calls
-        calls += 1
-        return mul(self, other)
 
-    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
-    standard_polynomial(args)
-    assert calls <= 8 * 2**7
+@functools.lru_cache(maxsize=None)
+def _oracle_context(p, q, k):
+    return RingContext(build_tower(TowerConfig(p, q, k)), default_action(2, p), k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_finish_matches_the_full_recurrence_with_no_more_term_pairs(data):
+    ctx = _oracle_context(*data.draw(st.sampled_from(
+        [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)])))
+    m = data.draw(st.integers(1, 8))
+    word = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    code = st.integers(1, ctx.level.order - 1).map(ctx.level.from_code)
+    terms = st.dictionaries(word, code, min_size=1, max_size=6)
+    args = data.draw(st.lists(terms.map(lambda t: RingElement(ctx, t)),
+                              min_size=m, max_size=m))
+    if data.draw(st.booleans()):
+        args[data.draw(st.integers(0, m - 1))] = ctx.zero()
+    if m >= 2 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(m)))[:2]
+        args[j] = args[i]
+    value, work = kernel_work(args)
+    expected, pairs = code_recurrence(args)
+    assert value.to_literal() == expected.to_literal()
+    assert work["pairs"] <= pairs
+
+
+def test_wide_arguments_keep_the_full_recurrence(ctx_n2_k2):
+    # S_4 on 10-term arguments: the pairs S(A) S(A^c) over |A| = 2 cost more
+    # than a third layer, so the finish waits for size 3, which is the
+    # recurrence's own last step
+    rng = random.Random(10)
+    args = [ctx_n2_k2.random_element(rng, min_terms=10, max_terms=10)
+            for _ in range(4)]
+    value, work = kernel_work(args)
+    expected, pairs = code_recurrence(args)
+    assert value.to_literal() == expected.to_literal()
+    assert work == {"calls": 4 * 2**3 - 4, "pairs": pairs}
+
+
+def test_sparse_arguments_finish_at_half_the_degree(ctx_n2_k2):
+    # S_6 on 1-2 term arguments, as in the benchmark's level-2 trials: layers
+    # 1..2 cost 30 + 60 calls, and the finish pairs the 20 subsets of size 3
+    rng = random.Random(6)
+    args = [ctx_n2_k2.random_element(rng, max_terms=2) for _ in range(6)]
+    value, work = kernel_work(args)
+    expected, pairs = code_recurrence(args)
+    assert value.to_literal() == expected.to_literal()
+    assert not value.is_zero()
+    assert work["calls"] == 30 + 60 + 20
+    assert work["pairs"] < pairs
 
 
 @pytest.mark.parametrize("p,q,k", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
                                    (2, 3, 2), (3, 2, 1), (3, 2, 2)])
 def test_code_recurrence_matches_ring_element_recurrence(p, q, k):
-    from twistlab.action import default_action
-
     ctx = RingContext(build_tower(TowerConfig(p, q, k)), default_action(2, p), k)
     rng = random.Random(f"pi-oracle-{p}-{q}-{k}")
     for m in range(1, 7):
@@ -294,8 +377,6 @@ def test_mixed_contexts_are_refused(ctx_n2_k1, ctx_n2_k2, ctx_n1_k1):
 def test_degree_eight_makes_at_most_m_2_to_the_m_minus_1_kernel_calls(
     ctx_n2_k2, monkeypatch, field_op_counts
 ):
-    import twistlab.pi
-
     rng = random.Random(8)
     args = [ctx_n2_k2.random_element(rng, max_terms=2) for _ in range(8)]
     counts = {"kernel": 0, "ring_mul": 0}

@@ -55,6 +55,7 @@ def test_laurent_exact_division_round_trip(ctx_n2_k1):
             continue
         assert (a * b).exact_div(b) == a
         assert (a * b).exact_div(a) == b
+        assert LaurentPoly.zero(field, 2).exact_div(b).is_zero()
 
 
 def test_laurent_inexact_division_raises(ctx_n2_k1):
