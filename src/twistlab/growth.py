@@ -4,8 +4,12 @@ The span of all products of length <= N decomposes per group word into a
 coefficient subspace of the level field, so exact dimensions over GF(q) come
 from per-word row reduction on level codes, whose base-q digits are the
 coordinates: no global basis is ever materialized.  Each step multiplies
-only the vectors added in the previous step by the generators, by log
-arithmetic (RingContext.twist), and saturated words are skipped.
+only the vectors added in the previous step by the generator terms, and
+saturated words are skipped.  A word is packed into one balanced mixed-radix
+integer, so w + h is an integer add; each new vector carries its log
+coefficient and its word's action exponent, which is linear in the word, so
+a product is log arithmetic with the twist read from the level's Frobenius
+factors.  A word's space is a dict {leading base-q digit: row}.
 
 The growth exponent is estimated as the least-squares slope of log dim
 against log N over the top half of the table, and is labelled an estimate:
@@ -19,38 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ring import RingContext, RingElement
-
-
-class _RowSpace:
-    """Incremental echelon basis of a subspace of the level field over GF(q).
-
-    Vectors are level codes; each row is keyed by its leading base-q digit,
-    scaled to 1 there by a level multiply (a scalar's code is itself).
-    """
-
-    __slots__ = ("level", "powers", "rows")
-
-    def __init__(self, level, powers):
-        self.level = level
-        self.powers = powers  # powers[i] = q**i, i < degree
-        self.rows = {}
-
-    def insert(self, vec: int) -> bool:
-        """Reduce vec against the basis; returns True if the rank grew."""
-        level, powers, rows = self.level, self.powers, self.rows
-        while vec:
-            h = bisect_right(powers, vec) - 1
-            lead, row = vec // powers[h], rows.get(h)
-            if row is None:
-                rows[h] = vec if lead == 1 else level.mul(level.inv(lead), vec)
-                return True
-            # over GF(2) lead is always 1 and the reduction is one XOR
-            vec = level.sub(vec, row if lead == 1 else level.mul(lead, row))
-        return False
-
-    def full(self) -> bool:
-        return len(self.rows) == len(self.powers)
+from .errors import ContextMismatchError
+from .ring import RingContext, RingElement, same_context
 
 
 @dataclass
@@ -93,32 +67,49 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
         raise ValueError(f"max_vectors must be >= 1, got {max_vectors}")
     if generators is None:
         generators = ctx.default_generators()
+    for g in generators:
+        if not same_context(g.ctx, ctx):
+            raise ContextMismatchError(
+                f"generator lives in a different context: {g.ctx} vs {ctx}"
+            )
     gen_set = [ctx.one()] + [g for g in generators if not g.is_zero()]
     level = ctx.level
-    exp, log, units = level.exp, level.log, level.units
-    powers = [level.base.q**i for i in range(level.degree)]
-    # generator terms, in order, as (word, log of coefficient)
-    terms = [(h, log[d]) for g in gen_set[1:] for h, d in g.codes.items()]
-    zero_word = (0,) * ctx.n
-    spaces = {zero_word: _RowSpace(level, powers)}
-    spaces[zero_word].insert(1)
-    frontier = [(zero_word, 0)]  # (word, log coefficient) new in the last step
+    exp, log, units, deg = level.exp, level.log, level.units, level.degree
+    sub, mul, inv, frob = level.sub, level.mul, level.inv, level._frob_factor
+    powers = [level.base.q**i for i in range(deg)]
+    # a reached word's coordinates lie within +-n_max * r, r the largest
+    # generator coordinate, so this balanced radix packs words injectively
+    r = max((abs(a) for g in gen_set for h in g.codes for a in h), default=0)
+    radix = 2 * n_max * r + 1
+    # generator terms, in order, as (packed word, log coefficient, exponent)
+    terms = [(sum(a * radix**i for i, a in enumerate(h)), log[d], ctx.word_exponent(h))
+             for g in gen_set[1:] for h, d in g.codes.items()]
+    spaces = {0: {0: 1}}  # packed word -> {leading digit: row}
+    frontier = [(0, 0, 0)]  # (packed word, log coefficient, exponent) new in the last step
     rows = [1]
     truncated_at = None
     for step in range(1, n_max + 1):
         new_entries = []
-        for word, lc in frontier:
-            f = ctx.twist(word)
-            for h, ld in terms:
-                w = tuple(a + b for a, b in zip(word, h))
+        for word, lc, e in frontier:
+            f = frob[e]
+            for h, ld, eh in terms:
+                w = word + h
                 space = spaces.get(w)
                 if space is None:
-                    space = spaces[w] = _RowSpace(level, powers)
-                elif space.full():
+                    space = spaces[w] = {}
+                elif len(space) == deg:
                     continue
                 lv = (lc + f * ld) % units
-                if space.insert(exp[lv]):
-                    new_entries.append((w, lv))
+                vec = exp[lv]
+                while vec:
+                    i = bisect_right(powers, vec) - 1
+                    lead, row = vec // powers[i], space.get(i)
+                    if row is None:
+                        space[i] = vec if lead == 1 else mul(inv(lead), vec)
+                        new_entries.append((w, lv, (e + eh) % deg))
+                        break
+                    # over GF(2) lead is always 1 and the reduction is one XOR
+                    vec = sub(vec, row if lead == 1 else mul(lead, row))
         frontier = new_entries
         rows.append(rows[-1] + len(new_entries))
         if rows[-1] > max_vectors:

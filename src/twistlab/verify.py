@@ -8,6 +8,7 @@ identical results (and identical serialized reports).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -443,18 +444,20 @@ def check_growth(ctx: RingContext, rng) -> CheckResult:
     monotone = all(b >= a for a, b in zip(table.rows, table.rows[1:]))
     est = gk_estimate(table)
     in_range = abs(est.slope - ctx.n) <= 0.2
-    # sanity bound: never more than (full coefficient space) x (word count)
+    # exact sandwich at every N: deg*|B_1(N - deg + 1)| <= dim <= deg*|B_1(N)|,
+    # with |B_1(N)| = sum_i 2^i C(n, i) C(N, i) words of l1 norm <= N in Z^n
     n, deg = ctx.n, ctx.level.degree
-    top = table.rows[-1]
-    ball = sum(
-        1
-        for w in itertools.product(range(-table.n_max, table.n_max + 1), repeat=n)
-        if sum(abs(a) for a in w) <= table.n_max
-    )
-    bounded = top <= ball * deg
+
+    def ball(radius):
+        return sum(2**i * math.comb(n, i) * math.comb(radius, i)
+                   for i in range(n + 1)) if radius >= 0 else 0
+
+    bounded = all(deg * ball(big_n - deg + 1) <= dim <= deg * ball(big_n)
+                  for big_n, dim in enumerate(table.rows))
     return CheckResult(
         "growth.monotone_and_slope", monotone and in_range and bounded,
-        f"slope {est.slope:.3f} for rank {ctx.n}, top dim {top} <= {ball * deg}",
+        f"slope {est.slope:.3f} for rank {ctx.n}, top dim {table.rows[-1]}"
+        f" <= {ball(table.n_max) * deg}",
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from twistlab.action import default_action
 from twistlab.cli import main
+from twistlab.errors import ContextMismatchError
 from twistlab.growth import GrowthTable, gk_estimate, growth_table
 from twistlab.ring import RingContext
 from twistlab.tower import TowerConfig, build_tower
@@ -12,7 +13,7 @@ from twistlab.tower import TowerConfig, build_tower
 
 class _CoordRowSpace:
     """Echelon basis on coordinate tuples, reduced entry by entry (the
-    reference for the code-based _RowSpace)."""
+    reference for growth_table's per-word spaces of codes)."""
 
     def __init__(self, field, dim):
         self.field, self.dim = field, dim
@@ -188,6 +189,58 @@ def test_code_echelon_matches_coordinate_reference(p, q):
     want = reference_growth_table(ctx, gens, 8, max_vectors=40)
     assert got.truncated_at is not None
     assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+    # packed words at their bound: (3N, 0) and (-3N, 1) are both reached at
+    # N = n_max with r = 3, and share one integer under a radix of 6N
+    for n in (2, 3):
+        action = default_action(n, p)
+        for k in range(tower.k_max + 1):
+            ctx = RingContext(tower, action, k)
+            level = ctx.level
+
+            def mono(*word):
+                word += (0,) * (n - len(word))
+                return ctx.monomial(level.from_code(rng.randrange(1, level.order)), word)
+
+            edge = [mono(3), mono(-3), mono(-3, 1), mono(2, -3),
+                    ctx.random_element(rng, max_terms=3, coord_bound=3)]
+            scalars = [ctx.scalar(level.random_element(rng, nonzero=True))
+                       for _ in range(2)]
+            for gens in (edge, scalars):
+                for n_max in (0, 1, 3):
+                    got = growth_table(ctx, gens, n_max=n_max)
+                    want = reference_growth_table(ctx, gens, n_max)
+                    assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+
+
+def test_generators_of_another_context_are_refused(tower223, ctx_n2_k1, ctx_n2_k2):
+    # unchecked, zip truncated the rank-3 words ([1, 2, 3, 4, 5]) and the
+    # level-1 theta was read as a level-2 code
+    ctx_n3 = RingContext(tower223, default_action(3, 2), 1)
+    with pytest.raises(ContextMismatchError):
+        growth_table(ctx_n2_k1, [ctx_n3.gen(1), ctx_n3.gen(3)], n_max=4)
+    with pytest.raises(ContextMismatchError):
+        growth_table(ctx_n2_k2, [ctx_n2_k1.scalar(ctx_n2_k1.theta())], n_max=4)
+
+
+def test_exponent_cache_holds_generator_words_only(tower223, action_n2):
+    ctx = RingContext(tower223, action_n2, 1)
+    table = growth_table(ctx, None, n_max=16)
+    assert table.rows[-1] == 4 * 16 * 16 + 2
+    assert len(ctx._exp_cache) <= 2 * ctx.n + 1
+
+
+@pytest.mark.parametrize("p,q,k,n", [
+    (2, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2), (2, 3, 1, 2), (3, 2, 1, 2),
+    (2, 2, 3, 1), (2, 2, 2, 3),
+])
+def test_default_rows_between_exact_ball_bounds(p, q, k, n):
+    # deg * |B_1(N - deg + 1)| <= dim V^N <= deg * |B_1(N)|: both sides are
+    # degree-n polynomials in N, so the growth exponent is exactly n
+    ctx = RingContext(build_tower(TowerConfig(p, q, k)), default_action(n, p), k)
+    deg = ctx.level.degree
+    table = growth_table(ctx, None, n_max={1: 16, 2: 10, 3: 6}[n])
+    for big_n, dim in enumerate(table.rows):
+        assert deg * l1_ball(n, big_n - deg + 1) <= dim <= deg * l1_ball(n, big_n), (big_n, dim)
 
 
 def test_growth_makes_no_field_element_per_product(tower223, action_n2, field_op_counts):
@@ -209,3 +262,20 @@ def test_cli_refuses_negative_nmax(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n_max must be >= 0, got -1\n"
+
+
+def test_verify_check_growth_gates_on_the_exact_bound(monkeypatch, ctx_n2_k1):
+    from twistlab import verify
+
+    result = verify.check_growth(ctx_n2_k1, None)
+    assert result.passed
+    assert result.detail == "slope 1.995 for rank 2, top dim 1602 <= 1682"
+    real = verify.growth_table
+
+    def short_row(ctx, generators, n_max):
+        table = real(ctx, generators, n_max=n_max)
+        table.rows[3] = table.rows[2]  # below deg * |B_1(2)| = 26, still monotone
+        return table
+
+    monkeypatch.setattr(verify, "growth_table", short_row)
+    assert not verify.check_growth(ctx_n2_k1, None).passed
