@@ -7,9 +7,12 @@ through the degree-d splitting, d = p^k: left multiplication on R_k as a free
 right L[Lambda]-module (L the level field, Lambda the kernel lattice) is a
 d x d matrix rho(s) over that commutative ring.  One fraction-free (Bareiss)
 solve of rho(s) v = e_0 gives det rho(s) = Nrd(s), the reduced norm, and an
-adjugate column: an s' with s s' = s' s = Nrd(s), which is central.  Every
-inverse is verified by exact multiplication before it is returned; a
-singular matrix or a determinant outside the center aborts loudly.
+adjugate column, read back as s_adj with s s_adj = s_adj s = Nrd(s) central.
+invert returns f.den s_adj Nrd^(d-1) / Nrd^d, the denominator's normalizing
+unit folded into the central factor Nrd^(d-1).  Each inversion checks that
+rho(s) is nonsingular, that Nrd(s) is central, both products s s_adj and
+s_adj s, and f.num num == f.den den on the result; a failure raises
+InternalFaultError.
 """
 
 from __future__ import annotations
@@ -69,25 +72,22 @@ class LaurentPoly:
         return LaurentPoly(self.field, self.nvars, out)
 
     def __neg__(self):
-        F = self.field
-        return LaurentPoly(
-            self.field, self.nvars, {e: F.neg(c) for e, c in self.terms.items()}
-        )
+        return LaurentPoly.zero(self.field, self.nvars) - self
 
     def __mul__(self, other):
+        # c1 c2 = exp(log c1 + log c2) on the field's tables, as ring._mul_codes
         F = self.field
+        exp, log, units, add = F.exp, F.log, F.units, F.add
+        right = [(e, log[c]) for e, c in other.terms.items()]
         out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            l1 = log[c1]
+            for e2, l2 in right:
                 e = tuple(map(operator.add, e1, e2))
-                out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
-        return LaurentPoly(self.field, self.nvars, out)
-
-    def scale(self, c: int):
-        F = self.field
-        return LaurentPoly(
-            self.field, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()}
-        )
+                v = exp[(l1 + l2) % units]
+                prev = out.get(e)
+                out[e] = v if prev is None else add(prev, v)
+        return LaurentPoly(F, self.nvars, out)
 
     def shift(self, offset):
         return LaurentPoly(
@@ -98,10 +98,7 @@ class LaurentPoly:
 
     def min_exponents(self) -> tuple:
         """Per-variable minimum exponent (the monomial content)."""
-        if not self.terms:
-            return (0,) * self.nvars
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.nvars
 
     def leading(self) -> tuple:
         """Lex-greatest exponent vector with its coefficient."""
@@ -198,14 +195,12 @@ def bareiss_solve(matrix, rhs=None):
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    field = matrix[0][0].field
-    nvars = matrix[0][0].nvars
-    zero = LaurentPoly.zero(field, nvars)
+    zero = LaurentPoly.zero(matrix[0][0].field, matrix[0][0].nvars)
     m = [list(row) + ([] if rhs is None else [rhs[i]])
          for i, row in enumerate(matrix)]
     width = len(m[0])
     sign = 1
-    prev = LaurentPoly.constant(field, nvars, 1)
+    prev = None  # the first step would divide by the constant 1
     for i in range(n - 1):
         pivot_row = next((r for r in range(i, n) if not m[r][i].is_zero()), None)
         if pivot_row is None:
@@ -216,7 +211,7 @@ def bareiss_solve(matrix, rhs=None):
         for r in range(i + 1, n):
             for c in range(i + 1, width):
                 num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
-                m[r][c] = num.exact_div(prev)
+                m[r][c] = num if prev is None else num.exact_div(prev)
             m[r][i] = zero
         prev = m[i][i]
     det = m[n - 1][n - 1]
@@ -356,14 +351,10 @@ class CentralFraction:
         return CentralFraction(target, num * s, w, lattice=lat)
 
 
-def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
-    """Find s' and central w with s * s' = s' * s = w != 0.
-
-    This is the denominator-clearing step: it rewrites any nonzero ring
-    denominator as a central one.  The pair is (s_adj Nrd^(d-1), Nrd^d),
-    exactly the adjugate column and determinant of the p^(2k) regular
-    representation, since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9).
-    """
+def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
+    """(s_adj, Nrd(s)) with s * s_adj = s_adj * s = Nrd(s) central, both
+    verified; Nrd(s) = det rho(s) comes back as a Laurent polynomial in the
+    lattice coordinates."""
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
     d = lattice.index
@@ -372,65 +363,71 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
             f"inverting a {len(s.codes)}-term element at degree {d} may form "
             f"{len(s.codes)}^{d} terms per minor, over the budget {INVERSION_BUDGET}"
         )
-    rho = splitting_representation(s, lattice)
     one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)
     e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (d - 1)
-    nrd, adj = bareiss_solve(rho, e0)
+    nrd, adj = bareiss_solve(splitting_representation(s, lattice), e0)
     if nrd.is_zero():
-        raise InternalFaultError(
-            "splitting representation of a nonzero element is singular; "
-            "this falsifies the construction"
-        )
-    s_adj = ctx.zero()  # sum_i x^(w_i) adj_i, the element with coordinates adj
-    for wi, a in zip(lattice.box_representatives(), adj):
-        s_adj = s_adj + ctx.monomial(1, wi) * laurent_to_central(a, ctx, lattice)
+        raise InternalFaultError("splitting representation of a nonzero element "
+                                 "is singular; this falsifies the construction")
+    # s_adj = sum_i x^(w_i) adj_i, and x^(w_i) c x^v = sigma_(w_i)(c) x^(w_i + v):
+    # splitting_representation run backwards, with no ring product
+    reps = lattice.box_representatives()
+    s_adj = _from_codes(ctx, {
+        tuple(map(operator.add, wi, lattice.from_lattice_coordinates(v))):
+            ctx.level.frob_code(c, ctx.word_exponent(wi))
+        for wi, a in zip(reps, adj) for v, c in a.terms.items()})
     w = laurent_to_central(nrd, ctx, lattice)
     if (not is_central_structural(w, lattice)
             or s * s_adj != w or s_adj * s != w):
         raise InternalFaultError("reduced-norm verification failed")
-    power = one
+    return s_adj, nrd
+
+
+def _norm_powers(nrd: LaurentPoly, d: int):
+    """(Nrd^(d-1), Nrd^d)."""
+    power = LaurentPoly.constant(nrd.field, nrd.nvars, 1)
     for _ in range(d - 1):
         power = power * nrd
-    z = laurent_to_central(power, ctx, lattice)
-    return s_adj * z, w * z
+    return power, power * nrd
+
+
+def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
+    """s' and central w != 0 with s * s' = s' * s = w, which rewrites a ring
+    denominator as a central one: (s_adj Nrd^(d-1), Nrd^d), exactly the
+    adjugate column and determinant of the p^(2k) regular representation,
+    since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9)."""
+    s_adj, nrd = _reduced_norm(s, ctx, lattice)
+    power, norm = _norm_powers(nrd, lattice.index)
+    return (s_adj * laurent_to_central(power, ctx, lattice),
+            laurent_to_central(norm, ctx, lattice))
 
 
 def invert(f: CentralFraction) -> CentralFraction:
     """Exact inverse of a nonzero central fraction, verified to multiply to 1.
 
-    The numerator is cleared to a central element through its reduced norm,
-    which raises BudgetError past INVERSION_BUDGET.  A homogeneous numerator
-    has a monomial reduced norm, so normalizing leaves denominator 1 and the
-    numerator its unique inverse.
+    The numerator s is cleared through its reduced norm (BudgetError past
+    INVERSION_BUDGET), which verifies s s_adj = s_adj s = Nrd(s) central.
+    The inverse is f.den s_adj Nrd^(d-1) / Nrd^d, normalized on the way: the
+    central unit u = lead^(-1) x^(-content) of Nrd^d is folded into the
+    central factor Nrd^(d-1), so the denominator Nrd^d u is content-free with
+    lex-leading coefficient 1.  Before it is returned, f.num * num ==
+    f.den * den is checked, which is f * g == 1.  A homogeneous numerator has
+    a monomial reduced norm, so it gets denominator 1 and its unique inverse.
     """
     if f.is_zero():
         raise NotAUnitError("the zero fraction has no inverse")
     ctx = f.ctx
     lat = kernel_lattice(ctx)
-    s, w = _central_multiple(f.num, ctx, lat)
-    result = CentralFraction(ctx, f.den * s, w, lattice=lat)
-    product = f * result
-    if product != CentralFraction(ctx, ctx.one(), ctx.one(), lattice=lat):
+    s_adj, nrd = _reduced_norm(f.num, ctx, lat)
+    power, norm = _norm_powers(nrd, lat.index)
+    content = norm.min_exponents()
+    u = LaurentPoly(ctx.level, nrd.nvars, {
+        tuple(-v for v in content): ctx.level.inv(norm.leading()[1])})
+    num = f.den * s_adj * laurent_to_central(power * u, ctx, lat)
+    den = laurent_to_central(norm * u, ctx, lat)
+    if f.num * num != f.den * den:
         raise InternalFaultError("inverse verification failed")
-    return normalized(result, lat)
-
-
-def normalized(f: CentralFraction, lattice: Optional[KernelLattice] = None) -> CentralFraction:
-    """Divide out the denominator's monomial content and make its
-    lex-leading coefficient 1."""
-    lat = lattice if lattice is not None else kernel_lattice(f.ctx)
-    den_poly = central_to_laurent(f.den, lat)
-    content = den_poly.min_exponents()
-    _, lead = den_poly.leading()
-    field = f.ctx.level.base
-    inv_lead = field.inv(lead)
-    new_den = den_poly.shift(tuple(-v for v in content)).scale(inv_lead)
-    # the same unit adjusts the numerator: multiply by the inverse monomial
-    mono_word = lat.from_lattice_coordinates(tuple(-v for v in content))
-    unit = f.ctx.monomial(f.ctx.level.from_base(inv_lead), mono_word)
-    return CentralFraction(
-        f.ctx, unit * f.num, laurent_to_central(new_den, f.ctx, lat), lattice=lat
-    )
+    return CentralFraction(ctx, num, den, lattice=lat)
 
 
 def center_of_quotient_test(f: CentralFraction, probe_level: int) -> bool:

@@ -1,7 +1,11 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twistlab import quotient
 from twistlab.action import default_action
 from twistlab.center import free_basis, is_central_structural, kernel_lattice, recompose
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
@@ -17,7 +21,6 @@ from twistlab.quotient import (
     central_to_laurent,
     invert,
     laurent_to_central,
-    normalized,
     regular_representation,
     splitting_representation,
 )
@@ -67,6 +70,34 @@ def test_laurent_inexact_division_raises(ctx_n2_k1):
         LaurentPoly(field, 1, {(0,): 1, (3,): 1}).exact_div(
             LaurentPoly(field, 1, {(0,): 1, (2,): 1})
         )
+
+
+def schoolbook_mul(a, b):
+    """Product terms through the field's own mul and add, one pair at a time."""
+    F = a.field
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = F.add(out.get(e, 0), F.mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
+
+
+# odd characteristic (3, 9 and the level GF(3^4)) adds through the Zech table
+MUL_FIELDS = [BaseField(q) for q in (2, 3, 4, 9)] + [
+    build_tower(TowerConfig(2, 3, 2)).level(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_laurent_mul_on_tables_matches_schoolbook(data):
+    field = data.draw(st.sampled_from(MUL_FIELDS))
+    nvars = data.draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(-2, 2)] * nvars)
+    terms = st.dictionaries(exponents, st.integers(0, field.order - 1), max_size=5)
+    a = LaurentPoly(field, nvars, data.draw(terms))
+    b = LaurentPoly(field, nvars, data.draw(terms))
+    assert (a * b).terms == schoolbook_mul(a, b)
 
 
 def test_bareiss_determinant_small_cases(ctx_n2_k1):
@@ -349,6 +380,22 @@ def test_invert_homogeneous_numerator(ctx_n1_k1, lat1):
 # to z (c x^g)^(-1) / 1, with no reduced norm formed.
 
 
+def normalized(f, lat):
+    """Divide out the denominator's monomial content and make its lex-leading
+    coefficient 1, through a ring product by that unit."""
+    den_poly = central_to_laurent(f.den, lat)
+    content = den_poly.min_exponents()
+    base = f.ctx.level.base
+    inv_lead = base.inv(den_poly.leading()[1])
+    new_den = LaurentPoly(base, den_poly.nvars, {
+        e: base.mul(inv_lead, c)
+        for e, c in den_poly.shift(tuple(-v for v in content)).terms.items()})
+    mono_word = lat.from_lattice_coordinates(tuple(-v for v in content))
+    unit = f.ctx.monomial(f.ctx.level.from_base(inv_lead), mono_word)
+    return CentralFraction(
+        f.ctx, unit * f.num, laurent_to_central(new_den, f.ctx, lat), lattice=lat)
+
+
 def reference_invert_homogeneous(f, lat):
     inv = f.den * f.num.invert_unit()
     return normalized(CentralFraction(f.ctx, inv, f.ctx.one(), lattice=lat), lat)
@@ -480,6 +527,64 @@ def test_central_multiple_matches_regular_representation(p, q, k, n, count):
         assert power == det
 
 
+def reference_invert(f, lat):
+    """The former invert: clear the numerator through _central_multiple, then
+    normalize f.den s' / w by a ring product with the denominator's unit."""
+    s, w = _central_multiple(f.num, f.ctx, lat)
+    return normalized(CentralFraction(f.ctx, f.den * s, w, lattice=lat), lat)
+
+
+@pytest.mark.parametrize("p,q,k,n,count", ORACLE_CASES)
+def test_invert_matches_reference_bytes(p, q, k, n, count):
+    # normalization folded into the central factor keeps every byte of the
+    # normalized central multiple, over the denominators 1, c u^a and 1 + c u^a
+    ctx = context(p, q, k, n)
+    lat = kernel_lattice(ctx)
+    rng = random.Random(2000 * p + 200 * q + 20 * k + n)
+    for _ in range(count):
+        num = ctx.random_element(rng, max_terms=3)
+        central = ctx.monomial(ctx.level.from_base(rng.randrange(1, q)),
+                               lat.from_lattice_coordinates(
+                                   [rng.randint(-2, 2) for _ in range(n)]))
+        for den in (ctx.one(), central, central + ctx.one()):
+            if den.is_zero():
+                continue
+            f = CentralFraction(ctx, num, den, lattice=lat)
+            got, want = invert(f), reference_invert(f, lat)
+            assert (got.num.to_literal(), got.den.to_literal()) == (
+                want.num.to_literal(), want.den.to_literal())
+
+
+def test_wrong_adjugate_entry_fails_reduced_norm_check(ctx_n1_k1, lat1, monkeypatch):
+    f = frac(ctx_n1_k1, ctx_n1_k1.one() + ctx_n1_k1.gen(1), lat=lat1)
+    invert(f)
+    solve = quotient.bareiss_solve
+
+    def corrupted(matrix, rhs=None):
+        det, adj = solve(matrix, rhs)
+        one = LaurentPoly.constant(det.field, det.nvars, 1)
+        return det, [adj[0] + one] + adj[1:]
+
+    monkeypatch.setattr(quotient, "bareiss_solve", corrupted)
+    with pytest.raises(InternalFaultError, match="reduced-norm verification failed"):
+        invert(f)
+
+
+def test_numerator_off_its_denominator_fails_inverse_check(ctx_n1_k1, lat1,
+                                                           monkeypatch):
+    f = frac(ctx_n1_k1, ctx_n1_k1.one() + ctx_n1_k1.gen(1), lat=lat1)
+    invert(f)
+    reduced_norm = quotient._reduced_norm
+
+    def corrupted(s, ctx, lattice):
+        s_adj, nrd = reduced_norm(s, ctx, lattice)
+        return s_adj + ctx.one(), nrd
+
+    monkeypatch.setattr(quotient, "_reduced_norm", corrupted)
+    with pytest.raises(InternalFaultError, match="inverse verification failed"):
+        invert(f)
+
+
 def mat_mul(a, b):
     zero = LaurentPoly.zero(a[0][0].field, a[0][0].nvars)
     out = []
@@ -535,12 +640,40 @@ def test_normalized_denominator_is_monic_and_content_free(ctx_n1_k1, lat1):
         1, t_word
     )
     f = CentralFraction(ctx_n1_k1, ctx_n1_k1.gen(1), den, lattice=lat1)
-    g = normalized(f, lat1)
-    poly = central_to_laurent(g.den, lat1)
-    assert poly.min_exponents() == (0,)
-    _, lead = poly.leading()
-    assert lead == 1
-    assert g == f
+    for g in (normalized(f, lat1), invert(invert(f))):
+        poly = central_to_laurent(g.den, lat1)
+        assert poly.min_exponents() == (0,)
+        _, lead = poly.leading()
+        assert lead == 1
+        assert g == f
+
+
+@pytest.mark.parametrize("p,q,k,n", [(2, 2, 1, 1), (2, 2, 1, 2), (3, 2, 1, 1),
+                                     (2, 3, 1, 2), (3, 3, 1, 1), (2, 4, 1, 1),
+                                     (2, 2, 2, 1)])
+def test_invert_denominator_is_monic_and_content_free(p, q, k, n):
+    # invert folds the normalizing unit into its central factor: the returned
+    # denominator has no monomial content and lex-leading coefficient 1, also
+    # where the raw Nrd^d has content, or a leading coefficient other than 1
+    # (a d-th power in GF(q), so only where GF(q)* has d-th powers besides 1)
+    ctx = context(p, q, k, n)
+    lat = kernel_lattice(ctx)
+    one = frac(ctx, ctx.one(), lat=lat)
+    rng = random.Random(40 + 10 * p + q + k + n)
+    raw_content = raw_lead = 0
+    for _ in range(12):
+        num = ctx.random_element(rng, max_terms=3, min_terms=2)
+        f = frac(ctx, num, lat=lat)
+        g = invert(f)
+        poly = central_to_laurent(g.den, lat)
+        assert poly.min_exponents() == (0,) * n
+        assert poly.leading()[1] == 1
+        assert f * g == one
+        raw = central_to_laurent(_central_multiple(num, ctx, lat)[1], lat)
+        raw_content += any(raw.min_exponents())
+        raw_lead += raw.leading()[1] != 1
+    assert raw_content > 0
+    assert raw_lead > 0 or math.gcd(p**k, q - 1) == q - 1
 
 
 def test_center_probe_base_field_passes(ctx_n1_k1, lat1):
