@@ -54,7 +54,6 @@ from .simplicity import (
     ShrinkTrace,
     replay_trace,
     separating_level,
-    shrink_once,
     unit_in_ideal,
 )
 from .tower import (

@@ -193,10 +193,6 @@ class RingElement:
     def is_homogeneous(self) -> bool:
         return len(self.codes) <= 1
 
-    def grade_component(self, word) -> "RingElement":
-        word = tuple(word)
-        return _from_codes(self.ctx, {word: self.codes.get(word, 0)})
-
     def leading_term(self, key=None):
         """Support point maximal in the given total order, with coefficient.
 
@@ -206,12 +202,6 @@ class RingElement:
         if not self.codes:
             raise ValueError("the zero element has no leading term")
         w = max(self.codes, key=key) if key is not None else max(self.codes)
-        return w, self.coefficient(w)
-
-    def trailing_term(self, key=None):
-        if not self.codes:
-            raise ValueError("the zero element has no trailing term")
-        w = min(self.codes, key=key) if key is not None else min(self.codes)
         return w, self.coefficient(w)
 
     def _combine(self, other, op):

@@ -6,14 +6,17 @@ the combination  r*theta - sigma_g0(theta)*r  cancels the g0 component, keeps
 the g1 component nonzero, and stays inside the ideal of r.  The multiplier is
 always the level generator theta: it generates the level field over GF(q),
 so distinct Frobenius powers differ on it.  The coefficient of that
-combination at w is c_w * (sigma_w(theta) - sigma_g0(theta)), so a step is
-one pass over the codes of r.  Iterating reaches a homogeneous element,
-which is a unit.  Levels must be ascended first when the current level does
-not separate the support, which is exactly why single levels have proper
-ideals while the full tower union does not.
+combination at w is c_w * (sigma_w(theta) - sigma_g0(theta)).  Eliminating
+the support in sorted order therefore needs only s_w = sigma_w(theta), one
+value per point: the steps are read off the s_w, and the surviving top
+point w_t keeps c_(w_t) * prod (s_(w_t) - s_w) over the other points.
+Levels must be ascended first when the current level does not separate the
+support, which is exactly why single levels have proper ideals while the
+full tower union does not.
 
-Every run returns an auditable trace; replaying it recomputes each step
-through ring products, independently of the one-pass step.
+Every run returns an auditable trace; replaying it recomputes each step as
+the products r*d - lam*r through the ring kernel on codes, independently of
+the s_w.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .action import action_exponent
 from .errors import InternalFaultError, SeparationError
-from .ring import RingContext, RingElement, _from_codes
+from .ring import RingContext, RingElement, _from_codes, _mul_codes
 from .tower import FieldElement
 
 
@@ -110,91 +113,72 @@ def separating_level(ctx: RingContext, support) -> int:
     )
 
 
-def shrink_once(r: RingElement, g0, g1):
-    """One elimination step; returns (smaller element, step record).
-
-    Precondition: g0 and g1 are distinct support points of r and the current
-    level separates them.  The output r*d - sigma_g0(d)*r, d = theta, drops
-    g0 from the support, keeps g1, and lies in the two-sided ideal generated
-    by r.
-    """
-    ctx = r.ctx
-    g0, g1 = tuple(g0), tuple(g1)
-    if g0 not in r.codes or g1 not in r.codes or g0 == g1:
-        raise ValueError("g0 and g1 must be distinct support points of r")
-    if ctx.word_exponent(g0) == ctx.word_exponent(g1):
-        raise ValueError(
-            f"level {ctx.k} does not separate {g0} and {g1}; ascend first"
-        )
-    level = ctx.level
-    theta = level.generator_code()
-    lam = level.frob_code(theta, ctx.word_exponent(g0))
-    out = _from_codes(ctx, {
-        w: level.mul(c, level.sub(level.frob_code(theta, ctx.word_exponent(w)), lam))
-        for w, c in r.codes.items()
-    })
-    if g0 in out.codes or g1 not in out.codes:
-        raise InternalFaultError("shrink step did not act as predicted")
-    if len(out.codes) >= len(r.codes):
-        raise InternalFaultError("shrink step failed to reduce the support")
-    step = ShrinkStep(level=ctx.k, d=level.from_code(theta), g0=g0, g1=g1,
-                      lam=level.from_code(lam))
-    return out, step
-
-
 def unit_in_ideal(r: RingElement) -> ShrinkTrace:
     """Shrink r to a homogeneous unit inside its own two-sided ideal.
 
-    Ascends to the least level separating the whole support, then eliminates
-    the lexicographically least support point against the next one until a
-    single term remains.  The result is verified to invert exactly.
+    Works at K = max(separating level, home level) and eliminates the
+    support points w_0 < ... < w_t in lexicographic order, each against the
+    next one.  With s_w = sigma_w(theta), step i is (w_i, w_(i+1), s_(w_i)),
+    and the last point survives with coefficient
+    c_(w_t) * prod_i (s_(w_t) - s_(w_i)), which is nonzero because the s_w
+    are pairwise distinct.  The result is verified to invert exactly.
     """
     if r.is_zero():
         raise ValueError("the zero element generates the zero ideal")
-    if r.is_homogeneous():
-        trace = ShrinkTrace(
-            input_element=r, separating_level=r.ctx.k, steps=(), final_unit=r
-        )
-        _verify_unit(trace.final_unit)
-        return trace
-    level = separating_level(r.ctx, r.support())
-    work = r if level <= r.ctx.k else r.lift_to(r.ctx.lift_level(level))
-    steps = []
-    cur = work
-    while not cur.is_homogeneous():
-        support = cur.support()
-        cur, step = shrink_once(cur, support[0], support[1])
-        steps.append(step)
-    if len(steps) > len(r.codes) - 1:
-        raise InternalFaultError("shrinking took more steps than support size")
-    trace = ShrinkTrace(
-        input_element=r,
-        separating_level=level,
-        steps=tuple(steps),
-        final_unit=cur,
+    ctx, support = r.ctx, r.support()
+    if len(support) == 1:
+        _verify_unit(r)
+        return ShrinkTrace(input_element=r, separating_level=ctx.k, steps=(),
+                           final_unit=r)
+    level = separating_level(ctx, support)
+    work = ctx.lift_level(max(level, ctx.k))
+    field = work.level
+    theta = field.generator_code()
+    s = [field.frob_code(theta, work.word_exponent(w)) for w in support]
+    if len(set(s)) != len(s):
+        raise InternalFaultError("the level generator does not separate the support")
+    d = field.from_code(theta)
+    steps = tuple(
+        ShrinkStep(level=work.k, d=d, g0=support[i], g1=support[i + 1],
+                   lam=field.from_code(s[i]))
+        for i in range(len(s) - 1)
     )
-    _verify_unit(trace.final_unit)
-    return trace
+    coeff = ctx.tower.embed_code(r.codes[support[-1]], ctx.k, work.k)
+    for si in s[:-1]:
+        coeff = field.mul(coeff, field.sub(s[-1], si))
+    unit = _from_codes(work, {support[-1]: coeff})
+    _verify_unit(unit)
+    return ShrinkTrace(input_element=r, separating_level=level, steps=steps,
+                       final_unit=unit)
 
 
 def _verify_unit(u: RingElement):
-    inv = u.invert_unit()
-    if u * inv != u.ctx.one() or inv * u != u.ctx.one():
+    inv, one = u.invert_unit().codes, {(0,) * u.ctx.n: 1}
+    if (_mul_codes(u.ctx, u.codes, inv, {}) != one
+            or _mul_codes(u.ctx, inv, u.codes, {}) != one):
         raise InternalFaultError("final unit failed to invert exactly")
 
 
 def replay_trace(trace: ShrinkTrace) -> RingElement:
     """Recompute the final unit from the input using only the recorded steps.
 
-    Returns the replayed element; auditors compare it with trace.final_unit.
+    Each step is the product r*d - lam*r, made through the ring kernel on
+    codes after lifting to the step's level; nothing is taken from the
+    one-pass computation.  Returns the replayed element; auditors compare it
+    with trace.final_unit.
     """
     r = trace.input_element
-    if trace.steps:
-        first_level = trace.steps[0].level
-        if first_level > r.ctx.k:
-            r = r.lift_to(r.ctx.lift_level(first_level))
+    ctx, codes = r.ctx, r.codes
     for step in trace.steps:
-        if step.level != r.ctx.k:
-            r = r.lift_to(r.ctx.lift_level(step.level))
-        r = r * step.d - step.lam * r
-    return r
+        if step.level != ctx.k:
+            if step.level < ctx.k:
+                raise ValueError("cannot lift to a lower level")
+            up, embed = ctx.lift_level(step.level), ctx.tower.embed_code
+            codes = {w: embed(c, ctx.k, up.k) for w, c in codes.items()}
+            ctx = up
+        d, lam = ctx._coeff(step.d), ctx.level.neg(ctx._coeff(step.lam))
+        zero = (0,) * ctx.n
+        out = _mul_codes(ctx, codes, {zero: d} if d else {}, {})
+        out = _mul_codes(ctx, {zero: lam} if lam else {}, codes, out)
+        codes = {w: c for w, c in out.items() if c}
+    return _from_codes(ctx, codes)

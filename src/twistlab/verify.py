@@ -355,7 +355,7 @@ def check_simplicity(ctx: RingContext, rng, trials: int) -> CheckResult:
     for _ in range(trials):
         r = random_separable_element(ctx, rng)
         trace = unit_in_ideal(r)
-        if len(trace.steps) > len(r.codes) - 1:
+        if len(trace.steps) != len(r.codes) - 1:
             bad += 1
         if replay_trace(trace) != trace.final_unit:
             bad += 1

@@ -75,8 +75,6 @@ def test_homogeneity_and_grading(ctx_n2_k1):
     assert ctx_n2_k1.zero().is_homogeneous()
     r = ctx_n2_k1.monomial(omega, (0, 1)) + x1
     assert not r.is_homogeneous()
-    assert r.grade_component((0, 1)) == ctx_n2_k1.monomial(omega, (0, 1))
-    assert r.grade_component((5, 5)).is_zero()
 
 
 def test_invert_unit_examples(ctx_n2_k1):
@@ -117,7 +115,6 @@ def test_leading_term_examples(ctx_n2_k1):
     omega = ctx_n2_k1.theta()
     r = ctx_n2_k1.monomial(omega, (1, 0)) + ctx_n2_k1.one()
     assert r.leading_term() == ((1, 0), omega)
-    assert r.trailing_term() == ((0, 0), ctx_n2_k1.level.one())
     with pytest.raises(ValueError):
         ctx_n2_k1.zero().leading_term()
     # a different total order flips the answer

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,21 +7,54 @@ from hypothesis import strategies as st
 
 from twistlab.action import action_exponent, default_action, truncate
 from twistlab.errors import InternalFaultError, SeparationError
-from twistlab.ring import RingContext
+from twistlab.ring import RingContext, _from_codes
 from twistlab.simplicity import (
+    ShrinkStep,
     random_separable_element,
     replay_trace,
     separating_level,
-    shrink_once,
     unit_in_ideal,
 )
-from twistlab.tower import TowerConfig, build_tower
+from twistlab.tower import TowerConfig, TowerLevel, build_tower
 
 # -- reference routines ----------------------------------------------------------
-# The former searches, kept as oracles: the multiplier scanned the power
-# basis for the first element two automorphisms move apart, a step was the
+# The former step-by-step engine and searches, kept as oracles: one step
+# rebuilt the element from its codes, the multiplier scanned the power basis
+# for the first element two automorphisms move apart, a step was the
 # ring-product combination r*d - lam*r, and separation compared the action
 # exponents of all pairwise differences.
+
+
+def shrink_once(r, g0, g1):
+    """One elimination step; returns (smaller element, step record).
+
+    Precondition: g0 and g1 are distinct support points of r and the current
+    level separates them.  The output r*d - sigma_g0(d)*r, d = theta, drops
+    g0 from the support, keeps g1, and lies in the two-sided ideal generated
+    by r.
+    """
+    ctx = r.ctx
+    g0, g1 = tuple(g0), tuple(g1)
+    if g0 not in r.codes or g1 not in r.codes or g0 == g1:
+        raise ValueError("g0 and g1 must be distinct support points of r")
+    if ctx.word_exponent(g0) == ctx.word_exponent(g1):
+        raise ValueError(
+            f"level {ctx.k} does not separate {g0} and {g1}; ascend first"
+        )
+    level = ctx.level
+    theta = level.generator_code()
+    lam = level.frob_code(theta, ctx.word_exponent(g0))
+    out = _from_codes(ctx, {
+        w: level.mul(c, level.sub(level.frob_code(theta, ctx.word_exponent(w)), lam))
+        for w, c in r.codes.items()
+    })
+    if g0 in out.codes or g1 not in out.codes:
+        raise InternalFaultError("shrink step did not act as predicted")
+    if len(out.codes) >= len(r.codes):
+        raise InternalFaultError("shrink step failed to reduce the support")
+    step = ShrinkStep(level=ctx.k, d=level.from_code(theta), g0=g0, g1=g1,
+                      lam=level.from_code(lam))
+    return out, step
 
 
 def reference_separating_multiplier(ctx, g0, g1):
@@ -75,6 +109,8 @@ def _context(p, q, k_max, k, n=2):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_shrink_step_matches_power_basis_search_and_ring_products(data):
+    # also compares unit_in_ideal's one-pass trace with the iterated steps;
+    # (2, 3, 3) has odd q, so level.add and level.sub go through Zech logs
     p, q, k_max = data.draw(st.sampled_from(SHRINK_TOWERS))
     ctx = _context(p, q, k_max, data.draw(st.integers(1, k_max)))
     r = random_separable_element(ctx, random.Random(data.draw(st.integers(0, 2**32))))
@@ -87,6 +123,7 @@ def test_shrink_step_matches_power_basis_search_and_ring_products(data):
         assert str(ours.value) == str(ref.value)
     level = separating_level(ctx, r.support())
     cur = r.lift_to(ctx.lift_level(max(level, ctx.k)))
+    steps = []
     while not cur.is_homogeneous():
         g0, g1 = cur.support()[:2]
         out, step = shrink_once(cur, g0, g1)
@@ -94,7 +131,13 @@ def test_shrink_step_matches_power_basis_search_and_ring_products(data):
         assert (step.level, step.d, step.lam, step.g0, step.g1) == (
             cur.ctx.k, d, lam, g0, g1)
         assert out == ref_out
+        steps.append(step)
         cur = out
+    trace = unit_in_ideal(r)
+    assert trace.separating_level == level
+    assert trace.steps == tuple(steps)
+    assert trace.final_unit == cur
+    assert replay_trace(trace) == cur
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,3 +276,51 @@ def test_trace_json_shape(ctx_n2_k1):
     data = trace.to_json_dict()
     assert set(data) == {"input", "separating_level", "steps", "final_unit"}
     assert set(data["steps"][0]) == {"k", "d", "lam", "g0", "g1"}
+
+
+# -- falsified invariants ------------------------------------------------------
+
+
+def test_colliding_point_values_raise_internal_fault(ctx_n2_k1, monkeypatch):
+    r = ctx_n2_k1.one() + ctx_n2_k1.gen(1) + ctx_n2_k1.gen(1) ** 3
+    assert len(unit_in_ideal(r).steps) == 2
+    with monkeypatch.context() as m:  # every point acts like the identity
+        m.setattr(RingContext, "word_exponent", lambda self, word: 0)
+        with pytest.raises(InternalFaultError):
+            unit_in_ideal(r)
+    with monkeypatch.context() as m:  # Frobenius fixes theta
+        m.setattr(TowerLevel, "frob_code", lambda self, code, times: code)
+        with pytest.raises(InternalFaultError):
+            unit_in_ideal(r)
+
+
+def test_tampered_trace_does_not_replay(ctx_n2_k1):
+    rng = random.Random(22)
+    for _ in range(50):
+        trace = unit_in_ideal(random_separable_element(ctx_n2_k1, rng))
+        assert replay_trace(trace) == trace.final_unit
+        for i, step in enumerate(trace.steps):
+            bumped = step.lam + step.lam.level.one()
+            steps = list(trace.steps)
+            steps[i] = dataclasses.replace(step, lam=bumped)
+            changed = dataclasses.replace(trace, steps=tuple(steps))
+            assert replay_trace(changed) != trace.final_unit
+            dropped = dataclasses.replace(
+                trace, steps=trace.steps[:i] + trace.steps[i + 1:])
+            assert replay_trace(dropped) != trace.final_unit
+
+
+def test_replay_refuses_lower_levels_and_foreign_coefficients(ctx_n2_k1):
+    r = ctx_n2_k1.one() + ctx_n2_k1.gen(1) ** 2  # separates at level 2
+    trace = unit_in_ideal(r)
+    assert {s.level for s in trace.steps} == {2}
+    lifted = dataclasses.replace(
+        trace, input_element=r.lift_to(ctx_n2_k1.lift_level(3)))
+    with pytest.raises(ValueError):
+        replay_trace(lifted)
+    step = trace.steps[0]
+    level3 = ctx_n2_k1.tower.level(3)
+    for foreign in (dataclasses.replace(step, d=level3.generator()),
+                    dataclasses.replace(step, lam=ctx_n2_k1.theta())):
+        with pytest.raises(ValueError):
+            replay_trace(dataclasses.replace(trace, steps=(foreign,)))
