@@ -1,10 +1,11 @@
 """The acting group: rank-n free abelian words mapped into tower automorphisms.
 
 Each generator acts as a power of Frobenius whose exponent is a p-adic
-integer, stored as a sparse set of digit positions (digits restricted to
-{0,1}, so truncation modulo p^k reads off the positions below k and never
-carries).  Position sets may be finite or given by a rule and extended
-lazily.  Group words are plain integer tuples.
+integer, stored as an immutable tuple of digit positions (digits restricted
+to {0,1}, so truncation modulo p^k reads off the positions below k and never
+carries).  Every level up to EXPONENT_HORIZON is truncated once, when the
+action is built, so a word acts on level k through the linear form
+sum(g_i * t_i) mod p^k.  Group words are plain integer tuples.
 
 Independence of the chosen exponents is never assumed: a certificate is
 searched for exhaustively over a coefficient box at increasing truncation
@@ -17,96 +18,58 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import BudgetError, IndependenceError
 from .fields import is_prime
 
-# Default ceiling for certification searches; truncation is pure integer
-# arithmetic, so this is unrelated to (and far above) materialized levels.
-CERTIFICATION_LEVEL_CAP = 64
+# Highest truncation level: of certification searches, of serialized
+# exponents and of the default exponents' digit positions.  Truncation is
+# pure integer arithmetic, so this is unrelated to (and far above)
+# materialized levels.
+EXPONENT_HORIZON = 64
 
 # Vectors per certification level, both halves: rank <= 7 fits at bound 8.
 CERTIFICATION_BUDGET = 2**17
 
-# Horizon used when validating or serializing lazily extended exponents.
-EXPONENT_HORIZON = 64
 
+class PAdicExponent(tuple):
+    """A p-adic integer sum(p^e for e in E): the sorted digit positions E."""
 
-class PAdicExponent:
-    """A p-adic integer sum(p^e for e in E) over a sparse position set E."""
-
-    def __init__(self, positions: Iterable[int] = (), rule: Optional[Callable] = None,
-                 description: str = ""):
-        self._positions = sorted(set(positions))
-        if any(e < 0 for e in self._positions):
+    def __new__(cls, positions=()):
+        positions = sorted(set(positions))
+        if positions and positions[0] < 0:
             raise ValueError("digit positions must be nonnegative")
-        self._rule = rule
-        # With no rule the position set is complete; otherwise nothing below
-        # the horizon has been materialized yet.
-        self._horizon = None if rule is None else 0
-        self.description = description
+        return super().__new__(cls, positions)
 
     @classmethod
     def one(cls) -> "PAdicExponent":
-        return cls(positions=(0,), description="1")
+        return cls((0,))
 
     @classmethod
-    def from_positions(cls, positions, description: str = "") -> "PAdicExponent":
-        return cls(positions=positions, description=description)
-
-    @classmethod
-    def from_rule(cls, rule: Callable[[int], Iterable[int]],
-                  description: str = "") -> "PAdicExponent":
-        """rule(bound) must yield every digit position below bound."""
-        return cls(rule=rule, description=description)
+    def from_positions(cls, positions) -> "PAdicExponent":
+        return cls(positions)
 
     def positions_below(self, bound: int) -> tuple:
-        if self._rule is not None and self._horizon < bound:
-            self._positions = sorted(set(self._rule(bound)))
-            if any(e < 0 for e in self._positions):
-                raise ValueError("digit positions must be nonnegative")
-            self._horizon = bound
-        return tuple(e for e in self._positions if e < bound)
-
-    def __repr__(self):
-        label = self.description or f"positions {self._positions}"
-        return f"PAdicExponent({label})"
+        return tuple(e for e in self if e < bound)
 
 
 def truncate(exponent: PAdicExponent, p: int, k: int) -> int:
     """Residue of the exponent modulo p^k (digits at positions >= k are cut)."""
-    if k < 0:
-        raise ValueError(f"truncation level must be >= 0, got {k}")
+    if not 0 <= k <= EXPONENT_HORIZON:
+        raise ValueError(f"truncation level must lie in [0, {EXPONENT_HORIZON}], got {k}")
     # digits in {0,1}: the partial sum is already reduced
-    return sum(p**e for e in exponent.positions_below(k))
-
-
-def _square_gap_rule(n: int, i: int) -> Callable[[int], list]:
-    def rule(bound: int) -> list:
-        out, t = [], 0
-        while True:
-            pos = (n * t + i) ** 2
-            if pos >= bound:
-                return out
-            out.append(pos)
-            t += 1
-
-    return rule
+    return sum(p**e for e in exponent if e < k)
 
 
 def default_exponents(n: int) -> list:
     """The default Z-independent family: a_1 = 1 and, for i >= 2, digit
-    positions (n*t + i)^2 — gaps grow fast enough that no small integer
-    relation survives truncation once the level is large enough."""
-    exps = [PAdicExponent.one()]
-    for i in range(2, n + 1):
-        exps.append(
-            PAdicExponent.from_rule(
-                _square_gap_rule(n, i), description=f"digit positions ({n}t+{i})^2"
-            )
-        )
-    return exps
+    positions (n*t + i)^2 below the horizon — gaps grow fast enough that no
+    small integer relation survives truncation once the level is large
+    enough."""
+    roots = range(math.isqrt(EXPONENT_HORIZON - 1) + 1)
+    return [PAdicExponent.one()] + [
+        PAdicExponent(j * j for j in roots[i::n]) for i in range(2, n + 1)]
 
 
 class ActionConfig:
@@ -129,20 +92,24 @@ class ActionConfig:
         self.n = n
         self.p = p
         self.exponents = tuple(exponents)
-        self._trunc_cache = {}
+        self._truncations = [tuple(truncate(a, p, k) for a in self.exponents)
+                             for k in range(EXPONENT_HORIZON + 1)]
         self._cert_cache = {}
 
     def truncations(self, k: int) -> tuple:
-        if k not in self._trunc_cache:
-            self._trunc_cache[k] = tuple(truncate(a, self.p, k) for a in self.exponents)
-        return self._trunc_cache[k]
+        """The exponents modulo p^k, for 0 <= k <= EXPONENT_HORIZON."""
+        if not 0 <= k <= EXPONENT_HORIZON:
+            raise ValueError(
+                f"truncation level must lie in [0, {EXPONENT_HORIZON}], got {k}")
+        return self._truncations[k]
 
-    def to_json_dict(self, horizon: int = EXPONENT_HORIZON) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "p": self.p,
-            "horizon": horizon,
-            "exponents": [list(a.positions_below(horizon)) for a in self.exponents],
+            "horizon": EXPONENT_HORIZON,
+            "exponents": [list(a.positions_below(EXPONENT_HORIZON))
+                          for a in self.exponents],
         }
 
     @classmethod
@@ -213,8 +180,7 @@ def independence_certificate(config: ActionConfig, coeff_bound: int, k: int) -> 
     return find_relation(config, coeff_bound, k) is None
 
 
-def least_certified_level(config: ActionConfig, coeff_bound: int,
-                          k_cap: int = CERTIFICATION_LEVEL_CAP) -> int:
+def least_certified_level(config: ActionConfig, coeff_bound: int) -> int:
     """Smallest truncation level at which the box certificate passes.
 
     Certification is integer arithmetic only, so the level may exceed any
@@ -224,13 +190,13 @@ def least_certified_level(config: ActionConfig, coeff_bound: int,
     if cached is not None:
         return cached
     witness = None
-    for k in range(1, k_cap + 1):
+    for k in range(1, EXPONENT_HORIZON + 1):
         witness = find_relation(config, coeff_bound, k)
         if witness is None:
             config._cert_cache[coeff_bound] = k
             return k
     raise IndependenceError(
-        f"no truncation level <= {k_cap} certifies independence at coefficient"
+        f"no truncation level <= {EXPONENT_HORIZON} certifies independence at coefficient"
         f" bound {coeff_bound}; blocking relation {witness}",
         relation=witness,
     )

@@ -7,23 +7,24 @@ automorphism attached to the left word:
 
     (c g)(d h) = (c * sigma_g(d)) (g + h)
 
-with sigma_g = Frobenius^(action exponent of g at this level).  Homogeneous
+with sigma_g = Frobenius^(action exponent of g at this level), the linear form
+sum(g_i * t_i) mod p^k in the action's level-k truncations t_i.  Homogeneous
 elements (single-term) are exactly the units.  An element stores its
 coefficients as level codes, {word: nonzero code}, so structural equality
 is semantic equality; sums, products, lifts and literals work on that dict
 directly, products through the one kernel _mul_codes.  The FieldElement
 view {word: FieldElement} is built on demand.
 
-A context bundles the tower, the acting group, the level, and the
-independence certification performed when the context is created.
+A context bundles the tower, the acting group, the level with its
+truncations, and the independence certification made at its creation.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add as _add_ints
+from operator import add as _add_ints, mul as _mul_ints
 
-from .action import ActionConfig, action_exponent, least_certified_level
+from .action import ActionConfig, least_certified_level
 from .errors import ContextMismatchError, NotAUnitError
 from .tower import FieldElement, Tower
 
@@ -46,25 +47,16 @@ class RingContext:
         self.level = tower.level(k)
         self.cert_bound = cert_bound if certify else None
         # Raises IndependenceError when the configured exponents admit a
-        # small relation at every truncation level up to the cap.
+        # small relation at every truncation level up to the horizon.
         self.cert_level = least_certified_level(action, cert_bound) if certify else None
-        self._exp_cache = {}
+        self.ts = action.truncations(k)
+        self.mod = action.p**k
         self._lifted = {}
         self._kernel_lattice = None  # filled by center.kernel_lattice
 
     def word_exponent(self, word) -> int:
-        e = self._exp_cache.get(word)
-        if e is None:
-            e = action_exponent(self.action, word, self.k)
-            self._exp_cache[word] = e
-        return e
-
-    def frob(self, c: FieldElement, e: int) -> FieldElement:
-        return self.level.frobenius(c, e)
-
-    def twist(self, word) -> int:
-        """f with log sigma_word(c) = f * log c mod (|L| - 1)."""
-        return self.level._frob_factor[self.word_exponent(word)]
+        """Frobenius power by which the word acts on this level."""
+        return sum(map(_mul_ints, word, self.ts)) % self.mod
 
     # -- element factories ---------------------------------------------------
 
@@ -117,9 +109,12 @@ class RingContext:
 
     def random_element(self, rng, max_terms: int = 3, coord_bound: int = 2,
                        min_terms: int = 1) -> "RingElement":
-        """Sparse random element: 1..max_terms distinct words with coordinates
-        in [-coord_bound, coord_bound] and nonzero coefficients."""
-        n_terms = rng.randint(min_terms, max_terms)
+        """Sparse random element: min_terms..max_terms distinct words of the
+        box [-coord_bound, coord_bound]^n (max_terms capped at its size)."""
+        box = (2 * coord_bound + 1) ** self.n
+        if not 1 <= min_terms <= box:
+            raise ValueError(f"min_terms must lie in [1, {box}], got {min_terms}")
+        n_terms = rng.randint(min_terms, min(max_terms, box))
         codes = {}
         while len(codes) < n_terms:
             word = tuple(
@@ -164,8 +159,10 @@ class RingElement:
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: RingContext, terms: dict):
-        """terms: {word: field element of ctx's level, or an int read in the
-        prime field}; a field element of another level is refused."""
+        """terms: {word of length n: field element of ctx's level, or an int
+        read in the prime field}; a field element of another level is refused."""
+        if any(len(w) != ctx.n for w in terms):
+            raise ValueError(f"every word must have length {ctx.n}")
         self.ctx = ctx
         codes = {w: ctx._coeff(c) for w, c in terms.items()}
         self.codes = {w: c for w, c in codes.items() if c}
@@ -315,12 +312,13 @@ def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     """Add left * right into out, on {word: nonzero code} dicts.
 
     (c g)(d h) = c sigma_g(d) (g + h) = exp(log c + f_g log d) (g + h), with
-    f_g = ctx.twist(g); sums accumulate by level.add, so out may hold zeros.
+    f_g the Frobenius factor at the word exponent of g, read inline; sums
+    accumulate by level.add, so out may hold zeros.
     """
-    level = ctx.level
+    level, ts, mod, frob = ctx.level, ctx.ts, ctx.mod, ctx.level._frob_factor
     exp, log, units, add = level.exp, level.log, level.units, level.add
     for g, c in left.items():
-        lc, f = log[c], ctx.twist(g)
+        lc, f = log[c], frob[sum(map(_mul_ints, g, ts)) % mod]
         for h, d in right.items():
             w = tuple(map(_add_ints, g, h))
             val = exp[(lc + f * log[d]) % units]

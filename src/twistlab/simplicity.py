@@ -94,14 +94,18 @@ def separating_level(ctx: RingContext, support) -> int:
     g - h acts trivially iff g and h act alike, so each level compares the
     exponents of the points instead of those of their differences.
     """
-    support = [tuple(w) for w in support]
+    return _separation(ctx, [tuple(w) for w in support])[0]
+
+
+def _separation(ctx: RingContext, support: list) -> tuple:
+    """(separating level, the points' action exponents at k_max)."""
     if len(support) < 2:
         raise ValueError("separation needs at least two support points")
     top = [action_exponent(ctx.action, w, ctx.tower.k_max) for w in support]
     for k in range(1, ctx.tower.k_max + 1):
         exps = [e % ctx.action.p**k for e in top]  # truncations agree mod p^k
         if len(set(exps)) == len(exps):
-            return k
+            return k, top
     # name the first colliding pair (i < j) at k_max explicitly in the error
     i = next(i for i, e in enumerate(exps) if e in exps[i + 1:])
     j = exps.index(exps[i], i + 1)
@@ -130,11 +134,12 @@ def unit_in_ideal(r: RingElement) -> ShrinkTrace:
         _verify_unit(r)
         return ShrinkTrace(input_element=r, separating_level=ctx.k, steps=(),
                            final_unit=r)
-    level = separating_level(ctx, support)
+    level, top = _separation(ctx, support)
     work = ctx.lift_level(max(level, ctx.k))
     field = work.level
     theta = field.generator_code()
-    s = [field.frob_code(theta, work.word_exponent(w)) for w in support]
+    # frob_code reads each k_max exponent mod p^K, which is its level-K exponent
+    s = [field.frob_code(theta, e) for e in top]
     if len(set(s)) != len(s):
         raise InternalFaultError("the level generator does not separate the support")
     d = field.from_code(theta)

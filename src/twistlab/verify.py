@@ -199,7 +199,7 @@ def check_ring_domain(ctx: RingContext, rng, trials: int) -> CheckResult:
         gw, gc = r.leading_term()
         hw, hc = s.leading_term()
         w = tuple(a + b for a, b in zip(gw, hw))
-        expect = gc * ctx.frob(hc, ctx.word_exponent(gw))
+        expect = gc * ctx.level.frobenius(hc, ctx.word_exponent(gw))
         lw, lc = prod.leading_term()
         if lw != w or lc != expect:
             bad += 1
@@ -254,7 +254,7 @@ def check_ring_commutation_rule(ctx: RingContext) -> CheckResult:
         x = ctx.gen(i)
         e = truncate(ctx.action.exponents[i - 1], ctx.tower.p, ctx.k)
         lhs = x * ctx.scalar(theta)
-        rhs = ctx.frob(theta, e) * x
+        rhs = ctx.level.frobenius(theta, e) * x
         if lhs != rhs:
             bad += 1
     return CheckResult(

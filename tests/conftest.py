@@ -36,6 +36,16 @@ def ctx_n1_k1(tower223, action_n1):
 
 
 @pytest.fixture
+def container_sizes():
+    """Sizes of a context's dict, list and set attributes; a context with no
+    per-word state keeps them under any amount of arithmetic."""
+    def sizes(ctx):
+        return {name: len(v) for name, v in vars(ctx).items()
+                if isinstance(v, (dict, list, set))}
+    return sizes
+
+
+@pytest.fixture
 def field_op_counts(monkeypatch):
     """Counts of FieldElement.__mul__, TowerLevel.frobenius,
     FieldElement.coords and FieldElement.__init__ calls made while the test

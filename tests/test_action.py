@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab.action import (
+    EXPONENT_HORIZON,
     ActionConfig,
     PAdicExponent,
     action_exponent,
@@ -48,18 +49,22 @@ def test_truncate_rejects_negative_level():
         truncate(PAdicExponent.one(), 2, -1)
 
 
-def test_lazy_rule_extension():
-    calls = []
+@pytest.mark.parametrize("k", [-1, EXPONENT_HORIZON + 1])
+def test_truncation_refuses_levels_outside_the_horizon(action_n2, k):
+    # no digit positions are stored past the horizon
+    with pytest.raises(ValueError, match="truncation level"):
+        truncate(PAdicExponent.one(), 2, k)
+    with pytest.raises(ValueError, match="truncation level"):
+        action_n2.truncations(k)
+    assert action_n2.truncations(EXPONENT_HORIZON) == tuple(
+        truncate(a, 2, EXPONENT_HORIZON) for a in action_n2.exponents)
 
-    def rule(bound):
-        calls.append(bound)
-        return [e for e in (0, 5, 11) if e < bound]
 
-    a = PAdicExponent.from_rule(rule)
-    assert a.positions_below(3) == (0,)
-    assert a.positions_below(12) == (0, 5, 11)
-    assert a.positions_below(6) == (0, 5)  # served from the cache
-    assert calls == [3, 12]
+def test_exponents_are_immutable_position_tuples():
+    a = PAdicExponent.from_positions([11, 0, 5, 5])
+    assert a == (0, 5, 11) and a.positions_below(6) == (0, 5)
+    with pytest.raises(ValueError):
+        PAdicExponent.from_positions([0, -1])
 
 
 def test_default_exponent_positions():
@@ -160,6 +165,7 @@ def test_first_exponent_must_be_one():
 
 def test_config_json_round_trip(action_n2):
     data = action_n2.to_json_dict()
+    assert data == {"n": 2, "p": 2, "horizon": 64, "exponents": [[0], [4, 16, 36]]}
     rebuilt = ActionConfig.from_json_dict(data)
     for k in range(1, 16):
         assert rebuilt.truncations(k) == action_n2.truncations(k)
@@ -230,7 +236,8 @@ def test_blocking_relations_are_pinned(positions, relation):
     with pytest.raises(IndependenceError) as err:
         least_certified_level(config, 8)
     assert err.value.relation == relation
-    assert str(err.value).endswith(f"blocking relation {relation}")
+    assert str(err.value) == ("no truncation level <= 64 certifies independence at"
+                              f" coefficient bound 8; blocking relation {relation}")
 
 
 def test_certification_box_is_budgeted():

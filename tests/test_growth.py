@@ -55,7 +55,7 @@ def reference_growth_table(ctx, generators, n_max, max_vectors=500_000):
             for g in gen_set[1:]:
                 for h, d in g.terms.items():
                     w = tuple(a + b for a, b in zip(word, h))
-                    val = coeff * ctx.frob(d, e)
+                    val = coeff * ctx.level.frobenius(d, e)
                     space = spaces.setdefault(w, _CoordRowSpace(ctx.level.base, deg))
                     if not val.is_zero() and not space.full() and space.insert(val.coords):
                         new_entries.append((w, val))
@@ -222,11 +222,13 @@ def test_generators_of_another_context_are_refused(tower223, ctx_n2_k1, ctx_n2_k
         growth_table(ctx_n2_k2, [ctx_n2_k1.scalar(ctx_n2_k1.theta())], n_max=4)
 
 
-def test_exponent_cache_holds_generator_words_only(tower223, action_n2):
+def test_growth_leaves_no_per_word_state_in_the_context(tower223, action_n2,
+                                                        container_sizes):
     ctx = RingContext(tower223, action_n2, 1)
+    before = container_sizes(ctx)
     table = growth_table(ctx, None, n_max=16)
     assert table.rows[-1] == 4 * 16 * 16 + 2
-    assert len(ctx._exp_cache) <= 2 * ctx.n + 1
+    assert container_sizes(ctx) == before
 
 
 @pytest.mark.parametrize("p,q,k,n", [

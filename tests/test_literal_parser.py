@@ -215,17 +215,18 @@ def test_malformed_literals_keep_their_messages(ctx_n2_k1, text):
 
 
 def test_canonical_literals_make_no_twist(tower223, action_n2, monkeypatch):
-    # a fresh context has no cached action exponents, so any twist in the
-    # parse would call action_exponent
+    # every twisted product goes through the kernel _mul_codes
     ctx = RingContext(tower223, action_n2, 2)
     rng = random.Random(3)
     literals = [ctx.random_element(rng, max_terms=5).to_literal() for _ in range(50)]
-    calls, exponent = [], ring.action_exponent
-    monkeypatch.setattr(ring, "action_exponent",
-                        lambda *a: calls.append(a) or exponent(*a))
+    calls, kernel = [], ring._mul_codes
+    monkeypatch.setattr(ring, "_mul_codes",
+                        lambda *a: calls.append(a) or kernel(*a))
     for text in literals:
-        parse_element(ctx, text)
+        assert parse_element(ctx, text).to_literal() == text
     assert calls == []
+    parse_element(ctx, "(1 + x1)*t")  # the counter sees a product that twists
+    assert len(calls) == 1
 
 
 def test_nesting_depth_is_bounded(ctx_n2_k1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab.action import default_action
+from twistlab.action import action_exponent, default_action
 from twistlab.errors import ContextMismatchError, NotAUnitError
 from twistlab.pi import standard_polynomial
 from twistlab.ring import RingContext, RingElement, parse_element
@@ -20,7 +20,7 @@ def reference_mul(a, b):
         e = ctx.word_exponent(g)
         for h, d in b.terms.items():
             w = tuple(x + y for x, y in zip(g, h))
-            val = c * ctx.frob(d, e)
+            val = c * ctx.level.frobenius(d, e)
             out[w] = out[w] + val if w in out else val
     return RingElement(ctx, out)
 
@@ -132,7 +132,7 @@ def test_leading_term_of_product_is_product_of_leading_terms(ctx_n2_k1):
         assert not prod.is_zero()  # no zero divisors
         lw, lc = prod.leading_term()
         assert lw == tuple(a + b for a, b in zip(gw, hw))
-        assert lc == gc * ctx_n2_k1.frob(hc, ctx_n2_k1.word_exponent(gw))
+        assert lc == gc * ctx_n2_k1.level.frobenius(hc, ctx_n2_k1.word_exponent(gw))
 
 
 def test_ring_axioms_fuzz(ctx_n2_k1, ctx_n2_k2):
@@ -155,7 +155,7 @@ def test_commutation_rule_against_all_generators(ctx_n2_k2):
     for i in (1, 2):
         e = truncate(ctx.action.exponents[i - 1], 2, ctx.k)
         x = ctx.gen(i)
-        assert x * ctx.scalar(theta) == ctx.frob(theta, e) * x
+        assert x * ctx.scalar(theta) == ctx.level.frobenius(theta, e) * x
 
 
 def test_level_embedding_is_ring_hom(ctx_n2_k1, ctx_n2_k2):
@@ -169,6 +169,48 @@ def test_level_embedding_is_ring_hom(ctx_n2_k1, ctx_n2_k2):
         assert (r + s).lift_to(ctx_n2_k2) == r.lift_to(ctx_n2_k2) + s.lift_to(
             ctx_n2_k2
         )
+
+
+def test_context_holds_no_per_word_state(tower223, action_n2, container_sizes):
+    ctx = RingContext(tower223, action_n2, 2)
+    before = container_sizes(ctx)
+    big = RingElement(ctx, {(i, j): 1 for i in range(-50, 50) for j in range(100)})
+    theta = ctx.level.generator_code()
+    prod = big * ctx.scalar(ctx.theta())  # 10,000 distinct left words
+    assert prod.codes == {w: ctx.level.frob_code(theta, action_exponent(action_n2, w, 2))
+                          for w in big.codes}
+    assert container_sizes(ctx) == before
+
+
+class _BoundedRandom(random.Random):
+    """Fails instead of hanging once a sampler has drawn far too often."""
+
+    def randint(self, a, b):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 10_000:
+            raise RuntimeError("the sampler does not terminate")
+        return super().randint(a, b)
+
+
+def test_random_element_refuses_more_terms_than_its_box(ctx_n2_k1):
+    # coord_bound 0 leaves one word, the identity
+    for min_terms in (0, 2):
+        with pytest.raises(ValueError, match="min_terms must lie in"):
+            ctx_n2_k1.random_element(_BoundedRandom(1), max_terms=2,
+                                     min_terms=min_terms, coord_bound=0)
+    for seed in range(20):  # max_terms is capped at the box
+        r = ctx_n2_k1.random_element(_BoundedRandom(seed), max_terms=3, coord_bound=0)
+        assert r.support() == ((0, 0),)
+    r = ctx_n2_k1.random_element(_BoundedRandom(1), max_terms=9, min_terms=9,
+                                 coord_bound=1)
+    assert len(r.codes) == 9
+
+
+def test_words_of_another_rank_are_refused(ctx_n2_k1):
+    # products read words through zip-like maps, which would cut them short
+    for word in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="every word must have length 2"):
+            RingElement(ctx_n2_k1, {word: 1})
 
 
 def test_context_mismatch_raises(ctx_n2_k1, ctx_n1_k1):
@@ -397,6 +439,15 @@ def test_lift_is_a_ring_hom_agreeing_with_the_field_embedding(data):
     assert (a + b).lift_to(up) == a.lift_to(up) + b.lift_to(up)
     embed = ctx.tower.embed
     assert a.lift_to(up).terms == {w: embed(c, k) for w, c in a.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_word_exponent_is_the_action_exponent(data):
+    ctx = _axiom_context(*data.draw(st.sampled_from(AXIOM_CONTEXTS)))
+    coord = st.integers(-10**6, 10**6)
+    word = data.draw(st.tuples(coord, coord))
+    assert ctx.word_exponent(word) == action_exponent(ctx.action, word, ctx.k)
 
 
 @settings(max_examples=150, deadline=None)

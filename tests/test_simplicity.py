@@ -67,7 +67,7 @@ def reference_separating_multiplier(ctx, g0, g1):
     theta = ctx.theta()
     cur = ctx.level.one()
     for _ in range(ctx.level.degree):
-        if ctx.frob(cur, e0) != ctx.frob(cur, e1):
+        if ctx.level.frobenius(cur, e0) != ctx.level.frobenius(cur, e1):
             return cur
         cur = cur * theta
     raise InternalFaultError(
@@ -77,7 +77,7 @@ def reference_separating_multiplier(ctx, g0, g1):
 
 def reference_shrink_once(r, g0, g1):
     d = reference_separating_multiplier(r.ctx, g0, g1)
-    lam = r.ctx.frob(d, r.ctx.word_exponent(g0))
+    lam = r.ctx.level.frobenius(d, r.ctx.word_exponent(g0))
     return r * d - lam * r, d, lam
 
 
@@ -251,7 +251,7 @@ def test_steps_record_the_asymmetric_combination(ctx_n2_k1):
             assert step.g0 in cur.terms and step.g0 not in nxt.terms
             assert step.g1 in nxt.terms
             assert len(nxt.terms) < len(cur.terms)
-            expect_lam = cur.ctx.frob(step.d, cur.ctx.word_exponent(step.g0))
+            expect_lam = cur.ctx.level.frobenius(step.d, cur.ctx.word_exponent(step.g0))
             assert step.lam == expect_lam
             cur = nxt
         assert cur == trace.final_unit
@@ -284,14 +284,24 @@ def test_trace_json_shape(ctx_n2_k1):
 def test_colliding_point_values_raise_internal_fault(ctx_n2_k1, monkeypatch):
     r = ctx_n2_k1.one() + ctx_n2_k1.gen(1) + ctx_n2_k1.gen(1) ** 3
     assert len(unit_in_ideal(r).steps) == 2
-    with monkeypatch.context() as m:  # every point acts like the identity
-        m.setattr(RingContext, "word_exponent", lambda self, word: 0)
-        with pytest.raises(InternalFaultError):
-            unit_in_ideal(r)
-    with monkeypatch.context() as m:  # Frobenius fixes theta
+    # the point exponents come from separating_level, distinct by construction;
+    # only a Frobenius that fixes theta can make the point values collide
+    with monkeypatch.context() as m:
         m.setattr(TowerLevel, "frob_code", lambda self, code, times: code)
-        with pytest.raises(InternalFaultError):
+        with pytest.raises(InternalFaultError, match="does not separate the support"):
             unit_in_ideal(r)
+
+
+def test_point_exponents_are_computed_once(ctx_n2_k1, monkeypatch):
+    # the level-K point values reuse the k_max exponents of separating_level;
+    # only invert_unit, verifying the final unit, asks the context again
+    r = ctx_n2_k1.one() + ctx_n2_k1.gen(1) + ctx_n2_k1.gen(1) ** 3
+    calls, word_exponent = [], RingContext.word_exponent
+    monkeypatch.setattr(RingContext, "word_exponent",
+                        lambda self, w: calls.append(w) or word_exponent(self, w))
+    trace = unit_in_ideal(r)
+    assert replay_trace(trace) == trace.final_unit
+    assert calls == [(-3, 0)]
 
 
 def test_tampered_trace_does_not_replay(ctx_n2_k1):
