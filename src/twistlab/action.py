@@ -11,7 +11,9 @@ Independence of the chosen exponents is never assumed: a certificate is
 searched for exhaustively over a coefficient box at increasing truncation
 levels, and experiments that need independence refuse to run without one.
 Each level's search meets in the middle of the box [-B, B]^n, so it costs
-about (2B+1)^ceil(n/2) residues instead of (2B+1)^n.
+about (2B+1)^ceil(n/2) residues instead of (2B+1)^n.  Truncations never carry,
+so a relation found at one level is summed once at the horizon, and every
+further level that sum shows it still kills is skipped without a search.
 """
 
 from __future__ import annotations
@@ -184,17 +186,26 @@ def least_certified_level(config: ActionConfig, coeff_bound: int) -> int:
     """Smallest truncation level at which the box certificate passes.
 
     Certification is integer arithmetic only, so the level may exceed any
-    materialized tower level.  Caches results per bound.
+    materialized tower level.  A witness m found at level k kills every level
+    j <= v_p(sum(m_i a_i)), the sum taken at the horizon, so the search
+    resumes past that valuation (capped at the horizon, whose first relation
+    is the reported one).  Caches results per bound.
     """
     cached = config._cert_cache.get(coeff_bound)
     if cached is not None:
         return cached
-    witness = None
-    for k in range(1, EXPONENT_HORIZON + 1):
+    p, top, k = config.p, config.truncations(EXPONENT_HORIZON), 1
+    while True:
         witness = find_relation(config, coeff_bound, k)
         if witness is None:
             config._cert_cache[coeff_bound] = k
             return k
+        if k == EXPONENT_HORIZON:
+            break
+        s = sum(m * t for m, t in zip(witness, top))
+        k += 1
+        while k < EXPONENT_HORIZON and s % p**k == 0:
+            k += 1
     raise IndependenceError(
         f"no truncation level <= {EXPONENT_HORIZON} certifies independence at coefficient"
         f" bound {coeff_bound}; blocking relation {witness}",

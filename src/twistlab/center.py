@@ -13,8 +13,8 @@ entries above a pivot reduced into the centered range (-d/2, d/2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .action import action_exponent
 from .errors import IndependenceError, InternalFaultError
@@ -74,8 +74,7 @@ def hnf(rows) -> list:
     return mat
 
 
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(NamedTuple):
     """Integer basis (HNF rows) of the words acting trivially at level k."""
 
     k: int
@@ -183,8 +182,7 @@ def is_central_structural(r: RingElement, lattice: KernelLattice) -> bool:
     return all(c < q and lattice.contains(w) for w, c in r.codes.items())
 
 
-@dataclass(frozen=True)
-class FreeBasis:
+class FreeBasis(NamedTuple):
     """Module basis {theta^i * g_j} of the ring over its center."""
 
     field_basis: tuple  # power basis of the level field over GF(q)

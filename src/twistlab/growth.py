@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatchError
 from .ring import RingContext, RingElement, same_context
 
 
-@dataclass
-class GrowthTable:
+class GrowthTable(NamedTuple):
     """Exact dimensions dim_F(span of products of length <= N), N = 0..N_max."""
 
     generators: list  # always includes 1
@@ -121,8 +119,7 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
     )
 
 
-@dataclass(frozen=True)
-class GKEstimate:
+class GKEstimate(NamedTuple):
     slope: float
     residual: float
 

@@ -19,8 +19,7 @@ value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetError
 from .ring import RingContext, RingElement, _from_codes, _mul_codes
@@ -79,8 +78,7 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
         layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}
 
 
-@dataclass(frozen=True)
-class PIReport:
+class PIReport(NamedTuple):
     """Outcome of sampling one standard polynomial on one level ring."""
 
     k: int
@@ -142,8 +140,7 @@ def test_identity(ctx: RingContext, degree: int, trials: int, seed: int,
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Identity/non-identity frontier measured at one level."""
 
     k: int

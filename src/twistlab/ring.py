@@ -371,17 +371,21 @@ class _Parser:
         term    := factor ('*' factor)*
         factor  := '(' element ')' | INT | 't' ['^' INT] | 'x'I ['^' ['-'] INT]
 
-    The factors of a term multiply in the ring through _mul_codes; a factor
-    x^h with coefficient 1 only shifts the words before it, since every
-    sigma_g fixes 1.  Integer literals are GF(q) encodings (for prime q they
-    read as integers mod q).  Parentheses nest at most _MAX_NESTING deep, so
-    no literal can exhaust the interpreter stack.
+    The factors of a term multiply in the ring through _mul_codes, except
+    that factors x^h with coefficient 1 gather in one pending word: every
+    sigma_g fixes 1, so it shifts the words before it, and it enters the
+    product as the left factor x^h of the next other factor.  t^e is read
+    from the level's exp/log tables.  Integer literals are GF(q) encodings
+    (for prime q they read as integers mod q).  Parentheses nest at most
+    _MAX_NESTING deep, so no literal can exhaust the interpreter stack.
     """
 
     def __init__(self, ctx: RingContext, text: str):
         self.ctx = ctx
         self.zero = (0,) * ctx.n
         self.depth = 0
+        theta = ctx.level.generator_code()  # 0 at level 0, whose modulus is X
+        self.theta_log = ctx.level.log[theta] if theta else None
         toks = [tok for tok, _ in reversed(_TOKEN.findall(text))]
         if "" in toks:  # a character that starts no token
             at = next(m.start() for m in _TOKEN.finditer(text) if m.lastindex == 2)
@@ -408,22 +412,52 @@ class _Parser:
             op = level.sub if self.toks.pop() == "-" else level.add
 
     def term(self) -> dict:
-        out = self.factor()
-        while self.toks[-1] == "*":
-            self.toks.pop()
-            right = self.factor()
-            if len(right) == 1 and 1 in right.values():
-                (h,) = right
-                out = {tuple(map(_add_ints, g, h)): c for g, c in out.items()}
+        ctx, toks, level = self.ctx, self.toks, self.ctx.level
+        out, shift = None, [0] * ctx.n  # the term so far is out * x^shift; None is 1
+        while True:
+            tok = toks.pop()
+            if tok is None:
+                raise ValueError("unexpected end of literal")
+            e = 1
+            if (tok == "t" or tok[0] == "x") and toks[-1] == "^":
+                toks.pop()
+                if tok != "t" and toks[-1] == "-":
+                    toks.pop()
+                    e = -1
+                digits = toks.pop()
+                if digits is None or not digits.isdigit():
+                    raise ValueError(f"expected integer, got {digits!r}")
+                e *= int(digits)
+            if tok[0] == "x":
+                i = int(tok[1:])
+                if not 1 <= i <= ctx.n:
+                    raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
+                shift[i - 1] += e
             else:
-                out = _mul_codes(self.ctx, out, right, {})
-                out = {w: c for w, c in out.items() if c}
-        return out
+                if tok == "t":  # theta^e; theta = 0 at level 0
+                    lg = self.theta_log
+                    code = (level.exp[lg * e % level.units] if lg is not None
+                            else int(not e))
+                    right = {self.zero: code} if code else {}
+                else:
+                    right = self.factor(tok)
+                if len(right) == 1 and 1 in right.values():
+                    shift = list(map(_add_ints, shift, *right))
+                elif out is None and not any(shift):
+                    out = right
+                else:
+                    left = {tuple(shift): 1} if out is None else _shifted(out, shift)
+                    out = {w: c for w, c in _mul_codes(ctx, left, right, {}).items() if c}
+                    shift = [0] * ctx.n
+            if toks[-1] != "*":
+                break
+            toks.pop()
+        if out is None:
+            return {tuple(shift): 1}
+        return _shifted(out, shift) if any(shift) else out
 
-    def factor(self) -> dict:
-        ctx, tok = self.ctx, self.toks.pop()
-        if tok is None:
-            raise ValueError("unexpected end of literal")
+    def factor(self, tok: str) -> dict:
+        """A parenthesized element or an integer literal, after its first token."""
         if tok == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -434,36 +468,19 @@ class _Parser:
                 raise ValueError(f"expected ')', got {tok!r}")
             self.depth -= 1
             return inner
-        if tok == "t":
-            code = (ctx.theta() ** self._exponent(signed=False)).code
-        elif tok[0] == "x":
-            i, e = int(tok[1:]), self._exponent(signed=True)
-            if not 1 <= i <= ctx.n:
-                raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
-            return {tuple(e if j == i else 0 for j in range(1, ctx.n + 1)): 1}
-        elif tok.isdigit():
-            code = int(tok)
-            if code >= ctx.tower.q:
-                raise ValueError(
-                    f"coefficient encoding {code} out of range for GF({ctx.tower.q})"
-                )
-        else:
+        if not tok.isdigit():
             raise ValueError(f"unexpected token {tok!r}")
+        code = int(tok)
+        if code >= self.ctx.tower.q:
+            raise ValueError(
+                f"coefficient encoding {code} out of range for GF({self.ctx.tower.q})"
+            )
         return {self.zero: code} if code else {}
 
-    def _exponent(self, signed: bool) -> int:
-        """The INT after an optional '^', else 1; negated after '-' if signed."""
-        if self.toks[-1] != "^":
-            return 1
-        self.toks.pop()
-        sign = 1
-        if signed and self.toks[-1] == "-":
-            self.toks.pop()
-            sign = -1
-        tok = self.toks.pop()
-        if tok is None or not tok.isdigit():
-            raise ValueError(f"expected integer, got {tok!r}")
-        return sign * int(tok)
+
+def _shifted(codes: dict, h) -> dict:
+    """codes * x^h: every sigma_g fixes the coefficient 1, so words just shift."""
+    return {tuple(map(_add_ints, g, h)): c for g, c in codes.items()}
 
 
 def parse_element(ctx: RingContext, text: str) -> RingElement:

@@ -21,7 +21,7 @@ the s_w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import action_exponent
 from .errors import InternalFaultError, SeparationError
@@ -29,8 +29,7 @@ from .ring import RingContext, RingElement, _from_codes, _mul_codes
 from .tower import FieldElement
 
 
-@dataclass(frozen=True)
-class ShrinkStep:
+class ShrinkStep(NamedTuple):
     """One elimination r -> r*d - lam*r at the recorded level."""
 
     level: int
@@ -49,8 +48,7 @@ class ShrinkStep:
         }
 
 
-@dataclass(frozen=True)
-class ShrinkTrace:
+class ShrinkTrace(NamedTuple):
     input_element: RingElement
     separating_level: int
     steps: tuple

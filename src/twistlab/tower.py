@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, InternalFaultError
 from .fields import (
@@ -32,8 +32,7 @@ from .fields import (
 DEFAULT_FIELD_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class TowerConfig:
+class TowerConfig(NamedTuple):
     """Shape of a tower: prime p, base order q, highest level k_max."""
 
     p: int

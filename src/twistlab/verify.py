@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import (
     ActionConfig,
@@ -49,8 +49,7 @@ from .simplicity import (
 from .tower import Tower, build_tower, tower_from_json, tower_to_json, TowerConfig
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

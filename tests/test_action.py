@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistlab import action
 from twistlab.action import (
     EXPONENT_HORIZON,
     ActionConfig,
@@ -225,11 +226,58 @@ def test_least_certified_levels_of_default_actions():
     assert levels == [4, 8, 13, 20, 29, 40]
 
 
-@pytest.mark.parametrize("positions, relation", [
+def scan_certified_level(config, coeff_bound):
+    """Reference: (least certified level, None) by searching every level from
+    1 up, or (None, the horizon's relation) when no level certifies."""
+    for k in range(1, EXPONENT_HORIZON + 1):
+        witness = find_relation(config, coeff_bound, k)
+        if witness is None:
+            return k, None
+    return None, witness
+
+
+def certified_level(config, coeff_bound):
+    """least_certified_level in the form of scan_certified_level."""
+    try:
+        return least_certified_level(config, coeff_bound), None
+    except IndependenceError as err:
+        return None, err.relation
+
+
+PINNED_DEPENDENT = [
     ([[0], [0]], (-8, 8)),
     ([[0], [1, 5], [1, 5]], (0, -8, 8)),
     ([[0], [3], [9], [3, 9]], (-8, -7, -8, 8)),
-])
+]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_skipping_certification_matches_the_level_scan(n):
+    for bound in range(1, 9):
+        assert (certified_level(default_action(n, 2), bound)
+                == scan_certified_level(default_action(n, 2), bound))
+
+
+@pytest.mark.parametrize("positions, relation", PINNED_DEPENDENT)
+def test_skipping_certification_reports_the_horizon_relation(positions, relation):
+    def config():
+        return ActionConfig(len(positions), 2,
+                            [PAdicExponent.from_positions(ps) for ps in positions])
+    assert certified_level(config(), 8) == scan_certified_level(config(), 8)
+    assert scan_certified_level(config(), 8) == (None, relation)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_certification_skips_levels_its_witness_kills(n, monkeypatch):
+    # the level scan searches all n^2 + 4 levels up to the certified one
+    calls, search = [], action.find_relation
+    monkeypatch.setattr(action, "find_relation",
+                        lambda *a: calls.append(a[2]) or search(*a))
+    level = least_certified_level(default_action(n, 2), 8)
+    assert calls[-1] == level and len(calls) <= n + 2
+
+
+@pytest.mark.parametrize("positions, relation", PINNED_DEPENDENT)
 def test_blocking_relations_are_pinned(positions, relation):
     config = ActionConfig(len(positions), 2,
                           [PAdicExponent.from_positions(ps) for ps in positions])

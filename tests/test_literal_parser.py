@@ -142,18 +142,20 @@ def reference_parse(ctx: RingContext, text: str) -> RingElement:
 
 @pytest.fixture(scope="module", params=[2, 3, 4], ids=lambda q: f"q{q}")
 def contexts(request):
+    # level 0 has theta = 0 (its modulus is X), so t reads as 0 there
     tower = build_tower(TowerConfig(2, request.param, 2))
-    action = default_action(2, 2)
-    return [RingContext(tower, action, k) for k in (1, 2)]
+    rank2, rank4 = default_action(2, 2), default_action(4, 2)
+    return [RingContext(tower, rank2, k) for k in (0, 1, 2)] + [
+        RingContext(tower, rank4, 1)]
 
 
-def random_literal(rng, q, depth=0):
+def random_literal(rng, q, n, depth=0):
     """A valid literal, mostly not canonical: coefficients after words,
     repeated variables, nested parentheses, products of sums, integer
     coefficients, signs and optional spaces."""
     terms = []
     for _ in range(rng.randint(1, 3)):
-        factors = [random_factor(rng, q, depth) for _ in range(rng.randint(1, 4))]
+        factors = [random_factor(rng, q, n, depth) for _ in range(rng.randint(1, 4))]
         terms.append(rng.choice(["*", " * "]).join(factors))
     text = "-" if rng.random() < 0.25 else ""
     text += terms[0]
@@ -162,15 +164,15 @@ def random_literal(rng, q, depth=0):
     return text
 
 
-def random_factor(rng, q, depth):
+def random_factor(rng, q, n, depth):
     kind = rng.choice("(ntxx" if depth < 2 else "ntxx")
     if kind == "(":
-        return "(" + random_literal(rng, q, depth + 1) + ")"
+        return "(" + random_literal(rng, q, n, depth + 1) + ")"
     if kind == "n":
         return str(rng.randrange(q))
     if kind == "t":
         return "t" + (f"^{rng.randrange(6)}" if rng.random() < 0.6 else "")
-    word = f"x{rng.randint(1, 2)}"
+    word = f"x{rng.randint(1, n)}"
     return word + (f"^{rng.randint(-3, 3)}" if rng.random() < 0.7 else "")
 
 
@@ -178,7 +180,16 @@ LISTED = [
     "x1*t", "x1*t + t*x1", "x2^-1*t^3*x1", "x1*x1^-1", "x1^2*x2*x1^-2*x2^-1*t",
     "-t", "-x1*t - 1", "((t))", "(1 + x1)*(t + x2)", "(x1 + t)*(x1 - t)*x2",
     "((x1 + 1)*(x2 + t))*((t^2 + x1^-1)*x2)", "0", "0*x1", "1 - 1", "x1 - x1",
-    "t^0", "x1^0*t", "(t + 1)*x1^2*x2^-1 + 1",
+    "t^0", "x1^0*t", "(t + 1)*x1^2*x2^-1 + 1", "t", "t^3 + t^0*x2",
+    # x-factors between coefficient factors, and 1 among them
+    "x1*t*x2^-1*(t + 1)*x1^2", "x1^-1*x2*(x1 + t)*x2^2*t^3*x1",
+    "t*x1*1*x2*t^0*(x2 + 1)*x1^-1", "x2^3*(t*x1 - x2)*x2^-3*(1 + t^2*x1)",
+    "(x1*t)*x2*((x2*t)*x1)*t", "x1*0*x2", "x2*(x1)*t^2*(1)*x2^-2",
+]
+# over rank 4 only
+LISTED_RANK4 = [
+    "x3*t*x4^-2*(t + x1)*x3^-1", "x4^2*x3*x2*x1*t^2*x4^-1*(x3 - t)",
+    "(t + x4)*x3^-3*t*x2^2*(1 + x3)*x4",
 ]
 
 
@@ -186,7 +197,7 @@ def test_parser_matches_reference_on_listed_literals(contexts):
     for ctx in contexts:
         q = ctx.tower.q
         coefficients = [f"{c}*x1*t - x2*{c}" for c in range(q)]
-        for text in LISTED + coefficients:
+        for text in LISTED + coefficients + (LISTED_RANK4 if ctx.n == 4 else []):
             assert parse_element(ctx, text) == reference_parse(ctx, text), text
 
 
@@ -194,7 +205,7 @@ def test_parser_matches_reference_on_seeded_literals(contexts):
     rng = random.Random(11)
     for ctx in contexts:
         for _ in range(200):
-            text = random_literal(rng, ctx.tower.q)
+            text = random_literal(rng, ctx.tower.q, ctx.n)
             assert parse_element(ctx, text) == reference_parse(ctx, text), text
 
 
@@ -214,19 +225,21 @@ def test_malformed_literals_keep_their_messages(ctx_n2_k1, text):
     assert str(got.value) == str(want.value)
 
 
-def test_canonical_literals_make_no_twist(tower223, action_n2, monkeypatch):
+def test_canonical_literals_make_no_twist(tower223, monkeypatch):
     # every twisted product goes through the kernel _mul_codes
-    ctx = RingContext(tower223, action_n2, 2)
-    rng = random.Random(3)
-    literals = [ctx.random_element(rng, max_terms=5).to_literal() for _ in range(50)]
     calls, kernel = [], ring._mul_codes
     monkeypatch.setattr(ring, "_mul_codes",
                         lambda *a: calls.append(a) or kernel(*a))
-    for text in literals:
-        assert parse_element(ctx, text).to_literal() == text
-    assert calls == []
-    parse_element(ctx, "(1 + x1)*t")  # the counter sees a product that twists
-    assert len(calls) == 1
+    for n in (2, 4):
+        ctx = RingContext(tower223, default_action(n, 2), 2)
+        rng = random.Random(3)
+        for _ in range(50):
+            text = ctx.random_element(rng, max_terms=5).to_literal()
+            assert parse_element(ctx, text).to_literal() == text
+        assert calls == []
+        parse_element(ctx, "(1 + x1)*t")  # the counter sees a product that twists
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_nesting_depth_is_bounded(ctx_n2_k1):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -312,11 +311,10 @@ def test_tampered_trace_does_not_replay(ctx_n2_k1):
         for i, step in enumerate(trace.steps):
             bumped = step.lam + step.lam.level.one()
             steps = list(trace.steps)
-            steps[i] = dataclasses.replace(step, lam=bumped)
-            changed = dataclasses.replace(trace, steps=tuple(steps))
+            steps[i] = step._replace(lam=bumped)
+            changed = trace._replace(steps=tuple(steps))
             assert replay_trace(changed) != trace.final_unit
-            dropped = dataclasses.replace(
-                trace, steps=trace.steps[:i] + trace.steps[i + 1:])
+            dropped = trace._replace(steps=trace.steps[:i] + trace.steps[i + 1:])
             assert replay_trace(dropped) != trace.final_unit
 
 
@@ -324,13 +322,12 @@ def test_replay_refuses_lower_levels_and_foreign_coefficients(ctx_n2_k1):
     r = ctx_n2_k1.one() + ctx_n2_k1.gen(1) ** 2  # separates at level 2
     trace = unit_in_ideal(r)
     assert {s.level for s in trace.steps} == {2}
-    lifted = dataclasses.replace(
-        trace, input_element=r.lift_to(ctx_n2_k1.lift_level(3)))
+    lifted = trace._replace(input_element=r.lift_to(ctx_n2_k1.lift_level(3)))
     with pytest.raises(ValueError):
         replay_trace(lifted)
     step = trace.steps[0]
     level3 = ctx_n2_k1.tower.level(3)
-    for foreign in (dataclasses.replace(step, d=level3.generator()),
-                    dataclasses.replace(step, lam=ctx_n2_k1.theta())):
+    for foreign in (step._replace(d=level3.generator()),
+                    step._replace(lam=ctx_n2_k1.theta())):
         with pytest.raises(ValueError):
-            replay_trace(dataclasses.replace(trace, steps=(foreign,)))
+            replay_trace(trace._replace(steps=(foreign,)))

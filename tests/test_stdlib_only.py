@@ -1,6 +1,8 @@
 """The package imports nothing but its own modules and the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,14 @@ def test_package_imports_only_itself_and_the_standard_library():
     assert foreign == set()
     # the walk reads real imports of both kinds
     assert len(files) > 10 and {"itertools", "action", "ring"} <= seen
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost a cold start about 10 ms; the records are NamedTuples.  -S
+    # keeps site hooks of the interpreter out of the count.
+    code = ("import sys, twistlab, twistlab.cli, twistlab.verify; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
