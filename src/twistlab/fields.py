@@ -8,6 +8,9 @@ are index arithmetic.  Every field here is built over its prime field GF(r)
 in steps, so a code is also the base-r integer of its GF(r) digits, and
 addition is digit-wise mod r: XOR when r = 2.  Odd characteristic adds
 a + b = a * (1 + b/a) through zech[i] = log(1 + g^i), built only there.
+The choice is made once, when a field is built: in characteristic 2 its
+add and sub are bound to operator.xor on the instance, otherwise the class
+methods take the Zech path, so no sum tests the characteristic.
 
 GF(q), q = r^e, is GF(r)[X] modulo the least irreducible monic polynomial of
 degree e (the first in increasing encoding order, so the construction is
@@ -89,6 +92,8 @@ class ExtensionField:
         self.order = base.q**self.degree
         self.units = self.order - 1  # order of the multiplicative group
         self.exp, self.log, self.zech = self._build_tables()
+        if self.char == 2:  # sums are XOR: bound here, so no call tests char
+            self.add = self.sub = xor
 
     # -- code arithmetic -------------------------------------------------------
 
@@ -98,8 +103,7 @@ class ExtensionField:
         return self.exp[(self.log[a] + self.log[b]) % self.units]
 
     def add(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
+        """a + b through zech; characteristic 2 binds XOR over this method."""
         if not a:
             return b
         if not b:
@@ -113,7 +117,7 @@ class ExtensionField:
         return a if self.char == 2 else self.mul(a, self.char - 1)
 
     def sub(self, a: int, b: int) -> int:
-        return a ^ b if self.char == 2 else self.add(a, self.neg(b))
+        return self.add(a, self.neg(b))
 
     def inv(self, a: int) -> int:
         if not a:

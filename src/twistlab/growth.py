@@ -4,12 +4,21 @@ The span of all products of length <= N decomposes per group word into a
 coefficient subspace of the level field, so exact dimensions over GF(q) come
 from per-word row reduction on level codes, whose base-q digits are the
 coordinates: no global basis is ever materialized.  Each step multiplies
-only the vectors added in the previous step by the generator terms, and
-saturated words are skipped.  A word is packed into one balanced mixed-radix
-integer, so w + h is an integer add; each new vector carries its log
-coefficient and its word's action exponent, which is linear in the word, so
-a product is log arithmetic with the twist read from the level's Frobenius
-factors.  A word's space is a dict {leading base-q digit: row}.
+only the vectors added in the previous step by the generator terms.  A word
+is packed into one integer, so w + h is an integer add; the weights put its
+action exponent, which is linear in the word, in the packed residue mod the
+level degree, so a product is log arithmetic with the twist read from the
+level's Frobenius factors and no exponent is carried.
+
+A word's space is a dict {leading base-q digit: row}, and a lead table, one
+byte per code of the level, gives a code's leading digit by one lookup.  The
+frontier groups the new vectors by word, {packed word: (log coefficients)},
+so each (word, term) pair looks up its target w + h and tests it for
+saturation once, skips it when full, and stops reducing the word's vectors
+into it as soon as it fills; a full word's rows are then replaced by (), so
+the test is one truth test and the rows are freed.  Each space is the span
+of everything reached so far, so the rows do not depend on the order of
+insertion.
 
 The growth exponent is estimated as the least-squares slope of log dim
 against log N over the top half of the table, and is labelled an estimate:
@@ -19,7 +28,8 @@ the table is exact, the slope is not a proof.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from operator import mul as _mul_ints
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContextMismatchError
@@ -74,42 +84,67 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
     level = ctx.level
     exp, log, units, deg = level.exp, level.log, level.units, level.degree
     sub, mul, inv, frob = level.sub, level.mul, level.inv, level._frob_factor
-    powers = [level.base.q**i for i in range(deg)]
-    # a reached word's coordinates lie within +-n_max * r, r the largest
-    # generator coordinate, so this balanced radix packs words injectively
+    q = level.base.q
+    powers = [q**i for i in range(deg)]
+    # lead[c] is the index of the leading base-q digit of the code c > 0:
+    # codes in [q^i, q^(i+1)) map to i
+    lead = array("b", [0])
+    for i, power in enumerate(powers):
+        lead += array("b", [i]) * (power * (q - 1))
+    # a reached word's coordinates a_i lie within +-n_max * r, r the largest
+    # generator coordinate.  A word packs as sum(a_i * c_i) with weights
+    # c_i = t_i + big * radix^i: the t_i are the exponents mod deg = p^k, so
+    # the packed word mod deg is the word's action exponent, and big, a
+    # multiple of deg above twice |sum(a_i * t_i)|, keeps the balanced
+    # radix-(2 * n_max * r + 1) digits apart, so packing is injective
     r = max((abs(a) for g in gen_set for h in g.codes for a in h), default=0)
     radix = 2 * n_max * r + 1
-    # generator terms, in order, as (packed word, log coefficient, exponent)
-    terms = [(sum(a * radix**i for i, a in enumerate(h)), log[d], ctx.word_exponent(h))
+    big = deg * ctx.n * radix
+    weights = [t + big * radix**i for i, t in enumerate(ctx.ts)]
+    # generator terms, in order, as (packed word, log coefficient)
+    terms = [(sum(map(_mul_ints, h, weights)), log[d])
              for g in gen_set[1:] for h, d in g.codes.items()]
-    spaces = {0: {0: 1}}  # packed word -> {leading digit: row}
-    frontier = [(0, 0, 0)]  # (packed word, log coefficient, exponent) new in the last step
+    spaces = {0: {0: 1}}  # packed word -> {leading digit: row}, or () once full
+    # packed word -> tuple of log coefficients new in the last step; tuples of
+    # ints drop out of the garbage collector's scans, lists would not
+    frontier = {0: (0,)}
     rows = [1]
     truncated_at = None
     for step in range(1, n_max + 1):
-        new_entries = []
-        for word, lc, e in frontier:
-            f = frob[e]
-            for h, ld, eh in terms:
+        new_entries, added = {}, 0
+        for word, lcs in frontier.items():
+            f = frob[word % deg]
+            for h, ld in terms:
                 w = word + h
                 space = spaces.get(w)
-                if space is None:
+                # the one saturation test of this (word, term): only a missing
+                # word (None) and a full one (()) are falsy, as a new space
+                # always takes the first vector
+                if not space:
+                    if space is not None:
+                        continue
                     space = spaces[w] = {}
-                elif len(space) == deg:
-                    continue
-                lv = (lc + f * ld) % units
-                vec = exp[lv]
-                while vec:
-                    i = bisect_right(powers, vec) - 1
-                    lead, row = vec // powers[i], space.get(i)
-                    if row is None:
-                        space[i] = vec if lead == 1 else mul(inv(lead), vec)
-                        new_entries.append((w, lv, (e + eh) % deg))
+                fld = f * ld
+                for lc in lcs:
+                    lv = (lc + fld) % units
+                    vec = exp[lv]
+                    while vec:
+                        i = lead[vec]
+                        row, c = space.get(i), vec // powers[i]
+                        if row is None:
+                            break
+                        # over GF(2) c is always 1 and the reduction is one XOR
+                        vec = sub(vec, row if c == 1 else mul(c, row))
+                    else:  # reduced to zero: already in the span
+                        continue
+                    space[i] = vec if c == 1 else mul(inv(c), vec)
+                    added += 1
+                    new_entries[w] = new_entries.get(w, ()) + (lv,)
+                    if len(space) == deg:  # full: free its rows, skip it from now on
+                        spaces[w] = ()
                         break
-                    # over GF(2) lead is always 1 and the reduction is one XOR
-                    vec = sub(vec, row if lead == 1 else mul(lead, row))
         frontier = new_entries
-        rows.append(rows[-1] + len(new_entries))
+        rows.append(rows[-1] + added)
         if rows[-1] > max_vectors:
             truncated_at = step
             break

@@ -168,6 +168,13 @@ def test_csv_shape(ctx_n1_k1):
     assert len(lines) == 14
 
 
+def _assert_matches_reference(ctx, gens, n_max, max_vectors=500_000):
+    got = growth_table(ctx, gens, n_max=n_max, max_vectors=max_vectors)
+    want = reference_growth_table(ctx, gens, n_max, max_vectors=max_vectors)
+    assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+    return got
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 9)])
 def test_code_echelon_matches_coordinate_reference(p, q):
     tower = build_tower(TowerConfig(p, q, 2))
@@ -179,16 +186,11 @@ def test_code_echelon_matches_coordinate_reference(p, q):
             for _ in range(2):
                 gens = [ctx.random_element(rng, max_terms=3, coord_bound=1)
                         for _ in range(rng.randint(1, 3))]
-                n_max = 4 if n < 3 else 3
-                got = growth_table(ctx, gens, n_max=n_max)
-                want = reference_growth_table(ctx, gens, n_max)
-                assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+                _assert_matches_reference(ctx, gens, 4 if n < 3 else 3)
     ctx = RingContext(tower, default_action(2, p), 2)
     gens = [ctx.random_element(rng, max_terms=3, coord_bound=1) for _ in range(3)]
-    got = growth_table(ctx, gens, n_max=8, max_vectors=40)
-    want = reference_growth_table(ctx, gens, 8, max_vectors=40)
-    assert got.truncated_at is not None
-    assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+    table = _assert_matches_reference(ctx, gens, 8, max_vectors=40)
+    assert table.truncated_at is not None
     # packed words at their bound: (3N, 0) and (-3N, 1) are both reached at
     # N = n_max with r = 3, and share one integer under a radix of 6N
     for n in (2, 3):
@@ -207,9 +209,48 @@ def test_code_echelon_matches_coordinate_reference(p, q):
                        for _ in range(2)]
             for gens in (edge, scalars):
                 for n_max in (0, 1, 3):
-                    got = growth_table(ctx, gens, n_max=n_max)
-                    want = reference_growth_table(ctx, gens, n_max)
-                    assert (got.rows, got.truncated_at) == (want.rows, want.truncated_at)
+                    _assert_matches_reference(ctx, gens, n_max)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_code_echelon_matches_reference_at_levels_3_and_4(k):
+    # degree 8 and 16 over GF(2): lead indices up to 15, and words whose
+    # frontier holds many vectors when their targets fill
+    tower = build_tower(TowerConfig(2, 2, k))
+    rng = random.Random(f"growth-high-level-{k}")
+    for n in (1, 2):
+        ctx = RingContext(tower, default_action(n, 2), k)
+        _assert_matches_reference(ctx, ctx.default_generators(), 4)
+        for _ in range(2):
+            gens = [ctx.random_element(rng, max_terms=3, coord_bound=1)
+                    for _ in range(rng.randint(2, 3))]
+            _assert_matches_reference(ctx, gens, 4)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_code_echelon_matches_reference_with_leading_digits_above_one(q):
+    # at level 2 over GF(4) and GF(9) a code's leading base-q digit ranges
+    # over 1..q-1, so rows are scaled before they are stored and reductions
+    # subtract multiples; GF(9) reduces through the Zech table
+    tower = build_tower(TowerConfig(2, q, 2))
+    rng = random.Random(f"growth-leading-digits-{q}")
+    for n in (1, 2):
+        ctx = RingContext(tower, default_action(n, 2), 2)
+        level = ctx.level
+        for _ in range(2):
+            gens = [ctx.random_element(rng, max_terms=3, coord_bound=1)
+                    for _ in range(2)]
+            gens.append(ctx.scalar(level.random_element(rng, nonzero=True)))
+            _assert_matches_reference(ctx, gens, 4 if n == 1 else 3)
+
+
+def test_code_echelon_matches_reference_when_truncated_at_level_3():
+    tower = build_tower(TowerConfig(2, 2, 3))
+    ctx = RingContext(tower, default_action(2, 2), 3)
+    rng = random.Random("growth-truncated-level-3")
+    gens = [ctx.random_element(rng, max_terms=3, coord_bound=1) for _ in range(3)]
+    table = _assert_matches_reference(ctx, gens, 8, max_vectors=150)
+    assert table.truncated_at is not None and table.n_max < 8
 
 
 def test_generators_of_another_context_are_refused(tower223, ctx_n2_k1, ctx_n2_k2):

@@ -1,5 +1,6 @@
 import json
 import random
+from operator import xor
 
 import pytest
 
@@ -522,3 +523,33 @@ def test_fixed_field_check_enumerates_large_levels(monkeypatch):
     monkeypatch.setattr(tower.level(2), "frobenius", lambda x, times: x)
     result = check_tower_fixed_field(tower)
     assert not result.passed and "1 failures" in result.detail
+
+
+def prime_digitwise(r, a, b, sign):
+    """Code of a + sign * b added digit by digit mod r on the base-r digits of
+    the codes: every field here is built over GF(r) in steps, so this is the
+    coordinate sum in any of them."""
+    out, power = 0, 1
+    while a or b:
+        out += (a % r + sign * (b % r)) % r * power
+        a, b, power = a // r, b // r, power * r
+    return out
+
+
+@pytest.mark.parametrize("p,q,k_max", [(2, 2, 4), (3, 4, 1), (2, 3, 2), (3, 3, 1), (2, 9, 1)])
+@pytest.mark.parametrize("rebuild", [False, True], ids=["build_tower", "tower_from_json"])
+def test_bound_sums_match_prime_digit_arithmetic(p, q, k_max, rebuild):
+    tower = build_tower(TowerConfig(p, q, k_max))
+    if rebuild:  # new level objects, each binding its sums afresh
+        tower = tower_from_json(json.loads(json.dumps(tower_to_json(tower))))
+    r = tower.level(0).char
+    rng = random.Random(f"bound-sums-{p}-{q}-{k_max}")
+    for field in [tower.level(0).base] + tower.levels:
+        # characteristic 2 binds XOR as add and sub; odd characteristic keeps
+        # the Zech methods of the class
+        assert (field.add is xor and field.sub is xor) == (r == 2)
+        for _ in range(400):
+            a, b = rng.randrange(field.order), rng.randrange(field.order)
+            assert field.add(a, b) == prime_digitwise(r, a, b, 1)
+            assert field.sub(a, b) == prime_digitwise(r, a, b, -1)
+            assert field.neg(a) == prime_digitwise(r, 0, a, -1)
