@@ -64,7 +64,7 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
             if finish <= grow:  # certain at size m - 1, where the two agree
                 out: dict = {}
                 for a, lhs in low[m - size].items():
-                    if sum(bin(a >> i).count("1") for i in range(m) if not a >> i & 1) & 1:
+                    if sum((a >> i).bit_count() for i in range(m) if not a >> i & 1) & 1:
                         lhs = {w: neg(c) for w, c in lhs.items()}
                     _mul_codes(ctx, lhs, layer[full ^ a], out)
                 return _from_codes(ctx, out)
@@ -72,7 +72,7 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
         for rest, value in layer.items():
             for i in range(m):
                 if not rest >> i & 1:
-                    odd = bin(rest & ((1 << i) - 1)).count("1") & 1
+                    odd = (rest & ((1 << i) - 1)).bit_count() & 1
                     out = grown.setdefault(rest | 1 << i, {})
                     _mul_codes(ctx, signed[odd][i], value, out)
         layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}

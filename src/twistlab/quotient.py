@@ -28,7 +28,7 @@ from .center import (
     kernel_lattice,
 )
 from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
-from .ring import RingContext, RingElement, _from_codes, same_context
+from .ring import RingContext, RingElement, _from_codes, same_context, word_adder
 
 # Largest |supp(s)|^(p^k) for which s is inverted: every minor that Bareiss
 # forms from the splitting matrix expands to at most that many terms.
@@ -78,22 +78,23 @@ class LaurentPoly:
         # c1 c2 = exp(log c1 + log c2) on the field's tables, as ring._mul_codes
         F = self.field
         exp, log, units, add = F.exp, F.log, F.units, F.add
+        add_exps = word_adder(self.nvars)
         right = [(e, log[c]) for e, c in other.terms.items()]
         out: dict = {}
         for e1, c1 in self.terms.items():
             l1 = log[c1]
             for e2, l2 in right:
-                e = tuple(map(operator.add, e1, e2))
+                e = add_exps(e1, e2)
                 v = exp[(l1 + l2) % units]
                 prev = out.get(e)
                 out[e] = v if prev is None else add(prev, v)
         return LaurentPoly(F, self.nvars, out)
 
     def shift(self, offset):
+        add_exps = word_adder(self.nvars)
         return LaurentPoly(
-            self.field,
-            self.nvars,
-            {tuple(map(operator.add, e, offset)): c for e, c in self.terms.items()},
+            self.field, self.nvars,
+            {add_exps(e, offset): c for e, c in self.terms.items()},
         )
 
     def min_exponents(self) -> tuple:
@@ -121,6 +122,7 @@ class LaurentPoly:
         quo: dict = {}
         lead_b, lead_bc = b.leading()
         inv_lead = F.inv(lead_bc)
+        add_exps = word_adder(self.nvars)
         # both operands are ordinary after the content shift, so the lex
         # leading exponent strictly decreases in a well-order: this terminates
         while rem:
@@ -130,7 +132,7 @@ class LaurentPoly:
                 raise InternalFaultError("polynomial division is not exact")
             c = quo[mono] = F.mul(rem[lead_a], inv_lead)
             for e, d in b.terms.items():  # rem -= c x^mono b, in place
-                e = tuple(map(operator.add, e, mono))
+                e = add_exps(e, mono)
                 if v := F.sub(rem.get(e, 0), F.mul(c, d)):
                     rem[e] = v
                 else:
@@ -252,22 +254,26 @@ def regular_representation(r: RingElement, basis: FreeBasis,
     return [[cols[b][a] for b in range(size)] for a in range(size)]
 
 
-def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
+def splitting_representation(s: RingElement, lattice: KernelLattice,
+                             reps=None) -> list:
     """Matrix rho(s) of left multiplication by s on the right L[Lambda]-module
-    basis x^(w_i), w_i the lattice's box representatives, over Laurent
-    polynomials with level-field codes.  No ring product is formed: with
-    w + w_j = w_i + lambda, c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^lambda
-    lands in entry (i, j), and no other term of s shares that slot.
+    basis x^(w_i), w_i the lattice's box representatives (passed as reps when
+    the caller has them), over Laurent polynomials with level-field codes.
+    No ring product is formed: with w + w_j = w_i + lambda,
+    c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^lambda lands in entry
+    (i, j), and no other term of s shares that slot.
     """
     ctx = s.ctx
-    reps = lattice.box_representatives()
-    row_of = {w: i for i, w in enumerate(reps)}
+    if reps is None:
+        reps = lattice.box_representatives()
+    slot = {w: (i, -ctx.word_exponent(w)) for i, w in enumerate(reps)}
+    add_words, frob_code = ctx.add_words, ctx.level.frob_code
     entries = [[{} for _ in reps] for _ in reps]
     for w, c in s.codes.items():
         for j, wj in enumerate(reps):
-            wi, lam = lattice.reduce(tuple(a + b for a, b in zip(w, wj)))
-            coeff = ctx.level.frob_code(c, -ctx.word_exponent(wi))
-            entries[row_of[wi]][j][lam] = coeff
+            wi, lam = lattice.reduce(add_words(w, wj))
+            i, neg_e = slot[wi]
+            entries[i][j][lam] = frob_code(c, neg_e)
     nvars = len(lattice.basis)
     return [[LaurentPoly(ctx.level, nvars, e) for e in row] for row in entries]
 
@@ -365,17 +371,19 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
         )
     one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)
     e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (d - 1)
-    nrd, adj = bareiss_solve(splitting_representation(s, lattice), e0)
+    reps = lattice.box_representatives()
+    nrd, adj = bareiss_solve(splitting_representation(s, lattice, reps), e0)
     if nrd.is_zero():
         raise InternalFaultError("splitting representation of a nonzero element "
                                  "is singular; this falsifies the construction")
     # s_adj = sum_i x^(w_i) adj_i, and x^(w_i) c x^v = sigma_(w_i)(c) x^(w_i + v):
     # splitting_representation run backwards, with no ring product
-    reps = lattice.box_representatives()
-    s_adj = _from_codes(ctx, {
-        tuple(map(operator.add, wi, lattice.from_lattice_coordinates(v))):
-            ctx.level.frob_code(c, ctx.word_exponent(wi))
-        for wi, a in zip(reps, adj) for v, c in a.terms.items()})
+    add_words, frob_code, codes = ctx.add_words, ctx.level.frob_code, {}
+    for wi, a in zip(reps, adj):
+        e = ctx.word_exponent(wi)
+        for v, c in a.terms.items():
+            codes[add_words(wi, lattice.from_lattice_coordinates(v))] = frob_code(c, e)
+    s_adj = _from_codes(ctx, codes)
     w = laurent_to_central(nrd, ctx, lattice)
     if (not is_central_structural(w, lattice)
             or s * s_adj != w or s_adj * s != w):
@@ -384,9 +392,11 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
 
 
 def _norm_powers(nrd: LaurentPoly, d: int):
-    """(Nrd^(d-1), Nrd^d)."""
-    power = LaurentPoly.constant(nrd.field, nrd.nvars, 1)
-    for _ in range(d - 1):
+    """(Nrd^(d-1), Nrd^d), in d - 1 products."""
+    if d == 1:
+        return LaurentPoly.constant(nrd.field, nrd.nvars, 1), nrd
+    power = nrd
+    for _ in range(d - 2):
         power = power * nrd
     return power, power * nrd
 

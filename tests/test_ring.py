@@ -1,14 +1,27 @@
 import functools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab.action import action_exponent, default_action
+from twistlab.action import (
+    EXPONENT_HORIZON,
+    ActionConfig,
+    PAdicExponent,
+    action_exponent,
+    default_action,
+)
 from twistlab.errors import ContextMismatchError, NotAUnitError
 from twistlab.pi import standard_polynomial
-from twistlab.ring import RingContext, RingElement, parse_element
+from twistlab.ring import (
+    RingContext,
+    RingElement,
+    exponent_form,
+    parse_element,
+    word_adder,
+)
 from twistlab.tower import TowerConfig, build_tower, tower_from_json, tower_to_json
 
 
@@ -448,6 +461,42 @@ def test_word_exponent_is_the_action_exponent(data):
     coord = st.integers(-10**6, 10**6)
     word = data.draw(st.tuples(coord, coord))
     assert ctx.word_exponent(word) == action_exponent(ctx.action, word, ctx.k)
+
+
+def test_word_exponent_refuses_words_of_the_wrong_length(ctx_n2_k1):
+    for word in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match=f"word has length {len(word)}, expected 2"):
+            ctx_n2_k1.word_exponent(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_word_arithmetic_matches_map_and_action_exponent(data):
+    n = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8)))
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    k = data.draw(st.integers(0, EXPONENT_HORIZON))
+    positions = st.frozensets(st.integers(0, EXPONENT_HORIZON - 1), max_size=4)
+    action = ActionConfig(n, p, [PAdicExponent.one()] + [
+        PAdicExponent(data.draw(positions)) for _ in range(n - 1)])
+    coord = st.integers(-10**6, 10**6)
+    g, h = (data.draw(st.tuples(*[coord] * n)) for _ in range(2))
+    assert word_adder(n)(g, h) == tuple(map(operator.add, g, h))
+    assert exponent_form(action.truncations(k), p**k)(g) == action_exponent(action, g, k)
+
+
+class _FormattedInt(int):
+    def __format__(self, spec):
+        return "1 + 1"
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", _FormattedInt(2)])
+def test_compiled_word_arithmetic_takes_only_ints(bad):
+    with pytest.raises(TypeError, match="only ints"):
+        word_adder(bad)
+    with pytest.raises(TypeError, match="only ints"):
+        exponent_form((1, bad), 8)
+    with pytest.raises(TypeError, match="only ints"):
+        exponent_form((1, 2), bad)
 
 
 @settings(max_examples=150, deadline=None)
