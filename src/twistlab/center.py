@@ -13,12 +13,13 @@ entries above a pivot reduced into the centered range (-d/2, d/2].
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 from .action import action_exponent
 from .errors import IndependenceError, InternalFaultError
-from .ring import RingContext, RingElement, _from_codes
+from .ring import RingContext, RingElement, _check_ints, _from_codes, _straight_line
 
 
 def _centered(x: int, d: int) -> int:
@@ -74,29 +75,21 @@ def hnf(rows) -> list:
     return mat
 
 
-class KernelLattice(NamedTuple):
-    """Integer basis (HNF rows) of the words acting trivially at level k."""
+class KernelLattice:
+    """Integer basis (HNF rows) of the words acting trivially at level k;
+    reduce and from_lattice_coordinates are compiled once per basis
+    (lattice_maps), and the box representatives listed once."""
 
-    k: int
-    basis: tuple
-    index: int
+    __slots__ = ("k", "basis", "index", "reduce", "from_lattice_coordinates",
+                 "_reps")
+
+    def __init__(self, k: int, basis: tuple, index: int):
+        self.k, self.basis, self.index = k, basis, index
+        self.reduce, self.from_lattice_coordinates = lattice_maps(basis)
+        self._reps = tuple(product(*(range(row[i]) for i, row in enumerate(basis))))
 
     def contains(self, word) -> bool:
         return not any(self.reduce(word)[0])
-
-    def reduce(self, word):
-        """Split word = r + h with r in the fundamental box and h in the
-        lattice; returns (r, the coordinates of h in the HNF basis)."""
-        v = list(word)
-        n = len(v)
-        coords = []
-        for i in range(n):
-            q = v[i] // self.basis[i][i]
-            coords.append(q)
-            if q:
-                for j in range(i, n):
-                    v[j] -= q * self.basis[i][j]
-        return tuple(v), tuple(coords)
 
     def lattice_coordinates(self, word) -> tuple:
         """Coordinates of a lattice member in the HNF basis."""
@@ -105,18 +98,9 @@ class KernelLattice(NamedTuple):
             raise ValueError(f"{word} is not in the kernel lattice")
         return coords
 
-    def from_lattice_coordinates(self, coords) -> tuple:
-        n = len(self.basis)
-        word = [0] * n
-        for c, row in zip(coords, self.basis):
-            for j in range(n):
-                word[j] += c * row[j]
-        return tuple(word)
-
-    def box_representatives(self) -> list:
+    def box_representatives(self) -> tuple:
         """All coset representatives, in lexicographic order."""
-        ranges = [range(self.basis[i][i]) for i in range(len(self.basis))]
-        return [tuple(v) for v in product(*ranges)]
+        return self._reps
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,6 +108,27 @@ class KernelLattice(NamedTuple):
             "basis": [list(r) for r in self.basis],
             "index": self.index,
         }
+
+
+@lru_cache(maxsize=None)
+def lattice_maps(basis: tuple):
+    """(reduce, from_lattice_coordinates) of an HNF basis, compiled
+    straight-line from its ints alone.  reduce(w) returns (r, the coordinates
+    of w - r), r in the fundamental box: row by row, q_i = v_i // b_ii by
+    floor division, so negative words reduce too, v_j -= q_i b_ij to the
+    right, and r_i = v_i % b_ii."""
+    _check_ints(*(a for row in basis for a in row))
+    n = len(basis)
+    steps = ["".join(f"v{i}, " for i in range(n)) + "= w"]
+    for i, row in enumerate(basis):
+        steps.append(f"q{i} = v{i} // {row[i]}")
+        steps += [f"v{j} -= q{i} * {row[j]}" for j in range(i + 1, n) if row[j]]
+    box = "".join(f"v{i} % {row[i]}, " for i, row in enumerate(basis))
+    coords = "".join(f"q{i}, " for i in range(n))
+    words = "".join(" + ".join(f"c[{i}] * {basis[i][j]}" for i in range(j + 1)
+                               if basis[i][j]) + ", " for j in range(n))
+    return (_straight_line("reduce", "w", f"({box}), ({coords})", steps),
+            _straight_line("from_lattice_coordinates", "c", f"({words})"))
 
 
 def kernel_lattice(ctx: RingContext) -> KernelLattice:
@@ -204,7 +209,7 @@ def free_basis(ctx: RingContext, lattice: KernelLattice = None) -> FreeBasis:
     reps = lattice.box_representatives()
     elements = tuple(ctx.monomial(c, g) for g in reps for c in field_basis)
     return FreeBasis(
-        field_basis=tuple(field_basis), coset_reps=tuple(reps), elements=elements
+        field_basis=tuple(field_basis), coset_reps=reps, elements=elements
     )
 
 

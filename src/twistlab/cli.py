@@ -237,18 +237,18 @@ def cmd_pi_scan(args) -> int:
 def cmd_growth(args) -> int:
     ctx = _context(args)
     table = growth_table(ctx, None, n_max=args.nmax)
-    est = gk_estimate(table)
+    try:  # the table is exact either way; a short one gets no slope
+        est = gk_estimate(table)
+        trailer = f"# gk_estimate,{est.slope:.6f},residual,{est.residual:.6f}"
+        fit = {"gk_estimate": round(est.slope, 6), "residual": round(est.residual, 6)}
+    except ValueError as exc:
+        trailer, fit = f"# no gk_estimate: {exc}", {"gk_estimate": None, "residual": None}
     if (args.format or "csv") == "csv":
-        text = table.to_csv() + f"# gk_estimate,{est.slope:.6f},residual,{est.residual:.6f}\n"
-        _emit(text, args.out)
+        _emit(table.to_csv() + trailer + "\n", args.out)
     else:
         report = _report(
             "growth", _resolved(args, nmax=args.nmax),
-            {
-                "table": table.to_json_dict(),
-                "gk_estimate": round(est.slope, 6),
-                "residual": round(est.residual, 6),
-            },
+            {"table": table.to_json_dict(), **fit},
         )
         _emit(_canonical_json(report), args.out)
     return EXIT_OK

@@ -140,10 +140,12 @@ class ExtensionField:
         """exp, log and zech over the least code of full multiplicative order;
         zech is None in characteristic 2, where add is XOR.
 
-        exp is the orbit of 1 under multiplication by a candidate g; the
-        first candidate whose orbit has length |F| - 1 is the generator.
-        A shorter orbit is marked in log, since its members have smaller
-        order too and need no walk of their own.
+        exp is the orbit of 1 under multiplication by a candidate g, and
+        the walk writes log[x] = i as it goes; the first candidate whose
+        orbit has length |F| - 1 is the generator, and its walk leaves the
+        final log.  The log entries of a shorter orbit stay as its skip
+        marks, since its members have smaller order too and need no walk of
+        their own.
 
         Until the tables exist, codes add digit-wise mod r on their base-r
         digits, by XOR when r = 2.  For odd r both are spread to base 2r - 1,
@@ -178,6 +180,7 @@ class ExtensionField:
             if r == 2:
                 for i in range(units):
                     exp[i] = x
+                    log[x] = i
                     x = lo[x % half] ^ hi[x // half]
                     if x == 1:
                         break
@@ -185,6 +188,7 @@ class ExtensionField:
                 lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
                 for i in range(units):
                     exp[i] = x
+                    log[x] = i
                     s = lo[x % half] + hi[x // half]
                     x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
                     if x == 1:
@@ -193,10 +197,6 @@ class ExtensionField:
                 raise ValueError(f"{self!r}: modulus is not irreducible")
             if i == units - 1:
                 break
-            for j in range(i + 1):
-                log[exp[j]] = 0
-        for i, x in enumerate(exp):
-            log[x] = i
         if r == 2:
             return exp, log, None
         # adding 1 changes the lowest base-r digit only

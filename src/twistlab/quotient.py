@@ -6,18 +6,19 @@ central denominators realizes the quotient division ring.  Inversion goes
 through the degree-d splitting, d = p^k: left multiplication on R_k as a free
 right L[Lambda]-module (L the level field, Lambda the kernel lattice) is a
 d x d matrix rho(s) over that commutative ring.  One fraction-free (Bareiss)
-solve of rho(s) v = e_0 gives det rho(s) = Nrd(s), the reduced norm, and an
-adjugate column, read back as s_adj with s s_adj = s_adj s = Nrd(s) central.
-invert returns f.den s_adj Nrd^(d-1) / Nrd^d, the denominator's normalizing
-unit folded into the central factor Nrd^(d-1).  Each inversion checks that
-rho(s) is nonsingular, that Nrd(s) is central, both products s s_adj and
-s_adj s, and f.num num == f.den den on the result; a failure raises
-InternalFaultError.
+solve of rho(s) v = e_0 (monomial divisors taken as units) gives det rho(s) =
+Nrd(s), the reduced norm, and an adjugate column, read back as s_adj with
+s s_adj = s_adj s = Nrd(s) central.  invert returns f.den s_adj Nrd^(d-1) /
+Nrd^d, normalized through Nrd^(d-1); the powers multiply termwise Frobenius
+images Nrd^(r^j), r the characteristic.  Each inversion checks that rho(s) is
+nonsingular, that Nrd(s) is central, both products s s_adj and s_adj s, and
+f.num num == f.den den on the result; a failure raises InternalFaultError.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from typing import Optional
 
 from .center import (
@@ -109,13 +110,19 @@ class LaurentPoly:
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self/other; raises InternalFaultError if inexact.
 
-        Both operands are normalized by their monomial content (a unit), so
-        the division happens between ordinary polynomials; the quotient's
-        content is restored afterwards.
+        A one-term divisor c u^e is a unit, so self is shifted by -e and
+        scaled by c^(-1).  Other operands are normalized by their monomial
+        content (a unit), so the division happens between ordinary
+        polynomials; the quotient's content is restored afterwards.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         F = self.field
+        if len(other.terms) == 1:
+            (e, c), = other.terms.items()
+            neg, inv, add_exps = tuple(-v for v in e), F.inv(c), word_adder(self.nvars)
+            return LaurentPoly(F, self.nvars, {
+                add_exps(a, neg): F.mul(x, inv) for a, x in self.terms.items()})
         m_self, m_other = self.min_exponents(), other.min_exponents()
         rem = self.shift(tuple(-v for v in m_self)).terms
         b = other.shift(tuple(-v for v in m_other))
@@ -190,9 +197,10 @@ def bareiss_solve(matrix, rhs=None):
 
     Single-step Bareiss elimination with row pivoting on [M | rhs], then
     fraction-free back-substitution.  Returns (det M, N) with M N = det * rhs,
-    so N is the adjugate of M times rhs.  Every division goes through
-    exact_div and is exact over the polynomial ring.  N is None when there is
-    no right-hand side or M is singular.
+    so N is the adjugate of M times rhs.  A product with a zero operand is
+    skipped, not formed.  Every division goes through exact_div and is exact
+    over the polynomial ring.  N is None when there is no right-hand side or
+    M is singular.
     """
     n = len(matrix)
     if n == 0:
@@ -210,12 +218,16 @@ def bareiss_solve(matrix, rhs=None):
         if pivot_row != i:
             m[i], m[pivot_row] = m[pivot_row], m[i]
             sign = -sign
-        for r in range(i + 1, n):
+        top, pivot = m[i], m[i][i]
+        for row in m[i + 1:]:
+            lead = row[i]
             for c in range(i + 1, width):
-                num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
-                m[r][c] = num if prev is None else num.exact_div(prev)
-            m[r][i] = zero
-        prev = m[i][i]
+                num = pivot * row[c] if row[c].terms else zero
+                if lead.terms and top[c].terms:
+                    num = num - lead * top[c]
+                row[c] = num if prev is None else num.exact_div(prev)
+            row[i] = zero
+        prev = pivot
     det = m[n - 1][n - 1]
     sol = None
     if rhs is not None and not det.is_zero():
@@ -223,9 +235,10 @@ def bareiss_solve(matrix, rhs=None):
         # above it, U_ii * (det x_i) = det * y_i - sum_(j>i) U_ij * (det x_j)
         sol = [None] * (n - 1) + [m[n - 1][n]]
         for i in range(n - 2, -1, -1):
-            acc = det * m[i][n]
+            acc = det * m[i][n] if m[i][n].terms else zero
             for j in range(i + 1, n):
-                acc = acc - m[i][j] * sol[j]
+                if m[i][j].terms and sol[j].terms:
+                    acc = acc - m[i][j] * sol[j]
             sol[i] = acc.exact_div(m[i][i])
     if sign < 0:
         det = -det
@@ -254,18 +267,15 @@ def regular_representation(r: RingElement, basis: FreeBasis,
     return [[cols[b][a] for b in range(size)] for a in range(size)]
 
 
-def splitting_representation(s: RingElement, lattice: KernelLattice,
-                             reps=None) -> list:
+def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
     """Matrix rho(s) of left multiplication by s on the right L[Lambda]-module
-    basis x^(w_i), w_i the lattice's box representatives (passed as reps when
-    the caller has them), over Laurent polynomials with level-field codes.
+    basis x^(w_i), w_i the lattice's box representatives, over Laurent
+    polynomials with level-field codes.
     No ring product is formed: with w + w_j = w_i + lambda,
     c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^lambda lands in entry
     (i, j), and no other term of s shares that slot.
     """
-    ctx = s.ctx
-    if reps is None:
-        reps = lattice.box_representatives()
+    ctx, reps = s.ctx, lattice.box_representatives()
     slot = {w: (i, -ctx.word_exponent(w)) for i, w in enumerate(reps)}
     add_words, frob_code = ctx.add_words, ctx.level.frob_code
     entries = [[{} for _ in reps] for _ in reps]
@@ -372,7 +382,7 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)
     e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (d - 1)
     reps = lattice.box_representatives()
-    nrd, adj = bareiss_solve(splitting_representation(s, lattice, reps), e0)
+    nrd, adj = bareiss_solve(splitting_representation(s, lattice), e0)
     if nrd.is_zero():
         raise InternalFaultError("splitting representation of a nonzero element "
                                  "is singular; this falsifies the construction")
@@ -392,13 +402,25 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
 
 
 def _norm_powers(nrd: LaurentPoly, d: int):
-    """(Nrd^(d-1), Nrd^d), in d - 1 products."""
-    if d == 1:
-        return LaurentPoly.constant(nrd.field, nrd.nvars, 1), nrd
-    power = nrd
-    for _ in range(d - 2):
-        power = power * nrd
-    return power, power * nrd
+    """(Nrd^(d-1), Nrd^d) from the base-r digits of the exponents, r the
+    characteristic.  Nrd^(r^j) is termwise, c u^e -> c^(r^j) u^(r^j e), so
+    Nrd^m takes one product less than the digit sum of m: at d = 2^k in
+    characteristic 2, k - 1 for Nrd^(d-1) and none for Nrd^d."""
+    F, r = nrd.field, nrd.field.char
+
+    def power(m):
+        factors, t = [], 1
+        while m:
+            m, digit = divmod(m, r)
+            if digit:
+                factors += [LaurentPoly(F, nrd.nvars, {
+                    tuple(t * v for v in e): F.exp[F.log[c] * t % F.units]
+                    for e, c in nrd.terms.items()})] * digit
+            t *= r
+        return (reduce(operator.mul, factors) if factors
+                else LaurentPoly.constant(F, nrd.nvars, 1))
+
+    return power(d - 1), power(d)
 
 
 def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):

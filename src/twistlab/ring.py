@@ -344,10 +344,11 @@ def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     return out
 
 
-def _straight_line(name: str, args: str, expr: str):
-    """The function name(args) returning expr, compiled without builtins."""
-    namespace = {}
-    exec(f"def {name}({args}):\n    return {expr}\n", {"__builtins__": {}}, namespace)
+def _straight_line(name: str, args: str, expr: str, steps=()):
+    """The function name(args) running steps, then returning expr, compiled
+    without builtins."""
+    namespace, body = {}, "".join(f"    {step}\n" for step in steps)
+    exec(f"def {name}({args}):\n{body}    return {expr}\n", {"__builtins__": {}}, namespace)
     return namespace[name]
 
 

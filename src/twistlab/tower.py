@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import BudgetError, InternalFaultError
@@ -293,25 +294,30 @@ def _horner(level: TowerLevel, coeffs, x: int) -> int:
 
 
 def _embedding_table(lower: TowerLevel, upper: TowerLevel):
-    """Codes in upper of every element of lower, by Horner at the image of X."""
-    theta = upper._code(lower.embedding_up)
-    return array("i", [_horner(upper, lower._digits(code), theta)
-                       for code in range(lower.order)])
+    """Codes in upper of every element of lower, spanned GF(q)-linearly from
+    the images of 1, theta, ..., theta^(d-1), theta the image of X."""
+    theta, table, image = upper._code(lower.embedding_up), [0], 1
+    for _ in range(lower.degree):
+        multiples = [upper.mul(c, image) for c in range(lower.base.q)]
+        table = [upper.add(t, s) for s in multiples for t in table]
+        image = upper.mul(image, theta)
+    return array("i", table)
 
 
 def _find_embedding(lower: TowerLevel, upper: TowerLevel):
     """Least root, by coordinate tuple, of lower's defining polynomial among
     the copy of lower inside upper: zero and the (|lower| - 1)-th roots of
-    unity, the powers of g^((|upper| - 1) / (|lower| - 1))."""
+    unity, the powers of g^((|upper| - 1) / (|lower| - 1)).  The polynomial
+    is irreducible over GF(q), so its roots are the lower.degree Frobenius
+    conjugates of the first one found."""
     step = upper.units // lower.units
-    candidates = [0] + [upper.exp[j * step] for j in range(lower.units)]
-    roots = [upper._digits(x) for x in candidates
-             if not _horner(upper, lower.modulus, x)]
-    if not roots:
+    candidates = chain([0], (upper.exp[j * step] for j in range(lower.units)))
+    root = next((x for x in candidates if not _horner(upper, lower.modulus, x)), None)
+    if root is None:
         raise InternalFaultError(
             f"defining polynomial of level {lower.m} has no root in level {upper.m}"
         )
-    return min(roots)
+    return min(upper._digits(upper.frob_code(root, i)) for i in range(lower.degree))
 
 
 @functools.lru_cache(maxsize=None)

@@ -516,6 +516,9 @@ def check_quotient_regular_rep(ctx: RingContext, rng, trials: int) -> CheckResul
 def check_quotient_center(ctx: RingContext, rng, trials: int) -> CheckResult:
     lat = kernel_lattice(ctx)
     probe = min(ctx.k + 1, ctx.tower.k_max)
+    if probe == ctx.k:  # every central element is still central at k
+        return CheckResult("quotient.center_collapses_to_base", False,
+                           f"not run: no level above {ctx.k} to probe")
     lat_up = kernel_lattice(ctx.lift_level(probe))
     bad = 0
     for c in range(1, ctx.tower.q):

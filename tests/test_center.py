@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistlab.action import ActionConfig, PAdicExponent, action_exponent
+from twistlab.action import ActionConfig, PAdicExponent, action_exponent, default_action
 from twistlab.center import (
     decompose_over_center,
     free_basis,
@@ -12,6 +12,7 @@ from twistlab.center import (
     is_central,
     is_central_structural,
     kernel_lattice,
+    lattice_maps,
     recompose,
 )
 from twistlab.errors import IndependenceError
@@ -199,6 +200,92 @@ def test_reduce_splits_into_box_representative_and_lattice_coordinates(ctx_n2_k2
         if any(r):
             with pytest.raises(ValueError, match="not in the kernel lattice"):
                 lat.lattice_coordinates(w)
+
+
+# -- compiled lattice maps against the loops they replaced ---------------------
+
+
+def loop_reduce(basis, word):
+    """Row-by-row reduction of a word into the fundamental box."""
+    v = list(word)
+    n = len(v)
+    coords = []
+    for i in range(n):
+        q = v[i] // basis[i][i]
+        coords.append(q)
+        if q:
+            for j in range(i, n):
+                v[j] -= q * basis[i][j]
+    return tuple(v), tuple(coords)
+
+
+def loop_from_lattice_coordinates(basis, coords):
+    n = len(basis)
+    word = [0] * n
+    for c, row in zip(coords, basis):
+        for j in range(n):
+            word[j] += c * row[j]
+    return tuple(word)
+
+
+def _lattice(p, q, n, k, action=None):
+    tower = build_tower(TowerConfig(p, q, max(k, 1)))
+    action = action or default_action(n, p)
+    return kernel_lattice(RingContext(tower, action, k, cert_bound=1))
+
+
+# default actions give diagonal bases; the spec example and the digit
+# positions below give bases with nonzero off-diagonal entries
+LATTICE_CELLS = (
+    [(2, 2, n, k) for n in range(1, 5) for k in range(1, 5)]
+    + [(3, 3, 2, 2), (2, 4, 2, 3), (5, 5, 2, 1)]
+)
+POSITIONS = ([[0, 2]], [[1], [0, 3]], [[0, 1, 5], [2]], [[1, 2], [3], [0, 4]])
+
+
+@pytest.fixture(scope="module")
+def lattices():
+    lats = [_lattice(*cell) for cell in LATTICE_CELLS]
+    for p, k in ((2, 2), (2, 3), (3, 2)):
+        for ps in POSITIONS:
+            exps = [PAdicExponent.one()] + [PAdicExponent.from_positions(x) for x in ps]
+            try:
+                lats.append(_lattice(p, 2, len(exps), k,
+                                     ActionConfig(len(exps), p, exps)))
+            except IndependenceError:
+                pass
+    assert any(row[j] for lat in lats for i, row in enumerate(lat.basis)
+               for j in range(i + 1, len(row)))
+    return lats
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_compiled_lattice_maps_match_the_loops(lattices, data):
+    lat = data.draw(st.sampled_from(lattices))
+    n = len(lat.basis)
+    word = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * n))
+    assert lat.reduce(word) == loop_reduce(lat.basis, word)
+    assert lat.from_lattice_coordinates(word) == loop_from_lattice_coordinates(
+        lat.basis, word)
+    assert lat.contains(word) == (not any(loop_reduce(lat.basis, word)[0]))
+
+
+# pivots of 6 are no prime power, so no cached kernel basis compares equal
+@pytest.mark.parametrize("basis", [
+    ((2.5,),), (("2",),), ((1, 0), (0, 4.5)), ((True, 1), (0, 6)),
+    ((type("Sneaky", (int,), {})(6),),),
+])
+def test_lattice_map_generator_refuses_anything_but_ints(basis):
+    with pytest.raises(TypeError, match="only ints"):
+        lattice_maps(basis)
+
+
+def test_lattice_maps_and_representatives_are_built_once(ctx_n2_k2):
+    lat = kernel_lattice(ctx_n2_k2)
+    assert lattice_maps(lat.basis) == (lat.reduce, lat.from_lattice_coordinates)
+    assert lat.box_representatives() is lat.box_representatives()
+    assert list(lat.box_representatives()) == sorted(lat.box_representatives())
 
 
 def test_lattice_nesting(tower223, action_n2):

@@ -68,6 +68,26 @@ def test_growth_command_csv(tmp_path):
     assert lines[-1].startswith("# gk_estimate,")
 
 
+@pytest.mark.parametrize("nmax", range(9))
+def test_short_growth_tables_print_without_an_estimate(tmp_path, nmax):
+    # a table with fewer than 6 fit points is exact but gets no slope
+    from twistlab.growth import growth_table
+    from twistlab.ring import RingContext
+    from twistlab.tower import TowerConfig, build_tower
+
+    ctx = RingContext(build_tower(TowerConfig(2, 2, 1)), default_action(2, 2), 1)
+    rows = growth_table(ctx, None, n_max=nmax).rows
+    out = tmp_path / "table.csv"
+    assert main(["growth", "--nmax", str(nmax), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1:-1] == [f"{n},{d}" for n, d in enumerate(rows)]
+    assert lines[-1].startswith("# no gk_estimate: table too short: ")
+    code, text = run(tmp_path, "growth", "--nmax", str(nmax), "--format", "json")
+    result = json.loads(text)["result"]
+    assert code == 0 and result["table"]["rows"] == rows
+    assert result["gk_estimate"] is None and result["residual"] is None
+
+
 def test_invert_command(tmp_path):
     code, text = run(
         tmp_path, "invert", "--p", "2", "--q", "2", "--n", "1", "--k", "1",

@@ -15,6 +15,7 @@ from twistlab.quotient import (
     CentralFraction,
     LaurentPoly,
     _central_multiple,
+    _norm_powers,
     bareiss_determinant,
     bareiss_solve,
     center_of_quotient_test,
@@ -26,6 +27,7 @@ from twistlab.quotient import (
 )
 from twistlab.ring import RingContext, parse_element
 from twistlab.tower import TowerConfig, build_tower
+from twistlab.verify import check_quotient_center, run_all
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,58 @@ def test_laurent_inexact_division_raises(ctx_n2_k1):
         LaurentPoly(field, 1, {(0,): 1, (3,): 1}).exact_div(
             LaurentPoly(field, 1, {(0,): 1, (2,): 1})
         )
+
+
+def general_exact_div(a, b):
+    """Division after normalizing both operands by their monomial content,
+    the path exact_div takes for every divisor of more than one term."""
+    F = a.field
+    m_a, m_b = a.min_exponents(), b.min_exponents()
+    rem = a.shift(tuple(-v for v in m_a)).terms
+    b = b.shift(tuple(-v for v in m_b))
+    quo = {}
+    lead_b, lead_bc = b.leading()
+    while rem:
+        lead_a = max(rem)
+        mono = tuple(x - y for x, y in zip(lead_a, lead_b))
+        assert all(v >= 0 for v in mono), "inexact"
+        c = quo[mono] = F.mul(rem[lead_a], F.inv(lead_bc))
+        for e, d in b.terms.items():
+            e = tuple(x + y for x, y in zip(e, mono))
+            if v := F.sub(rem.get(e, 0), F.mul(c, d)):
+                rem[e] = v
+            else:
+                del rem[e]
+    shift_back = tuple(x - y for x, y in zip(m_a, m_b))
+    return LaurentPoly(F, a.nvars, quo).shift(shift_back)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_monomial_divisors_are_units(q):
+    rng = random.Random(q)
+    field = BaseField(q)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        a = random_laurent(rng, field, nvars, terms=rng.randint(0, 6))
+        m = random_laurent(rng, field, nvars, terms=1)
+        assert (a * m).exact_div(m) == a
+        assert a.exact_div(m) == general_exact_div(a, m)
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_norm_powers_by_frobenius_match_repeated_products(p, q):
+    # the digits are taken in the characteristic of the coefficients, which
+    # is not p at (3, 2) and (2, 3)
+    ctx = RingContext(build_tower(TowerConfig(p, q, 1)), default_action(2, p), 1)
+    rng = random.Random(10 * p + q)
+    for d in range(1, 10):
+        nrd = LaurentPoly(ctx.level, 2, {
+            (rng.randint(-3, 3), rng.randint(-3, 3)): rng.randrange(1, ctx.level.order)
+            for _ in range(rng.randint(1, 4))})
+        powers = [LaurentPoly.constant(ctx.level, 2, 1)]
+        for _ in range(d):
+            powers.append(powers[-1] * nrd)
+        assert _norm_powers(nrd, d) == (powers[d - 1], powers[d])
 
 
 def schoolbook_mul(a, b):
@@ -698,6 +752,18 @@ def test_center_probe_is_representation_independent(ctx_n1_k1, lat1):
     f = CentralFraction(ctx_n1_k1, z, z, lattice=lat1)
     for probe in (1, 2, 3):
         assert center_of_quotient_test(f, probe)
+
+
+def test_quotient_center_check_refuses_to_pass_without_a_higher_level():
+    # at k = k_max the probe level is the home level, where every central
+    # element stays central: the check returns at once and does not pass
+    ctx = RingContext(build_tower(TowerConfig(2, 2, 1)), default_action(2, 2), 1)
+    result = check_quotient_center(ctx, random.Random(0), 5)
+    assert not result.passed
+    assert "no level above 1 to probe" in result.detail
+    # the whole batch at k_max = 1 returns, and reports the check as not passed
+    results = {r.name: r for r in run_all(3, 3, 2, 1, 0, trials=20)}
+    assert not results["quotient.center_collapses_to_base"].passed
 
 
 def test_probe_below_level_rejected(ctx_n1_k1, lat1, tower223):

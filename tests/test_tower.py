@@ -9,6 +9,9 @@ from twistlab.fields import is_irreducible
 from twistlab.tower import (
     FieldElement,
     TowerConfig,
+    _embedding_table,
+    _find_embedding,
+    _horner,
     build_tower,
     tower_from_json,
     tower_to_json,
@@ -137,6 +140,29 @@ def test_embeddings_match_field_element_search(p, q):
     tower = build_tower(TowerConfig(p, q, _largest_k_max(p, q)))
     for lower, upper in zip(tower.levels, tower.levels[1:]):
         assert lower.embedding_up == reference_find_embedding(lower, upper)
+
+
+def horner_embedding_table(lower, upper):
+    """One Horner evaluation at the image of X per element of lower."""
+    theta = upper._code(lower.embedding_up)
+    return [_horner(upper, lower._digits(code), theta) for code in range(lower.order)]
+
+
+def full_root_scan(lower, upper):
+    """Least root over every candidate in the copy of lower, on codes."""
+    step = upper.units // lower.units
+    candidates = [0] + [upper.exp[j * step] for j in range(lower.units)]
+    return min(upper._digits(x) for x in candidates
+               if not _horner(upper, lower.modulus, x))
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 9), (5, 5)])
+def test_spanned_tables_and_first_root_conjugates_match_the_oracles(p, q):
+    tower = build_tower(TowerConfig(p, q, _largest_k_max(p, q)))
+    for lower, upper in zip(tower.levels, tower.levels[1:]):
+        assert _find_embedding(lower, upper) == full_root_scan(lower, upper)
+        assert list(_embedding_table(lower, upper)) == horner_embedding_table(
+            lower, upper)
 
 
 def test_embed_generator_matches_stored_image(tower223):
