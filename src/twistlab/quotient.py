@@ -1,33 +1,31 @@
 """Central fractions: division-ring arithmetic over a level ring.
 
-The center of a level ring R_k is a Laurent polynomial ring over GF(q) in n
-variables (one per kernel-lattice basis row), so the ring of fractions with
-central denominators realizes the quotient division ring.  Inversion goes
-through the degree-d splitting, d = p^k: left multiplication on R_k as a free
-right L[Lambda]-module (L the level field, Lambda the kernel lattice) is a
-d x d matrix rho(s) over that commutative ring.  One fraction-free (Bareiss)
-solve of rho(s) v = e_0 (monomial divisors taken as units) gives det rho(s) =
-Nrd(s), the reduced norm, and an adjugate column, read back as s_adj with
+The center of a level ring R_k is GF(q)[Lambda], Lambda the kernel lattice:
+Laurent polynomials in n variables, whose fractions realize the quotient
+division ring.  A central value keeps its form in R_k, a {Lambda-word: level
+code} dict on which every sigma_w acts trivially; one core computes on such
+dicts from a field and a word adder (product, subtraction, exact division,
+Bareiss solve), and LaurentPoly is the lattice-coordinate view on that core.
+
+Inversion goes through the degree-d splitting, d = p^k: left multiplication
+on R_k as a free right L[Lambda]-module (L the level field) is a d x d matrix
+rho(s).  One fraction-free (Bareiss) solve of rho(s) v = e_0 gives det rho(s)
+= Nrd(s), the reduced norm, and an adjugate column, read back as s_adj with
 s s_adj = s_adj s = Nrd(s) central.  invert returns f.den s_adj Nrd^(d-1) /
-Nrd^d, normalized through Nrd^(d-1); the powers multiply termwise Frobenius
-images Nrd^(r^j), r the characteristic.  Each inversion checks that rho(s) is
-nonsingular, that Nrd(s) is central, both products s s_adj and s_adj s, and
-f.num num == f.den den on the result; a failure raises InternalFaultError.
+Nrd^d, normalized by a shift and a scaling, the one step that reads lattice
+coordinates; the powers multiply termwise Frobenius images Nrd^(r^j), r the
+characteristic.  Each inversion checks that rho(s) is nonsingular, that
+Nrd(s) is central, s s_adj, s_adj s, and f.num num == f.den den on the
+result; a failure raises InternalFaultError.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
-from .center import (
-    FreeBasis,
-    KernelLattice,
-    decompose_over_center,
-    is_central_structural,
-    kernel_lattice,
-)
+from .center import (FreeBasis, KernelLattice, decompose_over_center,
+                     is_central_structural, kernel_lattice)
 from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
 from .ring import RingContext, RingElement, _from_codes, same_context, word_adder
 
@@ -36,15 +34,141 @@ from .ring import RingContext, RingElement, _from_codes, same_context, word_adde
 INVERSION_BUDGET = 2**17
 
 
+# -- the core, on {word: nonzero code} dicts of a commutative Laurent ring: F
+# is the field and add the word sum, ctx.level and ctx.add_words on
+# Lambda-words in inversion, the view's field and word_adder(nvars) in LaurentPoly
+
+
+def _combine(op, a: dict, b: dict) -> dict:
+    """Termwise op(a, b) for op a field's add or sub, zero codes dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        if v := op(out.get(e, 0), c):
+            out[e] = v
+        else:  # op(0, c) != 0, so e was in out
+            del out[e]
+    return out
+
+
+def _mul(F, add, a: dict, b: dict) -> dict:
+    """a * b: c1 c2 = exp(log c1 + log c2) on the field's tables, as in
+    ring._mul_codes but with no twist."""
+    exp, log, units, plus = F.exp, F.log, F.units, F.add
+    right = [(e, log[c]) for e, c in b.items()]
+    out: dict = {}
+    for e1, c1 in a.items():
+        l1 = log[c1]
+        for e2, l2 in right:
+            e = add(e1, e2)
+            v = exp[(l1 + l2) % units]
+            prev = out.get(e)
+            out[e] = v if prev is None else plus(prev, v)
+    return {e: c for e, c in out.items() if c}
+
+
+def _scaled(F, add, a: dict, offset, c: int = 1) -> dict:
+    """c x^offset a: a shift and a scaling."""
+    mul = F.mul
+    return {add(e, offset): x if c == 1 else mul(x, c) for e, x in a.items()}
+
+
+def _content(words) -> tuple:
+    """Per-variable minimum exponent (the monomial content) of nonzero terms."""
+    return tuple(map(min, zip(*words)))
+
+
+def _div(F, add, a: dict, b: dict) -> dict:
+    """Exact quotient a / b; raises InternalFaultError if inexact.
+
+    A one-term divisor c u^e is a unit: a is shifted by -e and scaled by
+    c^(-1).  Otherwise both are normalized by their monomial content in word
+    coordinates and divided as ordinary polynomials; on Lambda-words that is
+    F[Z^n], free over F[Lambda], so the quotient is the one in F[Lambda].
+    """
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(b) == 1:
+        (e, c), = b.items()
+        return _scaled(F, add, a, tuple(-v for v in e), F.inv(c))
+    if not a:
+        return {}
+    m_a, m_b = _content(a), _content(b)
+    rem = _scaled(F, add, a, tuple(-v for v in m_a))
+    b = _scaled(F, add, b, tuple(-v for v in m_b))
+    lead_b = max(b)
+    inv_lead, mul, sub, quo = F.inv(b[lead_b]), F.mul, F.sub, {}
+    # both operands are ordinary after the content shift, so the lex leading
+    # exponent strictly decreases in a well-order: this terminates
+    while rem:
+        lead_a = max(rem)
+        mono = tuple(x - y for x, y in zip(lead_a, lead_b))
+        if any(v < 0 for v in mono):
+            raise InternalFaultError("polynomial division is not exact")
+        c = quo[mono] = mul(rem[lead_a], inv_lead)
+        for e, d in b.items():  # rem -= c x^mono b, in place
+            e = add(e, mono)
+            if v := sub(rem.get(e, 0), mul(c, d)):
+                rem[e] = v
+            else:
+                del rem[e]
+    return _scaled(F, add, quo, tuple(x - y for x, y in zip(m_a, m_b)))
+
+
+def _bareiss(F, add, matrix, rhs=None):
+    """Fraction-free solve of M x = rhs on core dicts (Bareiss 1968).
+
+    Single-step elimination with row pivoting on [M | rhs], then fraction-free
+    back-substitution: (det M, N) with M N = det * rhs, N the adjugate of M
+    times rhs, None without rhs or when M is singular.  Products with a zero
+    operand are skipped, and every division is exact (_div).
+    """
+    n, sub = len(matrix), F.sub
+    m = [list(row) + ([] if rhs is None else [rhs[i]])
+         for i, row in enumerate(matrix)]
+    width, sign, prev = len(m[0]), 1, None  # prev None: no division at step 0
+    for i in range(n - 1):
+        pivot_row = next((r for r in range(i, n) if m[r][i]), None)
+        if pivot_row is None:
+            return {}, None
+        if pivot_row != i:
+            m[i], m[pivot_row] = m[pivot_row], m[i]
+            sign = -sign
+        top, pivot = m[i], m[i][i]
+        for row in m[i + 1:]:
+            lead = row[i]
+            for c in range(i + 1, width):
+                num = _mul(F, add, pivot, row[c]) if row[c] else {}
+                if lead and top[c]:
+                    num = _combine(sub, num, _mul(F, add, lead, top[c]))
+                row[c] = num if prev is None else _div(F, add, num, prev)
+            row[i] = {}
+        prev = pivot
+    det, sol = m[n - 1][n - 1], None
+    if rhs is not None and det:
+        # the last eliminated entry is already det * x_(n-1) (a Cramer minor);
+        # above it, U_ii * (det x_i) = det * y_i - sum_(j>i) U_ij * (det x_j)
+        sol = [None] * (n - 1) + [m[n - 1][n]]
+        for i in range(n - 2, -1, -1):
+            acc = _mul(F, add, det, m[i][n]) if m[i][n] else {}
+            for j in range(i + 1, n):
+                if m[i][j] and sol[j]:
+                    acc = _combine(sub, acc, _mul(F, add, m[i][j], sol[j]))
+            sol[i] = _div(F, add, acc, m[i][i])
+    if sign < 0:
+        det = _combine(sub, {}, det)
+        sol = sol and [_combine(sub, {}, v) for v in sol]
+    return det, sol
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial over a code-arithmetic field (GF(q) or a
-    tower level): {exponent vector: coefficient code}."""
+    """Lattice-coordinate view: a sparse Laurent polynomial over a
+    code-arithmetic field (GF(q) or a tower level), {exponent vector:
+    coefficient code}, computed on the core."""
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field, nvars: int, terms: Optional[dict] = None):
-        self.field = field
-        self.nvars = nvars
+        self.field, self.nvars = field, nvars
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
@@ -58,49 +182,29 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _view(self, terms: dict) -> "LaurentPoly":
+        return LaurentPoly(self.field, self.nvars, terms)
+
     def __add__(self, other):
-        out = dict(self.terms)
-        F = self.field
-        for e, c in other.terms.items():
-            out[e] = F.add(out.get(e, 0), c)
-        return LaurentPoly(self.field, self.nvars, out)
+        return self._view(_combine(self.field.add, self.terms, other.terms))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        F = self.field
-        for e, c in other.terms.items():
-            out[e] = F.sub(out.get(e, 0), c)
-        return LaurentPoly(self.field, self.nvars, out)
+        return self._view(_combine(self.field.sub, self.terms, other.terms))
 
     def __neg__(self):
-        return LaurentPoly.zero(self.field, self.nvars) - self
+        return self._view(_combine(self.field.sub, {}, self.terms))
 
     def __mul__(self, other):
-        # c1 c2 = exp(log c1 + log c2) on the field's tables, as ring._mul_codes
-        F = self.field
-        exp, log, units, add = F.exp, F.log, F.units, F.add
-        add_exps = word_adder(self.nvars)
-        right = [(e, log[c]) for e, c in other.terms.items()]
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            l1 = log[c1]
-            for e2, l2 in right:
-                e = add_exps(e1, e2)
-                v = exp[(l1 + l2) % units]
-                prev = out.get(e)
-                out[e] = v if prev is None else add(prev, v)
-        return LaurentPoly(F, self.nvars, out)
+        return self._view(_mul(self.field, word_adder(self.nvars),
+                               self.terms, other.terms))
 
     def shift(self, offset):
-        add_exps = word_adder(self.nvars)
-        return LaurentPoly(
-            self.field, self.nvars,
-            {add_exps(e, offset): c for e, c in self.terms.items()},
-        )
+        return self._view(_scaled(self.field, word_adder(self.nvars),
+                                  self.terms, offset))
 
     def min_exponents(self) -> tuple:
         """Per-variable minimum exponent (the monomial content)."""
-        return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.nvars
+        return _content(self.terms) if self.terms else (0,) * self.nvars
 
     def leading(self) -> tuple:
         """Lex-greatest exponent vector with its coefficient."""
@@ -108,51 +212,13 @@ class LaurentPoly:
         return e, self.terms[e]
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self/other; raises InternalFaultError if inexact.
-
-        A one-term divisor c u^e is a unit, so self is shifted by -e and
-        scaled by c^(-1).  Other operands are normalized by their monomial
-        content (a unit), so the division happens between ordinary
-        polynomials; the quotient's content is restored afterwards.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        F = self.field
-        if len(other.terms) == 1:
-            (e, c), = other.terms.items()
-            neg, inv, add_exps = tuple(-v for v in e), F.inv(c), word_adder(self.nvars)
-            return LaurentPoly(F, self.nvars, {
-                add_exps(a, neg): F.mul(x, inv) for a, x in self.terms.items()})
-        m_self, m_other = self.min_exponents(), other.min_exponents()
-        rem = self.shift(tuple(-v for v in m_self)).terms
-        b = other.shift(tuple(-v for v in m_other))
-        quo: dict = {}
-        lead_b, lead_bc = b.leading()
-        inv_lead = F.inv(lead_bc)
-        add_exps = word_adder(self.nvars)
-        # both operands are ordinary after the content shift, so the lex
-        # leading exponent strictly decreases in a well-order: this terminates
-        while rem:
-            lead_a = max(rem)
-            mono = tuple(map(operator.sub, lead_a, lead_b))
-            if any(v < 0 for v in mono):
-                raise InternalFaultError("polynomial division is not exact")
-            c = quo[mono] = F.mul(rem[lead_a], inv_lead)
-            for e, d in b.terms.items():  # rem -= c x^mono b, in place
-                e = add_exps(e, mono)
-                if v := F.sub(rem.get(e, 0), F.mul(c, d)):
-                    rem[e] = v
-                else:
-                    del rem[e]
-        shift_back = tuple(map(operator.sub, m_self, m_other))
-        return LaurentPoly(F, self.nvars, quo).shift(shift_back)
+        """Exact quotient self/other; raises InternalFaultError if inexact."""
+        return self._view(_div(self.field, word_adder(self.nvars),
+                               self.terms, other.terms))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return isinstance(other, LaurentPoly) and (self.nvars, self.terms) == (
+            other.nvars, other.terms)
 
     def to_literal(self) -> str:
         if not self.terms:
@@ -183,68 +249,16 @@ def central_to_laurent(z: RingElement, lattice: KernelLattice) -> LaurentPoly:
     return LaurentPoly(field, len(lattice.basis), terms)
 
 
-def laurent_to_central(poly: LaurentPoly, ctx: RingContext,
-                       lattice: KernelLattice) -> RingElement:
-    """The element of L[Lambda] with these lattice coordinates; central when
-    every coefficient lies in GF(q)."""
-    return _from_codes(ctx, {
-        lattice.from_lattice_coordinates(e): c for e, c in poly.terms.items()
-    })
-
-
 def bareiss_solve(matrix, rhs=None):
-    """Fraction-free solve of M x = rhs over the Laurent ring (Bareiss 1968).
-
-    Single-step Bareiss elimination with row pivoting on [M | rhs], then
-    fraction-free back-substitution.  Returns (det M, N) with M N = det * rhs,
-    so N is the adjugate of M times rhs.  A product with a zero operand is
-    skipped, not formed.  Every division goes through exact_div and is exact
-    over the polynomial ring.  N is None when there is no right-hand side or
-    M is singular.
-    """
-    n = len(matrix)
-    if n == 0:
+    """The core's Bareiss solve on a LaurentPoly matrix: (det M, N) with
+    M N = det * rhs; N is None without rhs or when M is singular."""
+    if not matrix:
         raise ValueError("empty matrix")
-    zero = LaurentPoly.zero(matrix[0][0].field, matrix[0][0].nvars)
-    m = [list(row) + ([] if rhs is None else [rhs[i]])
-         for i, row in enumerate(matrix)]
-    width = len(m[0])
-    sign = 1
-    prev = None  # the first step would divide by the constant 1
-    for i in range(n - 1):
-        pivot_row = next((r for r in range(i, n) if not m[r][i].is_zero()), None)
-        if pivot_row is None:
-            return zero, None
-        if pivot_row != i:
-            m[i], m[pivot_row] = m[pivot_row], m[i]
-            sign = -sign
-        top, pivot = m[i], m[i][i]
-        for row in m[i + 1:]:
-            lead = row[i]
-            for c in range(i + 1, width):
-                num = pivot * row[c] if row[c].terms else zero
-                if lead.terms and top[c].terms:
-                    num = num - lead * top[c]
-                row[c] = num if prev is None else num.exact_div(prev)
-            row[i] = zero
-        prev = pivot
-    det = m[n - 1][n - 1]
-    sol = None
-    if rhs is not None and not det.is_zero():
-        # the last eliminated entry is already det * x_(n-1) (a Cramer minor);
-        # above it, U_ii * (det x_i) = det * y_i - sum_(j>i) U_ij * (det x_j)
-        sol = [None] * (n - 1) + [m[n - 1][n]]
-        for i in range(n - 2, -1, -1):
-            acc = det * m[i][n] if m[i][n].terms else zero
-            for j in range(i + 1, n):
-                if m[i][j].terms and sol[j].terms:
-                    acc = acc - m[i][j] * sol[j]
-            sol[i] = acc.exact_div(m[i][i])
-    if sign < 0:
-        det = -det
-        if sol is not None:
-            sol = [-v for v in sol]
-    return det, sol
+    view = matrix[0][0]
+    det, sol = _bareiss(view.field, word_adder(view.nvars),
+                        [[e.terms for e in row] for row in matrix],
+                        None if rhs is None else [v.terms for v in rhs])
+    return view._view(det), sol and [view._view(v) for v in sol]
 
 
 def bareiss_determinant(matrix) -> LaurentPoly:
@@ -257,10 +271,9 @@ def regular_representation(r: RingElement, basis: FreeBasis,
     """Matrix of left multiplication by r on the free center-module basis.
 
     Entry [a][b] is the a-th central coordinate of r * basis[b]; the map is a
-    ring homomorphism into p^(2k) x p^(2k) matrices over the center.
-    Inversion uses the smaller splitting_representation; this one witnesses
-    the rank-p^(2k) freeness and is the reference that inversion is checked
-    against.
+    ring homomorphism into p^(2k) x p^(2k) matrices over the center.  It
+    witnesses the rank-p^(2k) freeness and is the reference that inversion,
+    through the smaller splitting_representation, is checked against.
     """
     cols = [decompose_over_center(r * b, basis, lattice) for b in basis.elements]
     size = basis.size()
@@ -269,23 +282,23 @@ def regular_representation(r: RingElement, basis: FreeBasis,
 
 def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
     """Matrix rho(s) of left multiplication by s on the right L[Lambda]-module
-    basis x^(w_i), w_i the lattice's box representatives, over Laurent
-    polynomials with level-field codes.
-    No ring product is formed: with w + w_j = w_i + lambda,
-    c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^lambda lands in entry
-    (i, j), and no other term of s shares that slot.
+    basis x^(w_i), w_i the lattice's box representatives, with entries
+    {Lambda-word: level code}.
+    No ring product is formed: with v = w + w_j in the box of w_i,
+    c x^w x^(w_j) = x^(w_i) sigma_(w_i)^(-1)(c) x^(v - w_i) lands in entry
+    (i, j) at the Lambda-word v - w_i, and no other term of s shares that slot.
     """
     ctx, reps = s.ctx, lattice.box_representatives()
-    slot = {w: (i, -ctx.word_exponent(w)) for i, w in enumerate(reps)}
-    add_words, frob_code = ctx.add_words, ctx.level.frob_code
+    slot = {w: (i, tuple(-a for a in w), -ctx.word_exponent(w))
+            for i, w in enumerate(reps)}
+    add_words, frob_code, to_box = ctx.add_words, ctx.level.frob_code, lattice.reduce
     entries = [[{} for _ in reps] for _ in reps]
     for w, c in s.codes.items():
         for j, wj in enumerate(reps):
-            wi, lam = lattice.reduce(add_words(w, wj))
-            i, neg_e = slot[wi]
-            entries[i][j][lam] = frob_code(c, neg_e)
-    nvars = len(lattice.basis)
-    return [[LaurentPoly(ctx.level, nvars, e) for e in row] for row in entries]
+            v = add_words(w, wj)
+            i, neg_wi, neg_e = slot[to_box(v)[0]]
+            entries[i][j][add_words(v, neg_wi)] = frob_code(c, neg_e)
+    return entries
 
 
 class CentralFraction:
@@ -302,27 +315,20 @@ class CentralFraction:
         lat = lattice if lattice is not None else kernel_lattice(ctx)
         if not is_central_structural(den, lat):
             raise ValueError("denominator is not central at this level")
-        self.ctx = ctx
-        self.num = num
-        self.den = den
+        self.ctx, self.num, self.den = ctx, num, den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def _check(self, other: "CentralFraction"):
         if not same_context(self.ctx, other.ctx):
-            raise ContextMismatchError(
-                "cross-level fraction arithmetic requires lifting both "
-                "operands to the larger level first"
-            )
+            raise ContextMismatchError("cross-level fraction arithmetic requires "
+                                       "lifting both operands to the larger level first")
 
     def __add__(self, other):
         self._check(other)
-        return CentralFraction(
-            self.ctx,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        return CentralFraction(self.ctx, self.num * other.den + other.num * self.den,
+                               self.den * other.den)
 
     def __neg__(self):
         return CentralFraction(self.ctx, -self.num, self.den)
@@ -333,9 +339,7 @@ class CentralFraction:
     def __mul__(self, other):
         self._check(other)
         # denominators are central, so they slide out of the product
-        return CentralFraction(
-            self.ctx, self.num * other.num, self.den * other.den
-        )
+        return CentralFraction(self.ctx, self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, CentralFraction):
@@ -358,8 +362,7 @@ class CentralFraction:
         """
         if same_context(self.ctx, target):
             return self
-        num = self.num.lift_to(target)
-        den = self.den.lift_to(target)
+        num, den = self.num.lift_to(target), self.den.lift_to(target)
         lat = kernel_lattice(target)
         if is_central_structural(den, lat):
             return CentralFraction(target, num, den, lattice=lat)
@@ -369,56 +372,51 @@ class CentralFraction:
 
 def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     """(s_adj, Nrd(s)) with s * s_adj = s_adj * s = Nrd(s) central, both
-    verified; Nrd(s) = det rho(s) comes back as a Laurent polynomial in the
-    lattice coordinates."""
+    verified; Nrd(s) = det rho(s) comes back as {Lambda-word: code}."""
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
     d = lattice.index
     if len(s.codes) ** d > INVERSION_BUDGET:
-        raise BudgetError(
-            f"inverting a {len(s.codes)}-term element at degree {d} may form "
-            f"{len(s.codes)}^{d} terms per minor, over the budget {INVERSION_BUDGET}"
-        )
-    one = LaurentPoly.constant(ctx.level, len(lattice.basis), 1)
-    e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (d - 1)
-    reps = lattice.box_representatives()
-    nrd, adj = bareiss_solve(splitting_representation(s, lattice), e0)
-    if nrd.is_zero():
+        raise BudgetError(f"inverting a {len(s.codes)}-term element at degree {d} may "
+                          f"form {len(s.codes)}^{d} terms per minor, over the budget "
+                          f"{INVERSION_BUDGET}")
+    add_words, frob_code = ctx.add_words, ctx.level.frob_code
+    e0 = [{(0,) * ctx.n: 1}] + [{}] * (d - 1)
+    nrd, adj = _bareiss(ctx.level, add_words, splitting_representation(s, lattice), e0)
+    if not nrd:
         raise InternalFaultError("splitting representation of a nonzero element "
                                  "is singular; this falsifies the construction")
     # s_adj = sum_i x^(w_i) adj_i, and x^(w_i) c x^v = sigma_(w_i)(c) x^(w_i + v):
     # splitting_representation run backwards, with no ring product
-    add_words, frob_code, codes = ctx.add_words, ctx.level.frob_code, {}
-    for wi, a in zip(reps, adj):
+    codes = {}
+    for wi, a in zip(lattice.box_representatives(), adj):
         e = ctx.word_exponent(wi)
-        for v, c in a.terms.items():
-            codes[add_words(wi, lattice.from_lattice_coordinates(v))] = frob_code(c, e)
-    s_adj = _from_codes(ctx, codes)
-    w = laurent_to_central(nrd, ctx, lattice)
+        for v, c in a.items():
+            codes[add_words(wi, v)] = frob_code(c, e)
+    s_adj, w = _from_codes(ctx, codes), _from_codes(ctx, nrd)
     if (not is_central_structural(w, lattice)
             or s * s_adj != w or s_adj * s != w):
         raise InternalFaultError("reduced-norm verification failed")
     return s_adj, nrd
 
 
-def _norm_powers(nrd: LaurentPoly, d: int):
+def _norm_powers(F, add, nrd: dict, d: int):
     """(Nrd^(d-1), Nrd^d) from the base-r digits of the exponents, r the
     characteristic.  Nrd^(r^j) is termwise, c u^e -> c^(r^j) u^(r^j e), so
     Nrd^m takes one product less than the digit sum of m: at d = 2^k in
     characteristic 2, k - 1 for Nrd^(d-1) and none for Nrd^d."""
-    F, r = nrd.field, nrd.field.char
+    exp, log, units, r = F.exp, F.log, F.units, F.char
 
     def power(m):
         factors, t = [], 1
         while m:
             m, digit = divmod(m, r)
             if digit:
-                factors += [LaurentPoly(F, nrd.nvars, {
-                    tuple(t * v for v in e): F.exp[F.log[c] * t % F.units]
-                    for e, c in nrd.terms.items()})] * digit
+                factors += [{tuple(t * v for v in e): exp[log[c] * t % units]
+                             for e, c in nrd.items()}] * digit
             t *= r
-        return (reduce(operator.mul, factors) if factors
-                else LaurentPoly.constant(F, nrd.nvars, 1))
+        return (reduce(partial(_mul, F, add), factors) if factors
+                else {(0,) * len(next(iter(nrd))): 1})
 
     return power(d - 1), power(d)
 
@@ -429,34 +427,33 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     adjugate column and determinant of the p^(2k) regular representation,
     since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9)."""
     s_adj, nrd = _reduced_norm(s, ctx, lattice)
-    power, norm = _norm_powers(nrd, lattice.index)
-    return (s_adj * laurent_to_central(power, ctx, lattice),
-            laurent_to_central(norm, ctx, lattice))
+    power, norm = _norm_powers(ctx.level, ctx.add_words, nrd, lattice.index)
+    return s_adj * _from_codes(ctx, power), _from_codes(ctx, norm)
 
 
 def invert(f: CentralFraction) -> CentralFraction:
     """Exact inverse of a nonzero central fraction, verified to multiply to 1.
 
     The numerator s is cleared through its reduced norm (BudgetError past
-    INVERSION_BUDGET), which verifies s s_adj = s_adj s = Nrd(s) central.
-    The inverse is f.den s_adj Nrd^(d-1) / Nrd^d, normalized on the way: the
-    central unit u = lead^(-1) x^(-content) of Nrd^d is folded into the
-    central factor Nrd^(d-1), so the denominator Nrd^d u is content-free with
-    lex-leading coefficient 1.  Before it is returned, f.num * num ==
-    f.den * den is checked, which is f * g == 1.  A homogeneous numerator has
-    a monomial reduced norm, so it gets denominator 1 and its unique inverse.
+    INVERSION_BUDGET).  The inverse is f.den s_adj Nrd^(d-1) / Nrd^d, with
+    the central unit u = lead^(-1) x^(-content) of Nrd^d, both read in
+    lattice coordinates, folded into both powers as a shift and a scaling:
+    the denominator Nrd^d u is content-free with lex-leading coefficient 1.
+    f.num * num == f.den * den, which is f * g == 1, is checked.  A
+    homogeneous numerator has a monomial reduced norm, so it gets
+    denominator 1 and its unique inverse.
     """
     if f.is_zero():
         raise NotAUnitError("the zero fraction has no inverse")
-    ctx = f.ctx
+    ctx, F, add = f.ctx, f.ctx.level, f.ctx.add_words
     lat = kernel_lattice(ctx)
     s_adj, nrd = _reduced_norm(f.num, ctx, lat)
-    power, norm = _norm_powers(nrd, lat.index)
-    content = norm.min_exponents()
-    u = LaurentPoly(ctx.level, nrd.nvars, {
-        tuple(-v for v in content): ctx.level.inv(norm.leading()[1])})
-    num = f.den * s_adj * laurent_to_central(power * u, ctx, lat)
-    den = laurent_to_central(norm * u, ctx, lat)
+    power, norm = _norm_powers(F, add, nrd, lat.index)
+    coords = {lat.lattice_coordinates(w): c for w, c in norm.items()}
+    unit = lat.from_lattice_coordinates(tuple(-v for v in _content(coords)))
+    inv_lead = F.inv(coords[max(coords)])
+    num = f.den * s_adj * _from_codes(ctx, _scaled(F, add, power, unit, inv_lead))
+    den = _from_codes(ctx, _scaled(F, add, norm, unit, inv_lead))
     if f.num * num != f.den * den:
         raise InternalFaultError("inverse verification failed")
     return CentralFraction(ctx, num, den, lattice=lat)
@@ -466,19 +463,14 @@ def center_of_quotient_test(f: CentralFraction, probe_level: int) -> bool:
     """Does the fraction commute with everything at the probe level?
 
     Lift numerator r and denominator z and test r*u*z == z*u*r against each
-    group generator u and the probe level's field generator; because z is
-    central at the home level, this is equivalent to the fraction being
-    central in the probe-level quotient ring, without inverting anything.
-    Elements of GF(q) pass at every probe level; anything else eventually
-    fails as the probe level grows.
+    group generator u and the probe level's field generator; as z is central
+    at the home level, that is the fraction being central in the probe-level
+    quotient ring, with nothing inverted.  Elements of GF(q) pass at every
+    probe level; anything else eventually fails as the probe level grows.
     """
     if probe_level < f.ctx.k:
         raise ValueError("probe level must not be below the fraction's level")
     target = f.ctx.lift_level(probe_level)
-    r = f.num.lift_to(target)
-    z = f.den.lift_to(target)
-    probes = target.gens() + [target.scalar(target.theta())]
-    for u in probes:
-        if r * u * z != z * u * r:
-            return False
-    return True
+    r, z = f.num.lift_to(target), f.den.lift_to(target)
+    return all(r * u * z == z * u * r
+               for u in target.gens() + [target.scalar(target.theta())])

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .action import action_exponent
 from .errors import InternalFaultError, SeparationError
 from .ring import RingContext, RingElement, _from_codes, _mul_codes
 from .tower import FieldElement
@@ -74,6 +73,9 @@ def random_separable_element(ctx: RingContext, rng, max_support: int = 4,
     whose digits start high keep some directions unseparated below budget.
     """
     window = ctx.tower.p**ctx.tower.k_max - 1
+    if window < 2:
+        raise ValueError(f"a window of {window} first coordinates (p^k_max - 1) "
+                         "cannot hold two distinct support points")
     size = rng.randint(2, max(2, min(max_support, window)))
     firsts = rng.sample(range(-coord_bound, -coord_bound + window), size)
     codes = {}
@@ -92,14 +94,17 @@ def separating_level(ctx: RingContext, support) -> int:
     g - h acts trivially iff g and h act alike, so each level compares the
     exponents of the points instead of those of their differences.
     """
-    return _separation(ctx, [tuple(w) for w in support])[0]
+    support = [tuple(w) for w in support]
+    if any(len(w) != ctx.n for w in support):
+        raise ValueError(f"every word must have length {ctx.n}")
+    return _separation(ctx, support)[0]
 
 
 def _separation(ctx: RingContext, support: list) -> tuple:
     """(separating level, the points' action exponents at k_max)."""
     if len(support) < 2:
         raise ValueError("separation needs at least two support points")
-    top = [action_exponent(ctx.action, w, ctx.tower.k_max) for w in support]
+    top = list(map(ctx.lift_level(ctx.tower.k_max)._exponent, support))
     for k in range(1, ctx.tower.k_max + 1):
         exps = [e % ctx.action.p**k for e in top]  # truncations agree mod p^k
         if len(set(exps)) == len(exps):

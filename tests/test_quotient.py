@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import quotient
-from twistlab.action import default_action
+from twistlab.action import ActionConfig, PAdicExponent, default_action
 from twistlab.center import free_basis, is_central_structural, kernel_lattice, recompose
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.fields import BaseField
@@ -21,11 +21,10 @@ from twistlab.quotient import (
     center_of_quotient_test,
     central_to_laurent,
     invert,
-    laurent_to_central,
     regular_representation,
     splitting_representation,
 )
-from twistlab.ring import RingContext, parse_element
+from twistlab.ring import RingContext, _from_codes, parse_element, word_adder
 from twistlab.tower import TowerConfig, build_tower
 from twistlab.verify import check_quotient_center, run_all
 
@@ -33,6 +32,13 @@ from twistlab.verify import check_quotient_center, run_all
 @pytest.fixture(scope="module")
 def lat1(ctx_n1_k1):
     return kernel_lattice(ctx_n1_k1)
+
+
+def laurent_to_central(poly, ctx, lattice):
+    """The element of L[Lambda] with these lattice coordinates, the inverse
+    of central_to_laurent."""
+    return _from_codes(ctx, {
+        lattice.from_lattice_coordinates(e): c for e, c in poly.terms.items()})
 
 
 def frac(ctx, num, den=None, lat=None):
@@ -123,7 +129,8 @@ def test_norm_powers_by_frobenius_match_repeated_products(p, q):
         powers = [LaurentPoly.constant(ctx.level, 2, 1)]
         for _ in range(d):
             powers.append(powers[-1] * nrd)
-        assert _norm_powers(nrd, d) == (powers[d - 1], powers[d])
+        assert _norm_powers(ctx.level, word_adder(2), nrd.terms, d) == (
+            powers[d - 1].terms, powers[d].terms)
 
 
 def schoolbook_mul(a, b):
@@ -574,7 +581,7 @@ def test_central_multiple_matches_regular_representation(p, q, k, n, count):
         s = ctx.random_element(rng, max_terms=3, min_terms=2)
         s_prime, w, det = reference_central_multiple(s, ctx, lat)
         assert _central_multiple(s, ctx, lat) == (s_prime, w)
-        nrd, _ = bareiss_solve(splitting_representation(s, lat))
+        nrd, _ = bareiss_solve(reference_splitting(s, lat))
         power = LaurentPoly.constant(nrd.field, nrd.nvars, 1)
         for _ in range(d):
             power = power * nrd
@@ -609,17 +616,126 @@ def test_invert_matches_reference_bytes(p, q, k, n, count):
                 want.num.to_literal(), want.den.to_literal())
 
 
+# -- the former inversion on LaurentPoly, kept as an oracle --------------------
+# Before central values stayed {Lambda-word: code} dicts, invert built rho(s),
+# Nrd(s), the adjugate column and the norm powers as LaurentPoly objects in
+# lattice coordinates, read the adjugate back through from_lattice_coordinates
+# and normalized by a LaurentPoly product with the unit.
+
+
+def reference_splitting(s, lat):
+    """rho(s) with LaurentPoly entries keyed by lattice coordinates."""
+    ctx, reps = s.ctx, lat.box_representatives()
+    slot = {w: (i, -ctx.word_exponent(w)) for i, w in enumerate(reps)}
+    entries = [[{} for _ in reps] for _ in reps]
+    for w, c in s.codes.items():
+        for j, wj in enumerate(reps):
+            wi, lam = lat.reduce(ctx.add_words(w, wj))
+            i, neg_e = slot[wi]
+            entries[i][j][lam] = ctx.level.frob_code(c, neg_e)
+    return [[LaurentPoly(ctx.level, len(lat.basis), e) for e in row] for row in entries]
+
+
+def splitting_view(s, lat):
+    """splitting_representation with every entry viewed in lattice coordinates."""
+    return [[LaurentPoly(s.ctx.level, len(lat.basis),
+                         {lat.lattice_coordinates(w): c for w, c in e.items()})
+             for e in row] for row in splitting_representation(s, lat)]
+
+
+def reference_norm_powers(nrd, d):
+    F, r = nrd.field, nrd.field.char
+
+    def power(m):
+        out, t = LaurentPoly.constant(F, nrd.nvars, 1), 1
+        while m:
+            m, digit = divmod(m, r)
+            for _ in range(digit):
+                out = out * LaurentPoly(F, nrd.nvars, {
+                    tuple(t * v for v in e): F.exp[F.log[c] * t % F.units]
+                    for e, c in nrd.terms.items()})
+            t *= r
+        return out
+
+    return power(d - 1), power(d)
+
+
+def reference_laurent_invert(f, lat):
+    ctx = f.ctx
+    one = LaurentPoly.constant(ctx.level, len(lat.basis), 1)
+    e0 = [one] + [LaurentPoly.zero(ctx.level, one.nvars)] * (lat.index - 1)
+    nrd, adj = bareiss_solve(reference_splitting(f.num, lat), e0)
+    codes = {}
+    for wi, a in zip(lat.box_representatives(), adj):
+        e = ctx.word_exponent(wi)
+        for v, c in a.terms.items():
+            word = ctx.add_words(wi, lat.from_lattice_coordinates(v))
+            codes[word] = ctx.level.frob_code(c, e)
+    s_adj = _from_codes(ctx, codes)
+    power, norm = reference_norm_powers(nrd, lat.index)
+    u = LaurentPoly(ctx.level, nrd.nvars, {
+        tuple(-v for v in norm.min_exponents()): ctx.level.inv(norm.leading()[1])})
+    num = f.den * s_adj * laurent_to_central(power * u, ctx, lat)
+    return num, laurent_to_central(norm * u, ctx, lat)
+
+
+# the default actions have diagonal kernel lattices, where the monomial content
+# in words and in lattice coordinates agree; exponents 1 and 1 + 2^3 at p = 2
+# give the skewed bases (1, 1), (0, 2) at k = 1 and (1, -1), (0, 4) at k = 2
+SKEW = (PAdicExponent.one(), PAdicExponent.from_positions([0, 3]))
+LAURENT_ORACLE_CASES = [(2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 1, 2), (2, 2, 2, 2),
+                        (2, 4, 1, 1), (3, 3, 1, 1), (2, 2, 2, 1, SKEW),
+                        (2, 2, 2, 2, SKEW), (2, 4, 2, 1, SKEW)]
+
+
+def seeded_fractions(p, q, n, k, exponents=None, count=4):
+    ctx = context(p, q, k, n) if exponents is None else RingContext(
+        build_tower(TowerConfig(p, q, k)), ActionConfig(n, p, exponents), k)
+    lat = kernel_lattice(ctx)
+    rng = random.Random(3000 * p + 300 * q + 30 * n + k)
+    for _ in range(count):
+        num = ctx.random_element(rng, max_terms=3, min_terms=2)
+        central = ctx.monomial(ctx.level.from_base(rng.randrange(1, q)),
+                               lat.from_lattice_coordinates(
+                                   [rng.randint(-2, 2) for _ in range(n)]))
+        for den in (ctx.one(), central, central + ctx.one()):
+            if not den.is_zero():
+                yield CentralFraction(ctx, num, den, lattice=lat), lat
+
+
+@pytest.mark.parametrize("case", LAURENT_ORACLE_CASES, ids=lambda c: "-".join(
+    map(str, c[:4])) + "-skew" * (len(c) > 4))
+def test_invert_matches_former_laurent_path(case):
+    for f, lat in seeded_fractions(*case):
+        got = invert(f)
+        num, den = reference_laurent_invert(f, lat)
+        assert (got.num.to_literal(), got.den.to_literal()) == (
+            num.to_literal(), den.to_literal())
+
+
+def test_invert_constructs_no_laurent_poly(monkeypatch):
+    calls, init = [], LaurentPoly.__init__
+    monkeypatch.setattr(LaurentPoly, "__init__",
+                        lambda self, *a: calls.append(a) or init(self, *a))
+    for case in LAURENT_ORACLE_CASES:
+        for f, lat in seeded_fractions(*case, count=2):
+            invert(f)
+            _central_multiple(f.num, f.ctx, lat)
+    assert calls == []
+    LaurentPoly.constant(BaseField(2), 1, 1)  # the counter sees a view
+    assert len(calls) == 1
+
+
 def test_wrong_adjugate_entry_fails_reduced_norm_check(ctx_n1_k1, lat1, monkeypatch):
     f = frac(ctx_n1_k1, ctx_n1_k1.one() + ctx_n1_k1.gen(1), lat=lat1)
     invert(f)
-    solve = quotient.bareiss_solve
+    solve = quotient._bareiss
 
-    def corrupted(matrix, rhs=None):
-        det, adj = solve(matrix, rhs)
-        one = LaurentPoly.constant(det.field, det.nvars, 1)
-        return det, [adj[0] + one] + adj[1:]
+    def corrupted(field, add, matrix, rhs=None):
+        det, adj = solve(field, add, matrix, rhs)
+        return det, [quotient._combine(field.add, adj[0], {(0,): 1})] + adj[1:]
 
-    monkeypatch.setattr(quotient, "bareiss_solve", corrupted)
+    monkeypatch.setattr(quotient, "_bareiss", corrupted)
     with pytest.raises(InternalFaultError, match="reduced-norm verification failed"):
         invert(f)
 
@@ -661,11 +777,12 @@ def test_splitting_representation_is_multiplicative_on_basis_monomials(p, k, n):
     monomials = [ctx.monomial(theta**a, w)
                  for a in range(d) for w in lat.box_representatives()]
     assert len(monomials) == d * d
-    rho = {id(m): splitting_representation(m, lat) for m in monomials}
+    rho = {id(m): splitting_view(m, lat) for m in monomials}
     for x in monomials:
+        assert rho[id(x)] == reference_splitting(x, lat)
         for y in monomials:
-            assert mat_mul(rho[id(x)], rho[id(y)]) == splitting_representation(x * y, lat)
-    assert splitting_representation(ctx.one(), lat) == [
+            assert mat_mul(rho[id(x)], rho[id(y)]) == splitting_view(x * y, lat)
+    assert splitting_view(ctx.one(), lat) == [
         [LaurentPoly.constant(ctx.level, n, 1 if i == j else 0) for j in range(d)]
         for i in range(d)
     ]

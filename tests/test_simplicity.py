@@ -172,6 +172,10 @@ def test_separating_level_examples(ctx_n2_k1):
 def test_separating_level_needs_two_points(ctx_n2_k1):
     with pytest.raises(ValueError):
         separating_level(ctx_n2_k1, [(0, 0)])
+    # words of the wrong length are refused, not read by the compiled exponent
+    for support in ([(0, 0), (1,)], [(0, 0), (1, 0, 5)]):
+        with pytest.raises(ValueError, match="length 2"):
+            separating_level(ctx_n2_k1, support)
 
 
 def test_separation_error_names_blocking_pair(ctx_n2_k1):
@@ -331,3 +335,16 @@ def test_replay_refuses_lower_levels_and_foreign_coefficients(ctx_n2_k1):
                     step._replace(lam=ctx_n2_k1.theta())):
         with pytest.raises(ValueError):
             replay_trace(trace._replace(steps=(foreign,)))
+
+
+def test_separable_sampler_refuses_a_one_word_window():
+    # at p = 2, k_max = 1 the first coordinates come from p^k_max - 1 = 1
+    # word, too few for two support points; run_all reports the check unrun
+    ctx = RingContext(build_tower(TowerConfig(2, 2, 1)), default_action(2, 2), 1)
+    with pytest.raises(ValueError, match="window of 1 first coordinates"):
+        random_separable_element(ctx, random.Random(0))
+    from twistlab.verify import run_all
+    results = {r.name: r for r in run_all(2, 2, 2, 1, 0, trials=20)}
+    check = results["simplicity.unit_in_ideal_with_audit"]
+    assert not check.passed
+    assert check.detail.startswith("not run: a window of 1 first coordinates")
