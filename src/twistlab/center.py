@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .action import action_exponent
+from .action import EXPONENT_HORIZON, action_exponent
 from .errors import IndependenceError, InternalFaultError
 from .ring import RingContext, RingElement, _check_ints, _from_codes, _straight_line
 
@@ -59,12 +59,9 @@ def hnf(rows) -> list:
         if mat[done][col] < 0:
             mat[done] = [-a for a in mat[done]]
         done += 1
-    mat = [row for row in mat[:done]]
+    mat = mat[:done]
     # centered reduction of entries above each pivot
-    pivots = []
-    for row in mat:
-        pc = next(i for i, v in enumerate(row) if v)
-        pivots.append(pc)
+    pivots = [next(i for i, v in enumerate(row) if v) for row in mat]
     for j in range(1, len(mat)):
         pc, d = pivots[j], mat[j][pivots[j]]
         for i in range(j):
@@ -173,18 +170,24 @@ def is_central(r: RingElement) -> bool:
     """Commutator test against the group generators and the field generator."""
     ctx = r.ctx
     theta = ctx.scalar(ctx.theta())
-    if r * theta != theta * r:
-        return False
-    for x in ctx.gens():
-        if r * x != x * r:
-            return False
-    return True
+    return r * theta == theta * r and all(r * x == x * r for x in ctx.gens())
 
 
 def is_central_structural(r: RingElement, lattice: KernelLattice) -> bool:
     """Structural test: support inside the kernel lattice, coefficients in GF(q)."""
     q = r.ctx.level.base.q
     return all(c < q and lattice.contains(w) for w, c in r.codes.items())
+
+
+def exit_level(z: RingElement) -> Optional[int]:
+    """Least level where the central element z stops being central: 1 + the
+    least v_p(sum w_i a_i) over its words w, each sum taken at the horizon
+    (truncations never carry).  None when every sum vanishes at the horizon,
+    GF(q) scalars included: undecided, never reported as central."""
+    p, ts = z.ctx.tower.p, z.ctx.action.truncations(EXPONENT_HORIZON)
+    exits = [next((v for v in range(1, EXPONENT_HORIZON + 1) if s % p**v), None)
+             for s in (sum(g * t for g, t in zip(w, ts)) for w in z.codes)]
+    return min((e for e in exits if e is not None), default=None)
 
 
 class FreeBasis(NamedTuple):

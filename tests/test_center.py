@@ -4,9 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistlab.action import ActionConfig, PAdicExponent, action_exponent, default_action
+from twistlab.action import (
+    EXPONENT_HORIZON,
+    ActionConfig,
+    PAdicExponent,
+    action_exponent,
+    default_action,
+)
 from twistlab.center import (
     decompose_over_center,
+    exit_level,
     free_basis,
     hnf,
     is_central,
@@ -16,7 +23,8 @@ from twistlab.center import (
     recompose,
 )
 from twistlab.errors import IndependenceError
-from twistlab.ring import RingContext, RingElement
+from twistlab.quotient import CentralFraction, center_of_quotient_test
+from twistlab.ring import RingContext, RingElement, _from_codes
 from twistlab.tower import TowerConfig, build_tower
 
 
@@ -411,3 +419,50 @@ def test_degenerate_level_zero(tower223, action_n2):
         r = ctx0.random_element(rng)
         assert is_central(r)  # the whole ring is its own center
         assert recompose(decompose_over_center(r, fb, lat), fb) == r
+
+
+@pytest.mark.parametrize("p,q,n,k_max", [
+    (2, 2, 2, 4), (2, 2, 1, 4), (3, 3, 1, 2), (2, 4, 2, 3),
+])
+def test_exit_level_matches_the_commutation_probe(p, q, n, k_max):
+    # oracle: a central z of R_1 commutes in the quotient ring at level m,
+    # by the product probe, iff m lies below its exit level
+    ctx = RingContext(build_tower(TowerConfig(p, q, k_max)), default_action(n, p), 1)
+    lat = kernel_lattice(ctx)
+    rng = random.Random(1000 * p + 100 * q + 10 * n + k_max)
+    exits = []
+    for _ in range(30):
+        codes = {}
+        for _ in range(rng.randint(1, 3)):
+            coords = tuple(rng.randint(-8, 8) for _ in range(n))
+            codes[lat.from_lattice_coordinates(coords)] = rng.randrange(1, q)
+        z = _from_codes(ctx, codes)
+        e = exit_level(z)
+        f = CentralFraction(ctx, z, ctx.one(), lattice=lat)
+        for m in range(1, k_max + 1):
+            assert center_of_quotient_test(f, m) == (e is None or m < e), (z, e, m)
+        exits.append(e)
+    # both sides are exercised: exits inside the tower and above it
+    assert any(e is not None and e <= k_max for e in exits)
+    assert any(e is None or e > k_max for e in exits)
+
+
+def test_exit_level_of_base_field_scalars_is_undecided(ctx_n2_k1):
+    for c in range(1, ctx_n2_k1.tower.q):
+        assert exit_level(ctx_n2_k1.scalar(ctx_n2_k1.level.from_base(c))) is None
+    assert exit_level(ctx_n2_k1.zero()) is None
+
+
+def test_exit_level_past_the_horizon_is_undecided_not_central():
+    # a_2 = 1 + 2^64 agrees with a_1 = 1 at the horizon, so x^(1, -1) acts
+    # trivially on every level up to it: its exit level 65 lies past the
+    # horizon and is reported as None
+    action = ActionConfig(
+        2, 2, [PAdicExponent.one(), PAdicExponent((0, EXPONENT_HORIZON))])
+    ctx = RingContext(build_tower(TowerConfig(2, 2, 3)), action, 1, certify=False)
+    z = ctx.monomial(1, (1, -1))
+    assert exit_level(z) is None
+    assert all(is_central(z.lift_to(ctx.lift_level(m))) for m in (1, 2, 3))
+    # the vanishing word hides no other word: x^(2, 0) leaves at level 2
+    assert exit_level(z + ctx.monomial(1, (2, 0))) == 2
+    assert exit_level(ctx.monomial(1, (4, 0)) + ctx.monomial(1, (2, -2))) == 3

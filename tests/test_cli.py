@@ -387,8 +387,38 @@ def test_verify_all_report_bytes_are_pinned(capsys):
     assert main(["verify-all", "--n", "2", "--kmax", "2"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "6e513801f80761bb3eab359d298809cb9ea9d42fcbdbdbbd38ae6a78665a27fa"
+        "85ade6a8ea46a6e0c603481eeaccbc8e51ca3e8ff02be686ec35a4ecbf256147"
     )
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3)])
+def test_verify_all_at_kmax_1_skips_what_needs_level_2(tmp_path, capsys, p, q):
+    code, text = run(tmp_path, "verify-all", "--p", str(p), "--q", str(q),
+                     "--n", "2", "--kmax", "1")
+    err = capsys.readouterr().err
+    assert code == 0
+    result = json.loads(text)["result"]
+    skipped = [c for c in result["checks"] if c["passed"] is None]
+    assert result["all_passed"] is True
+    assert all(c["passed"] is True for c in result["checks"] if c not in skipped)
+    assert {c["name"] for c in skipped} >= {
+        "ring.level_embedding_hom", "center.lattice_nesting",
+        "simplicity.ascends_for_central_elements", "pi.frontier_rises_with_level",
+        "quotient.center_collapses_to_base"}
+    assert all(c["detail"].startswith("not run: ") for c in skipped)
+    assert '"passed": null' in text
+    lines = err.splitlines()
+    assert [ln for ln in lines if ln.startswith("SKIP  ")] == [
+        f"SKIP  {c['name']}: {c['detail']}" for c in skipped]
+    assert len(lines) == len(result["checks"])
+    assert not any(ln.startswith("FAIL") for ln in lines)
+
+
+def test_verify_all_at_kmax_0_exits_2(tmp_path, capsys):
+    code, text = run(tmp_path, "verify-all", "--kmax", "0")
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "error:" in err and "Traceback" not in err
 
 
 GROWTH_GOLDENS = [
