@@ -32,55 +32,12 @@ from .verify import run_all
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
+# a report's config is every parsed option but these
+NOT_CONFIG = ("command", "func", "out", "format", "config", "exponents")
 
 
 def _budget() -> int:
     return int(os.environ.get("TWISTLAB_FIELD_BUDGET", DEFAULT_FIELD_BUDGET))
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(command: str, config: dict, result) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "result": result,
-    }
-
-
-def _add_common(p: argparse.ArgumentParser, with_n=True, with_k=True):
-    p.add_argument("--p", type=int, default=2, help="tower prime")
-    p.add_argument("--q", type=int, default=2, help="base field order")
-    if with_n:
-        p.add_argument("--n", type=int, default=2, help="rank of the acting group")
-    if with_k:
-        p.add_argument("--k", type=int, default=1, help="working level")
-    p.add_argument("--kmax", type=int, default=None, help="highest level to build")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--out", type=str, default=None, help="output path (stdout)")
-    p.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="output format"
-    )
-    p.add_argument(
-        "--config", type=str, default=None,
-        help="JSON file with defaults for any of the flags above",
-    )
-    p.add_argument(
-        "--exponents", type=str, default=None,
-        help="JSON list of digit-position lists overriding the default "
-        "acting exponents, e.g. '[[0],[0,9]]'",
-    )
 
 
 def _config_value(action, value):
@@ -120,8 +77,7 @@ def _apply_config_file(args, argv, ap):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    parser = sub.choices[args.command]
+    parser = ap.commands[args.command]
     options = {
         a.dest: a for a in parser._actions
         if a.option_strings and a.dest not in ("help", "config")
@@ -137,11 +93,10 @@ def _apply_config_file(args, argv, ap):
     return ap.parse_args(argv)
 
 
-def _action(args, n=None) -> object:
-    n = n if n is not None else args.n
+def _action(args) -> object:
     # refuse an uncertifiable rank before building n exponents
-    check_certification_budget(n, DEFAULT_CERT_BOUND)
-    spec = getattr(args, "exponents", None)
+    check_certification_budget(args.n, DEFAULT_CERT_BOUND)
+    spec = args.exponents
     if spec:
         positions = json.loads(spec)
         if not isinstance(positions, list) or not all(
@@ -152,91 +107,57 @@ def _action(args, n=None) -> object:
                 f"--exponents must be a JSON list of lists of integers, got {spec}"
             )
         return ActionConfig(
-            n, args.p, [PAdicExponent.from_positions(ps) for ps in positions]
+            args.n, args.p, [PAdicExponent.from_positions(ps) for ps in positions]
         )
-    return default_action(n, args.p)
+    return default_action(args.n, args.p)
 
 
-def _context(args, k=None, n=None) -> RingContext:
+def _context(args, k=None) -> RingContext:
     k = args.k if k is None else k
     k_max = args.kmax if args.kmax is not None else max(k, 2)
     tower = build_tower(TowerConfig(args.p, args.q, k_max), budget=_budget())
-    return RingContext(tower, _action(args, n), k)
+    return RingContext(tower, _action(args), k)
 
 
-def _resolved(args, **extra) -> dict:
-    out = {"p": args.p, "q": args.q, "seed": args.seed}
-    for key in ("n", "k", "kmax"):
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    out.update(extra)
-    return out
+# Each cmd_* returns (result, passed, *stderr lines); result is the report's
+# "result" value, or text written as it is (growth's CSV).
+def cmd_tower(args):
+    args.kmax = 2 if args.kmax is None else args.kmax  # reported resolved
+    tower = build_tower(TowerConfig(args.p, args.q, args.kmax), budget=_budget())
+    return tower_to_json(tower), True
 
 
-def cmd_tower(args) -> int:
-    k_max = args.kmax if args.kmax is not None else 2
-    tower = build_tower(TowerConfig(args.p, args.q, k_max), budget=_budget())
-    report = _report("tower", _resolved(args, kmax=k_max), tower_to_json(tower))
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK
+def cmd_center(args):
+    return kernel_lattice(_context(args)).to_json_dict(), True
 
 
-def cmd_center(args) -> int:
-    ctx = _context(args)
-    lattice = kernel_lattice(ctx)
-    report = _report("center", _resolved(args), lattice.to_json_dict())
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK
-
-
-def cmd_simplicity(args) -> int:
-    ctx = _context(args)
-    element = parse_element(ctx, args.element)
-    trace = unit_in_ideal(element)
+def cmd_simplicity(args):
+    trace = unit_in_ideal(parse_element(_context(args), args.element))
     ok = replay_trace(trace) == trace.final_unit
-    report = _report(
-        "simplicity", _resolved(args, element=args.element),
-        {"trace": trace.to_json_dict(), "audit_replay_ok": ok},
-    )
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return {"trace": trace.to_json_dict(), "audit_replay_ok": ok}, ok
 
 
-def cmd_pi_test(args) -> int:
-    ctx = _context(args)
-    rep = test_identity(ctx, args.degree, args.trials, seed=args.seed)
+def cmd_pi_test(args):
+    rep = test_identity(_context(args), args.degree, args.trials, seed=args.seed)
     verdict = (
         f"degree {args.degree} vanished in all {rep.trials} trials"
         if rep.is_identity_evidence()
         else f"degree {args.degree} witness found (trial count {rep.trials})"
     )
-    report = _report(
-        "pi-test",
-        _resolved(args, degree=args.degree, trials=args.trials),
-        {"report": rep.to_json_dict(), "verdict": verdict},
-    )
-    _emit(_canonical_json(report), args.out)
-    sys.stderr.write(verdict + "\n")
-    return EXIT_OK
+    return {"report": rep.to_json_dict(), "verdict": verdict}, True, verdict
 
 
-def cmd_pi_scan(args) -> int:
-    contexts = [_context(args, k=k) for k in range(1, args.k + 1)]
+def cmd_pi_scan(args):
+    contexts = [_context(args, k) for k in range(1, args.k + 1)]
     rows = pi_degree_scan(contexts, args.trials, seed=args.seed)
     frontier = [r.largest_failing_degree or 0 for r in rows]
     monotone = all(b >= a for a, b in zip(frontier, frontier[1:]))
-    report = _report(
-        "pi-scan",
-        _resolved(args, trials=args.trials),
-        {"rows": [r.to_json_dict() for r in rows], "frontier_monotone": monotone},
-    )
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK if monotone else EXIT_ASSERTION
+    result = {"rows": [r.to_json_dict() for r in rows], "frontier_monotone": monotone}
+    return result, monotone
 
 
-def cmd_growth(args) -> int:
-    ctx = _context(args)
-    table = growth_table(ctx, None, n_max=args.nmax)
+def cmd_growth(args):
+    table = growth_table(_context(args), None, n_max=args.nmax)
     try:  # the table is exact either way; a short one gets no slope
         est = gk_estimate(table)
         trailer = f"# gk_estimate,{est.slope:.6f},residual,{est.residual:.6f}"
@@ -244,14 +165,8 @@ def cmd_growth(args) -> int:
     except ValueError as exc:
         trailer, fit = f"# no gk_estimate: {exc}", {"gk_estimate": None, "residual": None}
     if (args.format or "csv") == "csv":
-        _emit(table.to_csv() + trailer + "\n", args.out)
-    else:
-        report = _report(
-            "growth", _resolved(args, nmax=args.nmax),
-            {"table": table.to_json_dict(), **fit},
-        )
-        _emit(_canonical_json(report), args.out)
-    return EXIT_OK
+        return table.to_csv() + trailer + "\n", True
+    return {"table": table.to_json_dict(), **fit}, True
 
 
 def _fraction(args) -> CentralFraction:
@@ -264,59 +179,39 @@ def _fraction(args) -> CentralFraction:
     return CentralFraction(ctx, num, den)
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args):
     f = _fraction(args)
     g = invert(f)
     product = f * g
-    one = CentralFraction(f.ctx, f.ctx.one(), f.ctx.one())
-    ok = product == one
-    report = _report(
-        "invert",
-        _resolved(args, element=args.element, den=args.den),
-        {
-            "inverse_num": g.num.to_literal(),
-            "inverse_den": g.den.to_literal(),
-            "verification_product": product.to_literal(),
-            "verification_product_equals_one": ok,
-        },
-    )
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    ok = product == CentralFraction(f.ctx, f.ctx.one(), f.ctx.one())
+    return {
+        "inverse_num": g.num.to_literal(),
+        "inverse_den": g.den.to_literal(),
+        "verification_product": product.to_literal(),
+        "verification_product_equals_one": ok,
+    }, ok
 
 
-def cmd_center_probe(args) -> int:
+def cmd_center_probe(args):
     outcome = center_of_quotient_test(_fraction(args), args.probe_level)
-    report = _report(
-        "center-probe",
-        _resolved(args, element=args.element, den=args.den,
-                  probe_level=args.probe_level),
-        {"commutes_at_probe_level": outcome},
-    )
-    _emit(_canonical_json(report), args.out)
-    return EXIT_OK
+    return {"commutes_at_probe_level": outcome}, True
 
 
-def cmd_verify_all(args) -> int:
-    k_max = args.kmax if args.kmax is not None else 2
-    results = run_all(args.p, args.q, args.n, k_max, seed=args.seed,
+def cmd_verify_all(args):
+    args.kmax = 2 if args.kmax is None else args.kmax  # reported resolved
+    results = run_all(args.p, args.q, args.n, args.kmax, seed=args.seed,
                       trials=args.trials, action=_action(args))
     all_ok = False not in (r.passed for r in results)  # a skipped check is None
-    report = _report(
-        "verify-all",
-        _resolved(args, kmax=k_max, trials=args.trials),
-        {
-            "checks": [r.to_json_dict() for r in results],
-            "all_passed": all_ok,
-        },
+    verdicts = {True: "PASS", False: "FAIL", None: "SKIP"}
+    return (
+        {"checks": [r.to_json_dict() for r in results], "all_passed": all_ok},
+        all_ok,
+        *(f"{verdicts[r.passed]}  {r.name}: {r.detail}" for r in results),
     )
-    _emit(_canonical_json(report), args.out)
-    for r in results:
-        verdict = {True: "PASS", False: "FAIL", None: "SKIP"}[r.passed]
-        sys.stderr.write(f"{verdict}  {r.name}: {r.detail}\n")
-    return EXIT_OK if all_ok else EXIT_ASSERTION
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The twistlab parser; its .commands maps each subcommand to its parser."""
     ap = argparse.ArgumentParser(
         prog="twistlab",
         description="Exact experiments with twisted group rings over "
@@ -324,54 +219,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = {}
 
-    p = sub.add_parser("tower", help="build a tower and print its description")
-    _add_common(p, with_n=False, with_k=False)
-    p.set_defaults(func=cmd_tower)
+    def command(name, func, summary, with_n=True, with_k=True):
+        p = ap.commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--p", type=int, default=2, help="tower prime")
+        p.add_argument("--q", type=int, default=2, help="base field order")
+        if with_n:
+            p.add_argument("--n", type=int, default=2, help="rank of the acting group")
+        if with_k:
+            p.add_argument("--k", type=int, default=1, help="working level")
+        p.add_argument("--kmax", type=int, default=None, help="highest level to build")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--out", type=str, default=None, help="output path (stdout)")
+        p.add_argument(
+            "--format", choices=("json", "csv"), default=None, help="output format"
+        )
+        p.add_argument(
+            "--config", type=str, default=None,
+            help="JSON file with defaults for any of the flags above",
+        )
+        p.add_argument(
+            "--exponents", type=str, default=None,
+            help="JSON list of digit-position lists overriding the default "
+            "acting exponents, e.g. '[[0],[0,9]]'",
+        )
+        return p
 
-    p = sub.add_parser("center", help="kernel lattice of the level action")
-    _add_common(p)
-    p.set_defaults(func=cmd_center)
-
-    p = sub.add_parser("simplicity", help="shrink an element to a unit in its ideal")
-    _add_common(p)
+    command("tower", cmd_tower, "build a tower and print its description",
+            with_n=False, with_k=False)
+    command("center", cmd_center, "kernel lattice of the level action")
+    p = command("simplicity", cmd_simplicity, "shrink an element to a unit in its ideal")
     p.add_argument("--element", type=str, required=True, help="element literal")
-    p.set_defaults(func=cmd_simplicity)
-
-    p = sub.add_parser("pi-test", help="sample one standard polynomial")
-    _add_common(p)
+    p = command("pi-test", cmd_pi_test, "sample one standard polynomial")
     p.add_argument("--degree", type=int, required=True, help="even degree <= 8")
     p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(func=cmd_pi_test)
-
-    p = sub.add_parser("pi-scan", help="identity frontier for levels 1..k")
-    _add_common(p)
+    p = command("pi-scan", cmd_pi_scan, "identity frontier for levels 1..k")
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_pi_scan)
-
-    p = sub.add_parser("growth", help="subalgebra growth table and slope")
-    _add_common(p)
+    p = command("growth", cmd_growth, "subalgebra growth table and slope")
     p.add_argument("--nmax", type=int, default=16, help="largest product length")
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("invert", help="invert a central fraction")
-    _add_common(p)
+    p = command("invert", cmd_invert, "invert a central fraction")
     p.add_argument("--element", type=str, required=True, help="numerator literal")
     p.add_argument("--den", type=str, default=None, help="central denominator literal")
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("center-probe", help="commutation test at a higher level")
-    _add_common(p)
+    p = command("center-probe", cmd_center_probe, "commutation test at a higher level")
     p.add_argument("--element", type=str, required=True)
     p.add_argument("--den", type=str, default=None)
     p.add_argument("--probe-level", type=int, required=True, dest="probe_level")
-    p.set_defaults(func=cmd_center_probe)
-
-    p = sub.add_parser("verify-all", help="run every module's invariant suite")
-    _add_common(p, with_k=False)
+    p = command("verify-all", cmd_verify_all, "run every module's invariant suite",
+                with_k=False)
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_verify_all)
-
     return ap
 
 
@@ -381,7 +278,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args = _apply_config_file(args, argv, ap)
-        return args.func(args)
+        result, ok, *log = args.func(args)
+        text = result
+        if not isinstance(result, str):
+            config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+            report = {"command": args.command, "version": __version__,
+                      "config": config, "result": result}
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        sys.stderr.writelines(line + "\n" for line in log)
+        return EXIT_OK if ok else EXIT_ASSERTION
     except InternalFaultError as exc:
         sys.stderr.write(f"internal consistency fault: {exc}\n")
         return EXIT_ASSERTION

@@ -543,8 +543,11 @@ def run_all(p: int, q: int, n: int, k_max: int, seed: int,
     """Run every module's invariant suite at the configured size.
 
     Raises IndependenceError before running anything when the acting
-    exponents fail certification (dependent configurations refuse to run).
+    exponents fail certification (dependent configurations refuse to run),
+    and ValueError when trials < 1 (zero trials would pass vacuously).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tower = build_tower(TowerConfig(p, q, k_max))
     if action is None:
         action = default_action(n, p)

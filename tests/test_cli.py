@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from twistlab.action import default_action
-from twistlab.cli import main
+from twistlab.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -11,6 +12,30 @@ def run(tmp_path, *argv):
     code = main(list(argv) + ["--out", str(out)])
     text = out.read_text() if out.exists() else ""
     return code, text
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the stderr of pinned runs, keyed by argv; any other pinned run
+# writes nothing there
+STDERR_GOLDENS = {
+    "pi-test --k 2 --degree 8 --trials 20":
+        "1103e3c482afff21c71cbd44f60182ffa4be28e1e8bb6c05a82d8eacb4200b79",
+    "pi-test --p 3 --n 1 --k 1 --degree 4 --trials 30 --seed 5":
+        "dc991856dd7861491a0a46526332e226c4cb65266072c838fcdd09a57965ab78",
+    "verify-all --n 2 --kmax 2":
+        "c6347b87c9940f3d13bf937a66e251a875f24214558ec60241a90fac28643ab4",
+}
+
+
+def pinned_stdout_digest(capsys, argv) -> str:
+    """SHA-256 of a successful run's stdout, its stderr checked on the way."""
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert _sha256(captured.err) == STDERR_GOLDENS.get(" ".join(argv), _sha256(""))
+    return _sha256(captured.out)
 
 
 def test_tower_command(tmp_path):
@@ -298,11 +323,7 @@ INVERT_GOLDENS = [
 
 @pytest.mark.parametrize("argv,digest", INVERT_GOLDENS)
 def test_invert_report_bytes_are_pinned(capsys, argv, digest):
-    import hashlib
-
-    assert main(["invert"] + argv) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == digest
+    assert pinned_stdout_digest(capsys, ["invert"] + argv) == digest
 
 
 def test_huge_kmax_is_refused_before_any_work(tmp_path):
@@ -379,16 +400,17 @@ def test_pi_scan_without_levels_exits_2(tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+VERIFY_ALL_GOLDEN = (
+    ["verify-all", "--n", "2", "--kmax", "2"],
+    "85ade6a8ea46a6e0c603481eeaccbc8e51ca3e8ff02be686ec35a4ecbf256147",
+)
+
+
 def test_verify_all_report_bytes_are_pinned(capsys):
     # SHA-256 of the report as first recorded; any change to a check's
     # detail text or counts shows here
-    import hashlib
-
-    assert main(["verify-all", "--n", "2", "--kmax", "2"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "85ade6a8ea46a6e0c603481eeaccbc8e51ca3e8ff02be686ec35a4ecbf256147"
-    )
+    argv, digest = VERIFY_ALL_GOLDEN
+    assert pinned_stdout_digest(capsys, argv) == digest
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 3)])
@@ -431,11 +453,7 @@ GROWTH_GOLDENS = [
 
 @pytest.mark.parametrize("argv,digest", GROWTH_GOLDENS)
 def test_growth_report_bytes_are_pinned(capsys, argv, digest):
-    import hashlib
-
-    assert main(["growth"] + argv) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == digest
+    assert pinned_stdout_digest(capsys, ["growth"] + argv) == digest
 
 
 # The standard polynomial and ring sums run on level codes; these reports'
@@ -456,11 +474,62 @@ PI_GOLDENS = [
 
 @pytest.mark.parametrize("argv,digest", PI_GOLDENS)
 def test_pi_and_simplicity_report_bytes_are_pinned(capsys, argv, digest):
-    import hashlib
+    assert pinned_stdout_digest(capsys, argv) == digest
 
-    assert main(argv) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == digest
+
+# SHA-256 of tower, center and center-probe stdout as first recorded
+REPORT_GOLDENS = [
+    (["tower"],
+     "5df2f1ed3555813fe3d9e63bc4b8086f657a0eef4b166a2319366a79d4b9b65b"),
+    (["tower", "--p", "3", "--q", "9", "--kmax", "1"],
+     "5758fc6daef96f650cf7a25834b7b3114336b2d965d86b19576920fd25f747a4"),
+    (["center", "--n", "2", "--k", "2"],
+     "425c92ddcb0fd46be783f80ed83a5c110210d30ae4814d29c878746abbeec218"),
+    (["center", "--p", "3", "--q", "3", "--n", "1", "--k", "2"],
+     "10534699d621f2c6bafab186ce6781bd6030b12e5130ccc2c57391be15088e48"),
+    (["center-probe", "--n", "1", "--k", "1", "--element", "x1^2", "--probe-level", "2"],
+     "52b85a2a7824994d7fbe2da45b0ed387691468cb8b740f83cccdb4f90a049762"),
+    (["center-probe", "--n", "1", "--k", "1", "--element", "x1^4", "--probe-level", "2"],
+     "c1196569550a32d92be434f8673a5239e9846b86e1169a86182035cd10adabea"),
+    (["center-probe", "--n", "2", "--k", "1", "--element", "t*x1 + x2",
+      "--den", "1 + x1^2", "--probe-level", "2"],
+     "16c84e0871f4039a43df4995bde8f0f17889d959dd1f4a368ccdec4c0b83b5e1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_GOLDENS)
+def test_tower_and_center_report_bytes_are_pinned(capsys, argv, digest):
+    assert pinned_stdout_digest(capsys, argv) == digest
+
+
+def test_every_subcommand_has_a_byte_golden():
+    # a new subcommand cannot bypass the shared report path unpinned
+    pinned = {argv[0] for argv, _ in PI_GOLDENS + REPORT_GOLDENS + [VERIFY_ALL_GOLDEN]}
+    pinned |= {cmd for cmd, table in [("invert", INVERT_GOLDENS),
+                                      ("growth", GROWTH_GOLDENS)] if table}
+    assert set(build_parser().commands) == pinned
+
+
+@pytest.mark.parametrize("command", [
+    ["tower"], ["verify-all", "--n", "1", "--trials", "20"],
+])
+@pytest.mark.parametrize("key", ["kmax", "k_max"])
+def test_null_kmax_in_config_means_the_default_2(tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    code, text = run(tmp_path, *command, "--config", str(cfg))
+    assert code == 0
+    assert json.loads(text)["config"]["kmax"] == 2
+    assert (code, text) == run(tmp_path, *command)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_all_without_trials_exits_2(tmp_path, capsys, trials):
+    # "0 random triples, 0 failures" is no evidence, also at k_max = 1
+    code, text = run(tmp_path, "verify-all", "--n", "1", "--kmax", "1", "--trials", trials)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == f"error: trials must be >= 1, got {trials}\n"
 
 
 def test_explicit_flags_beat_config_file(tmp_path):
@@ -513,3 +582,20 @@ def test_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["index"] == 2
+
+
+def test_failed_assertion_writes_the_report_and_exits_1(tmp_path, capsys, monkeypatch):
+    import twistlab.cli
+    from twistlab.verify import CheckResult
+
+    monkeypatch.setattr(twistlab.cli, "replay_trace", lambda trace: None)
+    code, text = run(tmp_path, "simplicity", "--n", "1", "--element", "1 + x1")
+    assert code == 1 and json.loads(text)["result"]["audit_replay_ok"] is False
+    monkeypatch.setattr(twistlab.cli, "run_all", lambda *a, **kw: [
+        CheckResult("a", True, "ok"), CheckResult("b", False, "broken"),
+        CheckResult("c", None, "not run: no level")])
+    capsys.readouterr()
+    code, text = run(tmp_path, "verify-all", "--n", "1")
+    assert code == 1 and json.loads(text)["result"]["all_passed"] is False
+    assert capsys.readouterr().err == (
+        "PASS  a: ok\nFAIL  b: broken\nSKIP  c: not run: no level\n")

@@ -29,6 +29,16 @@ def test_run_all_at_kmax_1_skips_and_never_passes_vacuously(p, q):
     assert {"center.commutator_vs_structural", "center.free_module_round_trip"} <= ran
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_run_all_refuses_no_trials_before_building_anything(monkeypatch, trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a tower")
+
+    monkeypatch.setattr(verify, "build_tower", refuse)
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        run_all(2, 2, 1, 1, 0, trials=trials)
+
+
 def test_quotient_center_check_fails_on_a_wrong_exit_level(ctx_n1_k1, monkeypatch):
     # each tested element is probed on both sides of its exit level, so an
     # exit level one too high is caught
