@@ -234,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out", type=str, default=None, help="output path (stdout)")
         p.add_argument(
-            "--format", choices=("json", "csv"), default=None, help="output format"
-        )
-        p.add_argument(
             "--config", type=str, default=None,
             help="JSON file with defaults for any of the flags above",
         )
@@ -259,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p = command("growth", cmd_growth, "subalgebra growth table and slope")
     p.add_argument("--nmax", type=int, default=16, help="largest product length")
+    p.add_argument("--format", choices=("json", "csv"), help="output format")
     p = command("invert", cmd_invert, "invert a central fraction")
     p.add_argument("--element", type=str, required=True, help="numerator literal")
     p.add_argument("--den", type=str, default=None, help="central denominator literal")

@@ -26,12 +26,10 @@ from typing import Optional
 
 from .center import (FreeBasis, KernelLattice, decompose_over_center,
                      is_central_structural, kernel_lattice)
-from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
-from .ring import RingContext, RingElement, _from_codes, same_context, word_adder
+from .errors import ContextMismatchError, InternalFaultError, NotAUnitError
+from .ring import _METER, RingContext, RingElement, _from_codes, same_context, word_adder
 
-# Largest |supp(s)|^(p^k) for which s is inverted: every minor that Bareiss
-# forms from the splitting matrix expands to at most that many terms.
-INVERSION_BUDGET = 2**17
+INVERSION_CAP = 2**22  # term pairs one inversion may form: seconds of kernel work
 
 
 # -- the core, on {word: nonzero code} dicts of a commutative Laurent ring: F
@@ -53,6 +51,7 @@ def _combine(op, a: dict, b: dict) -> dict:
 def _mul(F, add, a: dict, b: dict) -> dict:
     """a * b: c1 c2 = exp(log c1 + log c2) on the field's tables, as in
     ring._mul_codes but with no twist."""
+    _METER.charge(len(a) * len(b))
     exp, log, units, plus = F.exp, F.log, F.units, F.add
     right = [(e, log[c]) for e, c in b.items()]
     out: dict = {}
@@ -89,6 +88,7 @@ def _div(F, add, a: dict, b: dict) -> dict:
         raise ZeroDivisionError("division by the zero polynomial")
     if len(b) == 1:
         (e, c), = b.items()
+        _METER.charge(len(a))
         return _scaled(F, add, a, tuple(-v for v in e), F.inv(c))
     if not a:
         return {}
@@ -111,6 +111,7 @@ def _div(F, add, a: dict, b: dict) -> dict:
                 rem[e] = v
             else:
                 del rem[e]
+    _METER.charge(len(quo) * len(b))
     return _scaled(F, add, quo, tuple(x - y for x, y in zip(m_a, m_b)))
 
 
@@ -238,17 +239,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_literal()})"
 
 
-def central_to_laurent(z: RingElement, lattice: KernelLattice) -> LaurentPoly:
-    """View a central element as a Laurent polynomial in the lattice basis."""
-    field = z.ctx.level.base
-    terms = {}
-    for w, c in z.codes.items():
-        if c >= field.q:
-            raise ValueError("element has a coefficient outside GF(q)")
-        terms[lattice.lattice_coordinates(w)] = c
-    return LaurentPoly(field, len(lattice.basis), terms)
-
-
 def bareiss_solve(matrix, rhs=None):
     """The core's Bareiss solve on a LaurentPoly matrix: (det M, N) with
     M N = det * rhs; N is None without rhs or when M is singular."""
@@ -358,7 +348,7 @@ class CentralFraction:
 
         The lifted denominator usually stays central; when the finer level
         twists it, the fraction is re-denominated through the inversion
-        machinery (and so under INVERSION_BUDGET, raising BudgetError).
+        machinery (and so under INVERSION_CAP, raising BudgetError).
         """
         if same_context(self.ctx, target):
             return self
@@ -375,13 +365,8 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     verified; Nrd(s) = det rho(s) comes back as {Lambda-word: code}."""
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
-    d = lattice.index
-    if len(s.codes) ** d > INVERSION_BUDGET:
-        raise BudgetError(f"inverting a {len(s.codes)}-term element at degree {d} may "
-                          f"form {len(s.codes)}^{d} terms per minor, over the budget "
-                          f"{INVERSION_BUDGET}")
     add_words, frob_code = ctx.add_words, ctx.level.frob_code
-    e0 = [{(0,) * ctx.n: 1}] + [{}] * (d - 1)
+    e0 = [{(0,) * ctx.n: 1}] + [{}] * (lattice.index - 1)
     nrd, adj = _bareiss(ctx.level, add_words, splitting_representation(s, lattice), e0)
     if not nrd:
         raise InternalFaultError("splitting representation of a nonzero element "
@@ -426,16 +411,17 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     denominator as a central one: (s_adj Nrd^(d-1), Nrd^d), exactly the
     adjugate column and determinant of the p^(2k) regular representation,
     since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9)."""
-    s_adj, nrd = _reduced_norm(s, ctx, lattice)
-    power, norm = _norm_powers(ctx.level, ctx.add_words, nrd, lattice.index)
-    return s_adj * _from_codes(ctx, power), _from_codes(ctx, norm)
+    with _METER.budget(INVERSION_CAP):
+        s_adj, nrd = _reduced_norm(s, ctx, lattice)
+        power, norm = _norm_powers(ctx.level, ctx.add_words, nrd, lattice.index)
+        return s_adj * _from_codes(ctx, power), _from_codes(ctx, norm)
 
 
 def invert(f: CentralFraction) -> CentralFraction:
     """Exact inverse of a nonzero central fraction, verified to multiply to 1.
 
     The numerator s is cleared through its reduced norm (BudgetError past
-    INVERSION_BUDGET).  The inverse is f.den s_adj Nrd^(d-1) / Nrd^d, with
+    INVERSION_CAP).  The inverse is f.den s_adj Nrd^(d-1) / Nrd^d, with
     the central unit u = lead^(-1) x^(-content) of Nrd^d, both read in
     lattice coordinates, folded into both powers as a shift and a scaling:
     the denominator Nrd^d u is content-free with lex-leading coefficient 1.
@@ -447,16 +433,17 @@ def invert(f: CentralFraction) -> CentralFraction:
         raise NotAUnitError("the zero fraction has no inverse")
     ctx, F, add = f.ctx, f.ctx.level, f.ctx.add_words
     lat = kernel_lattice(ctx)
-    s_adj, nrd = _reduced_norm(f.num, ctx, lat)
-    power, norm = _norm_powers(F, add, nrd, lat.index)
-    coords = {lat.lattice_coordinates(w): c for w, c in norm.items()}
-    unit = lat.from_lattice_coordinates(tuple(-v for v in _content(coords)))
-    inv_lead = F.inv(coords[max(coords)])
-    num = f.den * s_adj * _from_codes(ctx, _scaled(F, add, power, unit, inv_lead))
-    den = _from_codes(ctx, _scaled(F, add, norm, unit, inv_lead))
-    if f.num * num != f.den * den:
-        raise InternalFaultError("inverse verification failed")
-    return CentralFraction(ctx, num, den, lattice=lat)
+    with _METER.budget(INVERSION_CAP):
+        s_adj, nrd = _reduced_norm(f.num, ctx, lat)
+        power, norm = _norm_powers(F, add, nrd, lat.index)
+        coords = {lat.lattice_coordinates(w): c for w, c in norm.items()}
+        unit = lat.from_lattice_coordinates(tuple(-v for v in _content(coords)))
+        inv_lead = F.inv(coords[max(coords)])
+        num = f.den * s_adj * _from_codes(ctx, _scaled(F, add, power, unit, inv_lead))
+        den = _from_codes(ctx, _scaled(F, add, norm, unit, inv_lead))
+        if f.num * num != f.den * den:
+            raise InternalFaultError("inverse verification failed")
+        return CentralFraction(ctx, num, den, lattice=lat)
 
 
 def center_of_quotient_test(f: CentralFraction, probe_level: int) -> bool:

@@ -35,7 +35,7 @@ import re
 from functools import lru_cache
 
 from .action import ActionConfig, least_certified_level
-from .errors import ContextMismatchError, NotAUnitError
+from .errors import BudgetError, ContextMismatchError, NotAUnitError
 from .tower import FieldElement, Tower
 
 DEFAULT_CERT_BOUND = 8
@@ -322,6 +322,32 @@ def _from_codes(ctx: RingContext, codes: dict) -> RingElement:
     return out
 
 
+class _Meter:
+    """Term pairs the product kernels form in `with _METER.budget(cap):`,
+    charged once per call, so refused work stops within one call of the cap."""
+
+    used, cap = 0, None  # cap None: no budget is open and nothing is refused
+
+    def budget(self, cap: int) -> "_Meter":
+        self.used, self.cap = 0, cap
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.cap = None
+
+    def charge(self, pairs: int):
+        self.used += pairs
+        if self.cap is not None and self.used > self.cap:
+            raise BudgetError(f"work cap of {self.cap} term pairs exceeded: "
+                              f"{self.used} counted")
+
+
+_METER = _Meter()
+
+
 def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     """Add left * right into out, on {word: nonzero code} dicts.
 
@@ -331,6 +357,8 @@ def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     context's compiled forms (module docstring); the words here are already
     validated, so the exponent form is called with no length check.
     """
+    if _METER.cap is not None:  # checked inline: most calls run outside a budget
+        _METER.charge(len(left) * len(right))
     level, add_words, exponent = ctx.level, ctx.add_words, ctx._exponent
     exp, log, units, add, frob = (level.exp, level.log, level.units, level.add,
                                   level._frob_factor)

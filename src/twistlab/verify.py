@@ -38,9 +38,8 @@ from .growth import gk_estimate, growth_table
 from .pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from .quotient import (
     CentralFraction,
+    _bareiss,
     center_of_quotient_test,
-    central_to_laurent,
-    bareiss_determinant,
     invert,
     regular_representation,
 )
@@ -439,8 +438,7 @@ def check_pi_frontier(ctx1: RingContext, ctx2: RingContext, trials: int,
 def check_growth(ctx: RingContext, rng) -> CheckResult:
     table = growth_table(ctx, None, n_max=20)
     monotone = all(b >= a for a, b in zip(table.rows, table.rows[1:]))
-    est = gk_estimate(table)
-    in_range = abs(est.slope - ctx.n) <= 0.2
+    est = gk_estimate(table)  # reported, not gated: N <= 20 is pre-asymptotic
     # exact sandwich at every N: deg*|B_1(N - deg + 1)| <= dim <= deg*|B_1(N)|,
     # with |B_1(N)| = sum_i 2^i C(n, i) C(N, i) words of l1 norm <= N in Z^n
     n, deg = ctx.n, ctx.level.degree
@@ -452,7 +450,7 @@ def check_growth(ctx: RingContext, rng) -> CheckResult:
     bounded = all(deg * ball(big_n - deg + 1) <= dim <= deg * ball(big_n)
                   for big_n, dim in enumerate(table.rows))
     return CheckResult(
-        "growth.monotone_and_slope", monotone and in_range and bounded,
+        "growth.monotone_and_slope", monotone and bounded,
         f"slope {est.slope:.3f} for rank {ctx.n}, top dim {table.rows[-1]}"
         f" <= {ball(table.n_max) * deg}",
     )
@@ -488,23 +486,12 @@ def check_quotient_regular_rep(ctx: RingContext, rng, trials: int) -> CheckResul
     bad = 0
     for _ in range(trials):
         r, s = ctx.random_element(rng, max_terms=2), ctx.random_element(rng, max_terms=2)
-        mr = regular_representation(r, fb, lat)
-        ms = regular_representation(s, fb, lat)
-        mrs = regular_representation(r * s, fb, lat)
+        mr, ms, mrs = (regular_representation(x, fb, lat) for x in (r, s, r * s))
         size = fb.size()
-        for a in range(size):
-            for b in range(size):
-                acc = None
-                for c in range(size):
-                    term = mr[a][c] * ms[c][b]
-                    acc = term if acc is None else acc + term
-                if acc != mrs[a][b]:
-                    bad += 1
-        det = bareiss_determinant(
-            [[central_to_laurent(e, lat) for e in row] for row in mr]
-        )
-        if not r.is_zero() and det.is_zero():
-            bad += 1
+        for a, b in itertools.product(range(size), repeat=2):
+            bad += sum((mr[a][c] * ms[c][b] for c in range(size)), ctx.zero()) != mrs[a][b]
+        det, _ = _bareiss(ctx.level, ctx.add_words, [[e.codes for e in row] for row in mr])
+        bad += not r.is_zero() and not det
     return CheckResult(
         "quotient.regular_representation_hom", bad == 0,
         f"{trials} random pairs, {bad} failures",

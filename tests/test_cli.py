@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from twistlab import quotient
 from twistlab.action import default_action
 from twistlab.cli import build_parser, main
 
@@ -242,7 +243,7 @@ def test_config_values_are_coerced_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "n": "2", "k": 2, "kmax": None, "den": None,
-        "exponents": [[0], [0, 9]], "format": "json",
+        "exponents": [[0], [0, 9]],
     }))
     code, text = run(tmp_path, "invert", "--config", str(cfg), "--element", "1 + x1")
     assert code == 0
@@ -291,15 +292,35 @@ def test_deeply_nested_literal_exits_2(tmp_path, capsys, command, depth):
     assert err == "error: parentheses nest more than 100 deep\n"
 
 
-def test_inversion_over_budget_exits_2(tmp_path, capsys):
-    # 5 terms at degree 8: 5^8 > INVERSION_BUDGET
-    code, text = run(
-        tmp_path, "invert", "--n", "1", "--k", "3", "--kmax", "3",
-        "--element", "1 + x1 + x1^2 + x1^3 + x1^5",
-    )
+BULKY_INVERT = ["invert", "--n", "1", "--k", "3", "--kmax", "3",
+                "--element", "1 + x1 + x1^2 + x1^3 + x1^5"]
+
+
+def test_bulky_numerator_inverts(tmp_path):
+    # 5 terms at degree 8, refused by the former 5^8 > 2^17 size estimate
+    code, text = run(tmp_path, *BULKY_INVERT)
+    assert code == 0
+    assert json.loads(text)["result"]["verification_product_equals_one"] is True
+
+
+def test_inversion_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quotient, "INVERSION_CAP", 100)
+    code, text = run(tmp_path, *BULKY_INVERT)
     err = capsys.readouterr().err
     assert code == 2 and text == ""
-    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+    assert err.startswith("error: work cap of 100 term pairs exceeded: ")
+    assert err.endswith(" counted\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["tower"], ["center"], ["invert", "--element", "1 + x1"], ["verify-all"],
+])
+def test_format_is_an_option_of_growth_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert "--format" in build_parser().commands["growth"].format_help()
 
 
 # SHA-256 of invert stdout as first recorded, with the p^(2k) regular
@@ -413,7 +434,7 @@ def test_verify_all_report_bytes_are_pinned(capsys):
     assert pinned_stdout_digest(capsys, argv) == digest
 
 
-@pytest.mark.parametrize("p,q", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (5, 5)])
 def test_verify_all_at_kmax_1_skips_what_needs_level_2(tmp_path, capsys, p, q):
     code, text = run(tmp_path, "verify-all", "--p", str(p), "--q", str(q),
                      "--n", "2", "--kmax", "1")

@@ -322,3 +322,14 @@ def test_verify_check_growth_gates_on_the_exact_bound(monkeypatch, ctx_n2_k1):
 
     monkeypatch.setattr(verify, "growth_table", short_row)
     assert not verify.check_growth(ctx_n2_k1, None).passed
+
+
+def test_verify_check_growth_reports_the_slope_but_does_not_gate_on_it():
+    # at (p, q) = (5, 5) the exact table holds the ball sandwich at every N,
+    # while its N <= 20 slope lies outside any +-0.2 window around the rank
+    from twistlab import verify
+
+    ctx = RingContext(build_tower(TowerConfig(5, 5, 1)), default_action(2, 5), 1)
+    result = verify.check_growth(ctx, None)
+    assert result.passed is True
+    assert result.detail == "slope 2.207 for rank 2, top dim 3445 <= 4205"

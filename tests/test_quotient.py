@@ -1,17 +1,17 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import quotient
+from twistlab import quotient, ring
 from twistlab.action import ActionConfig, PAdicExponent, default_action
 from twistlab.center import free_basis, is_central_structural, kernel_lattice, recompose
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.fields import BaseField
 from twistlab.quotient import (
-    INVERSION_BUDGET,
     CentralFraction,
     LaurentPoly,
     _central_multiple,
@@ -19,7 +19,6 @@ from twistlab.quotient import (
     bareiss_determinant,
     bareiss_solve,
     center_of_quotient_test,
-    central_to_laurent,
     invert,
     regular_representation,
     splitting_representation,
@@ -32,6 +31,15 @@ from twistlab.verify import check_quotient_center, run_all
 @pytest.fixture(scope="module")
 def lat1(ctx_n1_k1):
     return kernel_lattice(ctx_n1_k1)
+
+
+def central_to_laurent(z, lattice):
+    """A central element with GF(q) coefficients as a Laurent polynomial in
+    the lattice basis."""
+    field = z.ctx.level.base
+    assert all(c < field.q for c in z.codes.values())
+    return LaurentPoly(field, len(lattice.basis), {
+        lattice.lattice_coordinates(w): c for w, c in z.codes.items()})
 
 
 def laurent_to_central(poly, ctx, lattice):
@@ -511,20 +519,103 @@ def test_invert_random_fractions_and_involution(ctx_n1_k1, lat1):
         assert invert(g) == f
 
 
-def test_invert_rejects_zero_and_large_sizes(ctx_n1_k1, lat1, tower223):
+def test_invert_rejects_zero_and_inverts_at_rank_3(ctx_n1_k1, lat1, tower223):
     with pytest.raises(NotAUnitError):
         invert(frac(ctx_n1_k1, ctx_n1_k1.zero(), lat=lat1))
-    # rank 3 inverts and verifies
     ctx3 = RingContext(tower223, default_action(3, 2), 1)
     f = frac(ctx3, ctx3.one() + ctx3.gen(1))
     one = frac(ctx3, ctx3.one())
     assert f * invert(f) == one and invert(f) * f == one
-    # a 5-term numerator at degree 8 is over the budget before any matrix
+
+
+BULKY = "1 + x1 + x1^2 + x1^3 + x1^5"  # 5 terms at degree 8: 5^8 > 2^17
+
+
+def metered_charges(monkeypatch):
+    """(kernel name, pairs) of every charge made inside a budget, in order."""
+    charges, charge = [], ring._Meter.charge
+
+    def spy(meter, pairs):
+        if meter.cap is not None:
+            charges.append((sys._getframe(1).f_code.co_name, pairs))
+        charge(meter, pairs)
+
+    monkeypatch.setattr(ring._Meter, "charge", spy)
+    return charges
+
+
+def test_bulky_numerator_inverts_under_the_cap(tower223, monkeypatch):
+    # the size estimate |supp(s)|^d refused this; measured, it is small work
     ctx = RingContext(tower223, default_action(1, 2), 3)
-    bulky = parse_element(ctx, "1 + x1 + x1^2 + x1^3 + x1^5")
-    assert len(bulky.terms) ** 8 > INVERSION_BUDGET
+    f = frac(ctx, parse_element(ctx, BULKY))
+    charges = metered_charges(monkeypatch)
+    g = invert(f)
+    one = frac(ctx, ctx.one())
+    assert f * g == one and g * f == one
+    # Bareiss products and divisions, and the ring products after it
+    assert {kernel for kernel, _ in charges} == {"_mul", "_div", "_mul_codes"}
+    assert sum(p for _, p in charges) < quotient.INVERSION_CAP // 1000
+
+
+def test_each_kernel_call_charges_the_term_pairs_it_forms(tower223, monkeypatch):
+    ctx = RingContext(tower223, default_action(1, 2), 3)
+    f = frac(ctx, parse_element(ctx, BULKY))
+    formed = []
+
+    def recount(module, name, pairs):
+        kernel = getattr(module, name)
+
+        def wrapped(*args):
+            out = kernel(*args)
+            formed.append(pairs(*args[-3 if name == "_mul_codes" else -2:], out))
+            return out
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    recount(ring, "_mul_codes", lambda a, b, into, out: len(a) * len(b))
+    recount(quotient, "_mul", lambda a, b, out: len(a) * len(b))
+    # a one-term divisor scales each term once; otherwise each quotient term
+    # meets every divisor term
+    recount(quotient, "_div", lambda a, b, out: len(a) if len(b) == 1 else len(out) * len(b))
+    charges = metered_charges(monkeypatch)
+    invert(f)
+    assert sum(p for _, p in charges) == sum(formed) > 0
+
+
+@pytest.mark.parametrize("cap", [0, 50, 1000])
+def test_refused_inversion_stops_within_one_kernel_call(tower223, monkeypatch, cap):
+    ctx = RingContext(tower223, default_action(1, 2), 3)
+    f = frac(ctx, parse_element(ctx, BULKY))
+    monkeypatch.setattr(quotient, "INVERSION_CAP", cap)
+    charged = metered_charges(monkeypatch)
+    with pytest.raises(BudgetError, match=rf"^work cap of {cap} term pairs exceeded: "
+                       r"\d+ counted$") as exc:
+        invert(f)
+    charges = [p for _, p in charged]
+    used = int(str(exc.value).split()[-2])
+    # the call that crossed the cap was the last one; the reading is at most
+    # the cap plus that call's work
+    assert used == sum(charges) and sum(charges[:-1]) <= cap < used
+    assert used <= cap + charges[-1]
+    assert ring._METER.cap is None  # the budget closes on the way out
+
+
+def test_redenominating_lift_is_metered_and_nothing_else_is(ctx_n1_k1, lat1,
+                                                            monkeypatch):
+    ctx2 = ctx_n1_k1.lift_level(2)
+    r = ctx_n1_k1.one() + ctx_n1_k1.gen(1)
+    f = CentralFraction(ctx_n1_k1, r, ctx_n1_k1.gen(1) ** 2, lattice=lat1)
+    monkeypatch.setattr(quotient, "INVERSION_CAP", 0)
     with pytest.raises(BudgetError):
-        invert(frac(ctx, bulky))
+        f.lift_to(ctx2)
+    # no cap outside inversion and re-denomination: ring and Laurent products,
+    # central liftings and the Bareiss solve run as before
+    assert r * r == ctx_n1_k1.one() + ctx_n1_k1.gen(1) ** 2
+    assert frac(ctx_n1_k1, r, lat=lat1).lift_to(ctx2).num == r.lift_to(ctx2)
+    field = BaseField(2)
+    one = LaurentPoly.constant(field, 1, 1)
+    u = LaurentPoly(field, 1, {(1,): 1})
+    assert bareiss_solve([[one, u], [u, one]])[0] == one + u * u
 
 
 @pytest.mark.parametrize("n,k,literal", [

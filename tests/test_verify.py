@@ -16,7 +16,7 @@ LEVEL_2_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("p,q", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (5, 5)])
 def test_run_all_at_kmax_1_skips_and_never_passes_vacuously(p, q):
     results = run_all(p, q, 2, 1, 0)
     assert not [r for r in results if r.passed is False]
