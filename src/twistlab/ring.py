@@ -35,7 +35,7 @@ import re
 from functools import lru_cache
 
 from .action import ActionConfig, least_certified_level
-from .errors import BudgetError, ContextMismatchError, NotAUnitError
+from .errors import BudgetError, ContextMismatchError, InternalFaultError, NotAUnitError
 from .tower import FieldElement, Tower
 
 DEFAULT_CERT_BOUND = 8
@@ -324,11 +324,14 @@ def _from_codes(ctx: RingContext, codes: dict) -> RingElement:
 
 class _Meter:
     """Term pairs the product kernels form in `with _METER.budget(cap):`,
-    charged once per call, so refused work stops within one call of the cap."""
+    charged once per call, so refused work stops within one call of the cap.
+    Budgets do not nest: opening one inside another is a fault."""
 
     used, cap = 0, None  # cap None: no budget is open and nothing is refused
 
     def budget(self, cap: int) -> "_Meter":
+        if self.cap is not None:
+            raise InternalFaultError(f"a work cap of {self.cap} term pairs is open")
         self.used, self.cap = 0, cap
         return self
 

@@ -6,7 +6,8 @@ the check actually ran and one of three outcomes: passed (True), failed
 (False), or not run (None, its detail saying "not run: ..." and why).  A
 check is not run when its evidence would be vacuous: a row that needs level
 2 at k_max = 1 (the loop decides that once), or a sampler that cannot draw
-at this size.
+at this size.  A check that raises InternalFaultError fails its row with the
+message, and the other rows still run.
 
 A sampled check is a trial: one draw from the shared rng, returning the
 failures that draw found; _sampled sums them over the draws.  The batch is
@@ -38,7 +39,7 @@ from .center import (
     kernel_lattice,
     recompose,
 )
-from .errors import NotAUnitError
+from .errors import InternalFaultError, NotAUnitError
 from .growth import gk_estimate, growth_table
 from .pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from .quotient import (
@@ -372,7 +373,8 @@ def check_quotient_regular_rep(ctx: RingContext, rng, trials: int) -> Outcome:
 
 def check_quotient_center(ctx: RingContext, rng, trials: int) -> Outcome:
     """Base elements commute at every level k..k_max; each drawn central
-    element with exit level e <= k_max commutes at e - 1 and not at e."""
+    element with exit level e <= k_max commutes at e - 1 and not at e, and
+    one whose claimed exit lies past k_max still commutes at k_max."""
     lat, top, one = kernel_lattice(ctx), ctx.tower.k_max, ctx.one()
     bad = tested = 0
     for c in range(1, ctx.tower.q):
@@ -381,10 +383,14 @@ def check_quotient_center(ctx: RingContext, rng, trials: int) -> Outcome:
     for _ in range(trials):
         z = _random_central(ctx, lat, rng)
         e = exit_level(z)
-        if e is not None and e <= top:
+        if e is None:
+            continue
+        f = CentralFraction(ctx, z, one, lattice=lat)
+        if e <= top:
             tested += 1
-            f = CentralFraction(ctx, z, one, lattice=lat)
             bad += not center_of_quotient_test(f, e - 1) or center_of_quotient_test(f, e)
+        else:
+            bad += not center_of_quotient_test(f, top)
     if tested == bad == 0:  # no draw leaves the center by k_max: no evidence
         return Outcome(None, f"not run: no level above {ctx.k} to probe, none of "
                              f"{trials} draws leaves the center by level {top}")
@@ -479,6 +485,9 @@ def run_all(p: int, q: int, n: int, k_max: int, seed: int,
         if level > k_max:  # k_max >= 1: a level-2 row at k_max = 1
             outcome = Outcome(None, f"not run: no level above 1 (k_max = {k_max})")
         else:
-            outcome = check(trials if cap is None else min(trials, cap))
+            try:
+                outcome = check(trials if cap is None else min(trials, cap))
+            except InternalFaultError as exc:
+                outcome = Outcome(False, f"internal consistency fault: {exc}")
         results.append(CheckResult(name, *outcome))
     return results

@@ -221,6 +221,16 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, config):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_config_file_with_an_invalid_choice_exits_2(tmp_path, capsys):
+    # --format is an option of growth alone, so only growth reaches its choices
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code, text = run(tmp_path, "growth", "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err == "error: config value 'xml' is invalid for --format\n"
+
+
 @pytest.mark.parametrize("spec", ["5", "[5]", '[[1],["a"]]', "[[0],[1.5]]", "{}"])
 def test_malformed_exponents_flag_exits_2(tmp_path, capsys, spec):
     code, text = run(tmp_path, "center", "--exponents", spec)

@@ -600,6 +600,19 @@ def test_refused_inversion_stops_within_one_kernel_call(tower223, monkeypatch, c
     assert ring._METER.cap is None  # the budget closes on the way out
 
 
+def test_budgets_refuse_to_nest_and_keep_the_outer_cap():
+    meter = ring._METER
+    with meter.budget(100):
+        meter.charge(60)
+        with pytest.raises(InternalFaultError, match="work cap of 100 term pairs is open"):
+            meter.budget(10**9)
+        # the refused inner budget neither reset the reading nor lifted the cap
+        assert (meter.used, meter.cap) == (60, 100)
+        with pytest.raises(BudgetError, match="work cap of 100 term pairs exceeded: 110"):
+            meter.charge(50)
+    assert meter.cap is None
+
+
 def test_redenominating_lift_is_metered_and_nothing_else_is(ctx_n1_k1, lat1,
                                                             monkeypatch):
     ctx2 = ctx_n1_k1.lift_level(2)

@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 
 from twistlab import verify
-from twistlab.verify import check_quotient_center, run_all
+from twistlab.cli import main
+from twistlab.errors import InternalFaultError
+from twistlab.verify import CheckResult, check_quotient_center, run_all
 
 LEVEL_2_CHECKS = {
     "ring.level_embedding_hom",
@@ -57,3 +60,46 @@ def test_quotient_center_check_fails_on_a_probe_that_always_commutes(ctx_n1_k1,
     # "central below it" side
     monkeypatch.setattr(verify, "center_of_quotient_test", lambda f, level: True)
     assert check_quotient_center(ctx_n1_k1, random.Random(0), 20).passed is False
+
+
+def test_quotient_center_row_fails_on_a_claimed_exit_past_k_max(monkeypatch):
+    # at k_max = 2 an exit level one too high puts every claimed exit past
+    # k_max; a draw that really leaves the center at level 2 is caught there
+    exact = verify.exit_level
+    monkeypatch.setattr(
+        verify, "exit_level", lambda z: None if exact(z) is None else exact(z) + 1)
+    rows = {r.name: r for r in run_all(2, 2, 2, 2, 0)}
+    assert rows["quotient.center_collapses_to_base"].passed is False
+
+
+def test_a_faulting_check_is_a_fail_row_and_the_other_rows_run(monkeypatch,
+                                                               tmp_path, capsys):
+    clean = run_all(2, 2, 1, 1, 0, trials=20)
+
+    def fault(ctx):
+        raise InternalFaultError("planted")
+
+    monkeypatch.setattr(verify, "check_ring_commutation_rule", fault)
+    faulted = run_all(2, 2, 1, 1, 0, trials=20)
+    assert [r.name for r in faulted] == [r.name for r in clean]
+    failed = CheckResult("ring.commutation_rule", False,
+                         "internal consistency fault: planted")
+    assert [r for r in faulted if r not in clean] == [failed]
+    # the CLI writes the full report and exits 1
+    out = tmp_path / "out.json"
+    argv = ["verify-all", "--n", "1", "--kmax", "1", "--trials", "20"]
+    assert main(argv + ["--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["result"]["checks"]
+    assert checks == [r.to_json_dict() for r in faulted]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(clean)
+    assert [ln for ln in err if ln.startswith("FAIL")] == [
+        "FAIL  ring.commutation_rule: internal consistency fault: planted"]
+
+
+def test_regular_representation_row_fails_on_a_zero_determinant(monkeypatch):
+    # the row checks that a nonzero element has an invertible matrix, not only
+    # that the representation is multiplicative
+    monkeypatch.setattr(verify, "_bareiss", lambda F, add, matrix, rhs=None: ({}, None))
+    rows = {r.name: r for r in run_all(2, 2, 1, 1, 0, trials=20)}
+    assert rows["quotient.regular_representation_hom"].passed is False
