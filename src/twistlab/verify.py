@@ -453,13 +453,13 @@ def run_all(p: int, q: int, n: int, k_max: int, seed: int,
         ("ring.literal_round_trip", 1, sampled("elements", _ring_literal, ctx1), 100),
         ("center.commutator_vs_structural", 1,
          lambda t: check_center_agreement(ctx1, rng, t), None),
-        ("center.commutator_vs_structural", 2,
+        ("center.commutator_vs_structural@2", 2,
          lambda t: check_center_agreement(ctx2, rng, t), 100),
         ("center.lattice_covers_kernel", 1,
          lambda _: check_center_lattice_cover(ctx1), None),
         ("center.free_module_round_trip", 1,
          lambda t: check_center_freeness(ctx1, rng, t), 100),
-        ("center.free_module_round_trip", 2,
+        ("center.free_module_round_trip@2", 2,
          lambda t: check_center_freeness(ctx2, rng, t), 50),
         ("center.lattice_nesting", 2, lambda _: check_center_nesting(ctx1), None),
         ("simplicity.unit_in_ideal_with_audit", 1,

@@ -10,8 +10,8 @@ from twistlab.verify import CheckResult, check_quotient_center, run_all
 
 LEVEL_2_CHECKS = {
     "ring.level_embedding_hom",
-    "center.commutator_vs_structural",
-    "center.free_module_round_trip",
+    "center.commutator_vs_structural@2",
+    "center.free_module_round_trip@2",
     "center.lattice_nesting",
     "simplicity.ascends_for_central_elements",
     "pi.frontier_rises_with_level",
@@ -27,7 +27,7 @@ def test_run_all_at_kmax_1_skips_and_never_passes_vacuously(p, q):
     skipped = [r for r in results if r.passed is None]
     assert all(r.detail.startswith("not run: ") for r in skipped)
     assert {r.name for r in skipped} >= LEVEL_2_CHECKS
-    # the level-1 rows of the two level-2 names still run
+    # the level-1 runs of the two checks that also run at level 2 still run
     ran = {r.name for r in results if r.passed is True}
     assert {"center.commutator_vs_structural", "center.free_module_round_trip"} <= ran
 
