@@ -93,6 +93,26 @@ def _apply_config_file(args, argv, ap):
     return ap.parse_args(argv)
 
 
+def _parse_args(ap, argv):
+    """Parse argv and merge --config, then check the required options, so a
+    required option may come from the config file; one still missing is
+    refused with argparse's own message and exit 2."""
+    required = [a for p in ap.commands.values() for a in p._actions if a.required]
+    for a in required:
+        a.required = False
+    try:
+        args = _apply_config_file(ap.parse_args(argv), argv, ap)
+    finally:
+        for a in required:
+            a.required = True
+    parser = ap.commands[args.command]
+    missing = ["/".join(a.option_strings) for a in parser._actions
+               if a.required and getattr(args, a.dest) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
+
+
 def _action(args) -> object:
     # refuse an uncertifiable rank before building n exponents
     check_certification_budget(args.n, DEFAULT_CERT_BOUND)
@@ -273,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv, ap)
+        args = _parse_args(ap, argv)
         result, ok, *log = args.func(args)
         text = result
         if not isinstance(result, str):

@@ -140,12 +140,13 @@ class ExtensionField:
         """exp, log and zech over the least code of full multiplicative order;
         zech is None in characteristic 2, where add is XOR.
 
-        exp is the orbit of 1 under multiplication by a candidate g, and
-        the walk writes log[x] = i as it goes; the first candidate whose
-        orbit has length |F| - 1 is the generator, and its walk leaves the
-        final log.  The log entries of a shorter orbit stay as its skip
-        marks, since its members have smaller order too and need no walk of
-        their own.
+        The generator is the first code g with g^(units/l) != 1 for each prime
+        l dividing units; above degree 1 the search starts at Q = |base|, as
+        smaller codes are constants, of order dividing Q - 1.  The powers take
+        Horner's rule on the base-Q digits of units/l through g's times table
+        and the Q-power Frobenius, base-linear and so tabulated the same way.
+        Only that g is walked: exp is its orbit of 1, and log[x] = i is written
+        on the way.  An orbit that misses 1 or ends early means zero divisors.
 
         Until the tables exist, codes add digit-wise mod r on their base-r
         digits, by XOR when r = 2.  For odd r both are spread to base 2r - 1,
@@ -153,7 +154,7 @@ class ExtensionField:
         r, through tables of the low and high halves of the digits; the walk
         keeps g's multiplication tables spread.
         """
-        r, units = self.char, self.units
+        r, units, q, d = self.char, self.units, self.base.q, self.degree
         if r == 2:
             add = xor
         else:
@@ -170,47 +171,54 @@ class ExtensionField:
                 s = spread(a) + spread(b)
                 return fold_lo[s % wide_split] + fold_hi[s // wide_split]
 
-        exp = array("i", [0]) * units
-        log = array("i", [_NO_LOG]) * self.order
-        for g in range(1, self.order):
-            if log[g] != _NO_LOG:
-                continue
-            lo, hi, half = self._times_tables(g, add)
-            x = 1
-            if r == 2:
-                for i in range(units):
-                    exp[i] = x
-                    log[x] = i
-                    x = lo[x % half] ^ hi[x // half]
-                    if x == 1:
-                        break
-            else:
-                lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
-                for i in range(units):
-                    exp[i] = x
-                    log[x] = i
-                    s = lo[x % half] + hi[x // half]
-                    x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
-                    if x == 1:
-                        break
-            if x != 1:  # an orbit that misses 1 means zero divisors
-                raise ValueError(f"{self!r}: modulus is not irreducible")
-            if i == units - 1:
+        frob_lo, frob_hi, half = self._times_tables(1, add, q)
+        primes = {x for t in range(1, math.isqrt(units) + 1) if units % t == 0
+                  for x in (t, units // t) if is_prime(x)}
+        for g in range(1 if d == 1 else q, self.order):  # if none passes, the walk fails
+            lo, hi, _ = self._times_tables(g, add)
+            for ell in primes:  # x = g^(units/l), by Horner's rule
+                x, e = 1, units // ell
+                for i in reversed(range(d)):
+                    x = add(frob_lo[x % half], frob_hi[x // half])
+                    for _ in range(e // q**i % q):
+                        x = add(lo[x % half], hi[x // half])
+                if x == 1:
+                    break
+            else:  # g has full order
                 break
-        if r == 2:
-            return exp, log, None
+        exp, log, x = array("i", [0]) * units, array("i", [_NO_LOG]) * self.order, 1
+        if r == 2:  # half is a power of 2
+            mask, shift = half - 1, half.bit_length() - 1
+            for i in range(units):
+                exp[i] = x
+                log[x] = i
+                x = lo[x & mask] ^ hi[x >> shift]
+                if x == 1:
+                    break
+        else:
+            lo, hi = [spread(t) for t in lo], [spread(t) for t in hi]
+            for i in range(units):
+                exp[i] = x
+                log[x] = i
+                s = lo[x % half] + hi[x // half]
+                x = fold_lo[s % wide_split] + fold_hi[s // wide_split]
+                if x == 1:
+                    break
+        if x != 1 or i != units - 1:
+            raise ValueError(f"modulus {list(self.modulus)} is not irreducible over GF({q})")
         # adding 1 changes the lowest base-r digit only
-        zech = array("i", (log[x + 1 - r if x % r == r - 1 else x + 1] for x in exp))
+        zech = None if r == 2 else array(
+            "i", (log[x + 1 - r if x % r == r - 1 else x + 1] for x in exp))
         return exp, log, zech
 
     def _scale(self, c: int, a: int) -> int:
         """Code of the base-field scalar c times the element with code a."""
-        return self._code([self.base.mul(c, x) for x in self._digits(a)])
+        return a * c if c < 2 else self._code([self.base.mul(c, x) for x in self._digits(a)])
 
-    def _times_tables(self, g: int, add):
-        """(lo, hi, split) with g * x = add(lo[x % split], hi[x // split]):
-        lo and hi hold g times every element of the low and high halves of
-        the digits, spanned from g * X^j (shift and reduce)."""
+    def _times_tables(self, g: int, add, e: int = 1):
+        """(lo, hi, split) with g * x^e = add(lo[x % split], hi[x // split]),
+        e = 1 or |base| (so base-linear): lo and hi hold it on the low and high
+        halves of the digits, spanned from g * X^(e j) (shift and reduce)."""
         q, d = self.base.q, self.degree
         top, split = q ** (d - 1), q ** (d // 2)
         x_to_d = self._code([self.base.neg(c) for c in self.modulus[:-1]])
@@ -219,7 +227,8 @@ class ExtensionField:
             half = tables[q**j >= split]
             multiples = [self._scale(c, image) for c in range(q)]
             half[:] = [add(t, s) for s in multiples for t in half]
-            image = add(image % top * q, self._scale(image // top, x_to_d))
+            for _ in range(e):
+                image = add(image % top * q, self._scale(image // top, x_to_d))
         return tables[0], tables[1], split
 
 

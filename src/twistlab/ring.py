@@ -439,8 +439,17 @@ def _term_literal(word, coords) -> str:
     return (f"({ctext})" if parens else ctext) + "*" + word_text
 
 
-_TOKEN = re.compile(r"\s*(\d+|[t()*+\-^]|x\d+)|(.)", re.S)
+# One token per x_i^e or t^e written without spaces and per coefficient sum
+# as _coeff_literal writes it; any other text reads one symbol per token.
+_MONOMIAL = r"(?:(?:\d+\*)?t(?:\^\d+)?|\d+)"
+_TOKEN = re.compile(rf"\s*(x\d+(?:\^-?\d+)?|[*+]|t(?:\^\d+)?"
+                    rf"|\({_MONOMIAL}(?: \+ {_MONOMIAL})*\)|\d+|[()\-^])|(.)", re.S)
 _MAX_NESTING = 100
+
+
+def _first(tok):
+    """The one-symbol token that tok starts with, which error messages name."""
+    return tok and (tok[0] if tok[0] in "(t^" else tok.partition("^")[0])
 
 
 class _Parser:
@@ -455,10 +464,10 @@ class _Parser:
     The factors of a term multiply in the ring through _mul_codes, except
     that factors x^h with coefficient 1 gather in one pending word: every
     sigma_g fixes 1, so it shifts the words before it, and it enters the
-    product as the left factor x^h of the next other factor.  t^e is read
-    from the level's exp/log tables.  Integer literals are GF(q) encodings
-    (for prime q they read as integers mod q).  Parentheses nest at most
-    _MAX_NESTING deep, so no literal can exhaust the interpreter stack.
+    product as the left factor x^h of the next other factor.  t^e, alone or
+    summed in a coefficient token, is read from the level's exp/log tables.
+    Integer literals are GF(q) encodings (integers mod q for prime q).
+    Parentheses nest at most _MAX_NESTING deep: no literal exhausts the stack.
     """
 
     def __init__(self, ctx: RingContext, text: str):
@@ -476,7 +485,7 @@ class _Parser:
     def parse(self) -> dict:
         out = self.element()
         if self.toks[-1] is not None:
-            raise ValueError(f"trailing input at {self.toks[-1]!r}")
+            raise ValueError(f"trailing input at {_first(self.toks[-1])!r}")
         return out
 
     def element(self) -> dict:
@@ -493,35 +502,27 @@ class _Parser:
             op = level.sub if self.toks.pop() == "-" else level.add
 
     def term(self) -> dict:
-        ctx, toks, level = self.ctx, self.toks, self.ctx.level
+        ctx, toks = self.ctx, self.toks
         out, shift = None, [0] * ctx.n  # the term so far is out * x^shift; None is 1
         while True:
             tok = toks.pop()
             if tok is None:
                 raise ValueError("unexpected end of literal")
-            e = 1
-            if (tok == "t" or tok[0] == "x") and toks[-1] == "^":
+            if toks[-1] == "^" and tok[0] in "tx" and "^" not in tok:  # spaced: one token
                 toks.pop()
-                if tok != "t" and toks[-1] == "-":
-                    toks.pop()
-                    e = -1
+                sign = toks.pop() if tok != "t" and toks[-1] == "-" else ""
                 digits = toks.pop()
                 if digits is None or not digits.isdigit():
-                    raise ValueError(f"expected integer, got {digits!r}")
-                e *= int(digits)
+                    raise ValueError(f"expected integer, got {_first(digits)!r}")
+                tok = f"{tok}^{sign}{digits}"
             if tok[0] == "x":
-                i = int(tok[1:])
+                name, _, e = tok.partition("^")
+                i = int(name[1:])
                 if not 1 <= i <= ctx.n:
                     raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
-                shift[i - 1] += e
+                shift[i - 1] += int(e or 1)
             else:
-                if tok == "t":  # theta^e; theta = 0 at level 0
-                    lg = self.theta_log
-                    code = (level.exp[lg * e % level.units] if lg is not None
-                            else int(not e))
-                    right = {self.zero: code} if code else {}
-                else:
-                    right = self.factor(tok)
+                right = self.factor(tok)
                 if len(right) == 1 and 1 in right.values():
                     shift = list(ctx.add_words(shift, *right))
                 elif out is None and not any(shift):
@@ -538,24 +539,34 @@ class _Parser:
         return _shifted(ctx, out, shift) if any(shift) else out
 
     def factor(self, tok: str) -> dict:
-        """A parenthesized element or an integer literal, after its first token."""
-        if tok == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
+        """A parenthesized element, or a coefficient: an integer, t^e, or a
+        coefficient token (c*t^e, c and t^e joined by " + ", in parentheses)."""
+        if tok[0] == "(":
+            if self.depth == _MAX_NESTING:
                 raise ValueError(f"parentheses nest more than {_MAX_NESTING} deep")
-            inner = self.element()
-            tok = self.toks.pop()
-            if tok != ")":
-                raise ValueError(f"expected ')', got {tok!r}")
-            self.depth -= 1
-            return inner
-        if not tok.isdigit():
+            if tok == "(":
+                self.depth += 1
+                inner = self.element()
+                tok = self.toks.pop()
+                if tok != ")":
+                    raise ValueError(f"expected ')', got {_first(tok)!r}")
+                self.depth -= 1
+                return inner
+        elif tok[0] != "t" and not tok.isdigit():
             raise ValueError(f"unexpected token {tok!r}")
-        code = int(tok)
-        if code >= self.ctx.tower.q:
-            raise ValueError(
-                f"coefficient encoding {code} out of range for GF({self.ctx.tower.q})"
-            )
+        level, lg, q, code = self.ctx.level, self.theta_log, self.ctx.tower.q, 0
+        for monomial in tok.strip("()").split(" + "):
+            c, power = 1, monomial
+            if monomial[0] != "t":
+                digits, _, power = monomial.partition("*")
+                c = int(digits)
+                if c >= q:
+                    raise ValueError(f"coefficient encoding {c} out of range for GF({q})")
+            if power:  # theta^e; theta = 0 at level 0
+                e = int(power[2:] or 1)
+                t = level.exp[lg * e % level.units] if lg is not None else int(not e)
+                c = t if c == 1 else level.mul(c, t)
+            code = level.add(code, c)
         return {self.zero: code} if code else {}
 
 

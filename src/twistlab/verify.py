@@ -6,8 +6,9 @@ the check actually ran and one of three outcomes: passed (True), failed
 (False), or not run (None, its detail saying "not run: ..." and why).  A
 check is not run when its evidence would be vacuous: a row that needs level
 2 at k_max = 1 (the loop decides that once), or a sampler that cannot draw
-at this size.  A check that raises InternalFaultError fails its row with the
-message, and the other rows still run.
+at this size.  A check that raises a TwistlabError other than BudgetError
+fails its row with the message, and the other rows still run; a budget
+refusal still aborts the batch.
 
 A sampled check is a trial: one draw from the shared rng, returning the
 failures that draw found; _sampled sums them over the draws.  The batch is
@@ -39,7 +40,7 @@ from .center import (
     kernel_lattice,
     recompose,
 )
-from .errors import InternalFaultError, NotAUnitError
+from .errors import BudgetError, InternalFaultError, NotAUnitError, TwistlabError
 from .growth import gk_estimate, growth_table
 from .pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from .quotient import (
@@ -489,5 +490,9 @@ def run_all(p: int, q: int, n: int, k_max: int, seed: int,
                 outcome = check(trials if cap is None else min(trials, cap))
             except InternalFaultError as exc:
                 outcome = Outcome(False, f"internal consistency fault: {exc}")
+            except BudgetError:
+                raise
+            except TwistlabError as exc:  # any other defect the check surfaced
+                outcome = Outcome(False, f"{type(exc).__name__}: {exc}")
         results.append(CheckResult(name, *outcome))
     return results

@@ -585,6 +585,42 @@ def test_abbreviated_flags_beat_config_file(tmp_path, config, argv, key, want):
     assert json.loads(text)["config"][key] == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["simplicity", "--element", "x1 + t*x2"],
+    ["pi-test", "--degree", "4", "--trials", "20"],
+    ["invert", "--element", "1 + x1", "--den", "1"],
+    ["center-probe", "--element", "1 + x1", "--probe-level", "2"],
+], ids=lambda argv: argv[0])
+def test_a_report_reruns_from_its_own_config(tmp_path, capsys, argv):
+    # required options may come from the config file, so a report's own
+    # config block reruns the same command byte for byte
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(text)["config"]))
+    err = capsys.readouterr().err
+    assert run(tmp_path, argv[0], "--config", str(cfg)) == (code, text)
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["simplicity"], "--element"),
+    (["center-probe"], "--element, --probe-level"),
+    (["pi-test"], "--degree"),
+])
+def test_required_options_missing_after_the_config_exit_2(tmp_path, capsys, argv,
+                                                          missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    for extra in ([], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: twistlab {argv[0]} ")
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
 def test_reports_embed_version_and_seed(tmp_path):
     import twistlab
 

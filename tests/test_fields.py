@@ -4,6 +4,7 @@ import pytest
 
 from twistlab.fields import (
     BaseField,
+    ExtensionField,
     PrimeField,
     factor_prime_power,
     is_irreducible,
@@ -184,3 +185,16 @@ def test_ben_or_matches_sympy(r, max_degree):
     for degree in range(1, max_degree + 1):
         for poly in monic_polys(F, degree):
             assert is_irreducible(F, poly) == gt.gf_irreducible_p(_dense(poly), r, ZZ), poly
+
+
+@pytest.mark.parametrize("q,modulus", [
+    (2, [1, 0, 1]),  # (X + 1)^2
+    (2, [1, 0, 0, 1]),  # (X + 1)(X^2 + X + 1)
+    (3, [2, 0, 1]),  # (X + 1)(X + 2)
+    (3, [0, 0, 1]),  # X^2
+    (4, [1, 0, 1]),  # (X + 1)^2
+])
+def test_a_reducible_modulus_is_refused_by_name(q, modulus):
+    with pytest.raises(ValueError) as exc:
+        ExtensionField(BaseField(q), modulus)
+    assert str(exc.value) == f"modulus {modulus} is not irreducible over GF({q})"

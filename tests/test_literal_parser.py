@@ -185,7 +185,11 @@ LISTED = [
     "x1*t*x2^-1*(t + 1)*x1^2", "x1^-1*x2*(x1 + t)*x2^2*t^3*x1",
     "t*x1*1*x2*t^0*(x2 + 1)*x1^-1", "x2^3*(t*x1 - x2)*x2^-3*(1 + t^2*x1)",
     "(x1*t)*x2*((x2*t)*x1)*t", "x1*0*x2", "x2*(x1)*t^2*(1)*x2^-2",
+    # token boundaries: spaced exponents, and sums that are not one token
+    "x1 ^ - 2*t ^ 3", "( t^2 + 1 )*x2", "(t^2+1)*x1", "(t + 1)*(t^2 + t)*x1",
 ]
+# over q = 3 and 4 only: a coefficient token with c*t^i monomials
+LISTED_Q34 = ["(2*t^2 + t + 2)*x1^-1"]
 # over rank 4 only
 LISTED_RANK4 = [
     "x3*t*x4^-2*(t + x1)*x3^-1", "x4^2*x3*x2*x1*t^2*x4^-1*(x3 - t)",
@@ -197,7 +201,8 @@ def test_parser_matches_reference_on_listed_literals(contexts):
     for ctx in contexts:
         q = ctx.tower.q
         coefficients = [f"{c}*x1*t - x2*{c}" for c in range(q)]
-        for text in LISTED + coefficients + (LISTED_RANK4 if ctx.n == 4 else []):
+        listed = LISTED + (LISTED_RANK4 if ctx.n == 4 else []) + (LISTED_Q34 if q > 2 else [])
+        for text in listed + coefficients:
             assert parse_element(ctx, text) == reference_parse(ctx, text), text
 
 
@@ -213,6 +218,8 @@ MALFORMED = [
     "x3", "x0", "t^", "t^-1", "2 +", "(1", "1)", "()", "x1^^2", "x1^-", "y1",
     "5*x1", "", "1 ", " ", "x1 x2", "x9 + ??", "1 + ?", "x", "+1", "--1",
     "1 + (x1", "t^x1", "(1))", "1 +* 2",
+    # token boundaries; (t + 5) is out of range at q = 2
+    "x1^2^3", "(t + 5)*x1", "(t + 1", "x1^2x2", "(t^2 + t)^2", "x1 (t + 1)",
 ]
 
 
@@ -248,3 +255,8 @@ def test_nesting_depth_is_bounded(ctx_n2_k1):
     for depth in (101, 3000):
         with pytest.raises(ValueError, match="parentheses nest more than 100 deep"):
             parse_element(ctx_n2_k1, "(" * depth + "x1" + ")" * depth)
+    # a coefficient token's parentheses count as one level
+    t1 = parse_element(ctx_n2_k1, "t + 1")
+    assert parse_element(ctx_n2_k1, "(" * 99 + "(t + 1)" + ")" * 99) == t1
+    with pytest.raises(ValueError, match="parentheses nest more than 100 deep"):
+        parse_element(ctx_n2_k1, "(" * 100 + "(t + 1)" + ")" * 100)

@@ -460,6 +460,21 @@ def test_table_generator_is_least_code_of_full_order():
         assert all(lvl.exp[lvl.log[c]] == c for c in range(1, lvl.order))
 
 
+@pytest.mark.parametrize("config", [(2, 2, 4), (3, 3, 2), (2, 4, 2), (5, 5, 1)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_generator_is_the_least_code_of_full_order_by_brute_force(config):
+    # the order of each code g = 1, 2, ... is walked by repeated products;
+    # the first of order |L| - 1 must be the generator the tables chose
+    for lvl in build_tower(TowerConfig(*config)).levels:
+        for g in range(1, lvl.order):
+            x, order = g, 1
+            while x != 1:
+                x, order = lvl.mul(x, g), order + 1
+            if order == lvl.units:
+                break
+        assert lvl.exp[1 % lvl.units] == g, (config, lvl.m)
+
+
 # Parent-commit outputs of tower_to_json; the embedding is the root with the
 # least coordinate tuple, which is not the least code.  The q = 1024 and
 # q = 729 towers were recorded with the trial-division irreducibility test.

@@ -5,7 +5,8 @@ import pytest
 
 from twistlab import verify
 from twistlab.cli import main
-from twistlab.errors import InternalFaultError
+from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
+from twistlab.ring import RingElement
 from twistlab.verify import CheckResult, check_quotient_center, run_all
 
 LEVEL_2_CHECKS = {
@@ -30,6 +31,12 @@ def test_run_all_at_kmax_1_skips_and_never_passes_vacuously(p, q):
     # the level-1 runs of the two checks that also run at level 2 still run
     ran = {r.name for r in results if r.passed is True}
     assert {"center.commutator_vs_structural", "center.free_module_round_trip"} <= ran
+
+
+def test_run_all_in_odd_characteristic_at_level_2_has_no_fail_row():
+    # (3, 3): the level-2 field GF(3^9) is built through its Zech tables
+    results = run_all(3, 3, 2, 2, 0)
+    assert [r for r in results if r.passed is False] == []
 
 
 @pytest.mark.parametrize("trials", [0, -5])
@@ -95,6 +102,36 @@ def test_a_faulting_check_is_a_fail_row_and_the_other_rows_run(monkeypatch,
     assert len(err) == len(clean)
     assert [ln for ln in err if ln.startswith("FAIL")] == [
         "FAIL  ring.commutation_rule: internal consistency fault: planted"]
+
+
+def test_a_check_raising_another_defect_error_is_a_fail_row(monkeypatch, tmp_path):
+    clean = run_all(2, 2, 1, 1, 0, trials=20)
+
+    def planted(self):
+        raise NotAUnitError("planted")
+
+    monkeypatch.setattr(RingElement, "invert_unit", planted)
+    faulted = run_all(2, 2, 1, 1, 0, trials=20)
+    assert [r.name for r in faulted] == [r.name for r in clean]
+    assert [r for r in faulted if r.passed is False] == [
+        CheckResult("ring.graded_division_units", False, "NotAUnitError: planted")]
+    # the CLI writes the full report and exits 1
+    out = tmp_path / "out.json"
+    argv = ["verify-all", "--n", "1", "--kmax", "1", "--trials", "20", "--out", str(out)]
+    assert main(argv) == 1
+    assert json.loads(out.read_text())["result"]["checks"] == [
+        r.to_json_dict() for r in faulted]
+
+
+def test_a_budget_refusal_inside_a_check_still_aborts_the_batch(monkeypatch, capsys):
+    def refuse(ctx):
+        raise BudgetError("planted")
+
+    monkeypatch.setattr(verify, "check_ring_commutation_rule", refuse)
+    with pytest.raises(BudgetError, match="planted"):
+        run_all(2, 2, 1, 1, 0, trials=20)
+    assert main(["verify-all", "--n", "1", "--kmax", "1", "--trials", "20"]) == 2
+    assert capsys.readouterr().err == "error: planted\n"
 
 
 def test_regular_representation_row_fails_on_a_zero_determinant(monkeypatch):
