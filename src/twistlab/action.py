@@ -149,31 +149,41 @@ def check_certification_budget(n: int, coeff_bound: int):
                           f" exceeds the budget {CERTIFICATION_BUDGET} vectors per level")
 
 
+def _sums(ts, span) -> list:
+    """sum(c_i * t_i) for c in itertools.product(span, repeat=len(ts)), in
+    that order: a sumset, one list comprehension per coordinate."""
+    acc = [0]
+    for t in ts:
+        acc = [r + c * t for r in acc for c in span]
+    return acc
+
+
 def find_relation(config: ActionConfig, coeff_bound: int, k: int):
     """First nonzero m in itertools.product order over [-B, B]^n, B the
     coeff_bound, with sum(m_i a_i) = 0 mod p^k; None if the box has none.
 
     Exhaustive, met in the middle: m = (u, v) with u the first ceil(n/2)
-    entries; v is tabulated once as residue -> least v, and each u in
-    product order looks up the v that cancels it.
+    entries; v is tabulated once as residue -> least v, and the u residues
+    stream in product order past that table until one cancels.  m and -m
+    come in pairs, so u = 0 (which always hits, through v = 0) is reached
+    only if no nonzero u hits, and it pairs with the least nonzero v of
+    residue 0, which precedes v = 0 if it exists.
     """
     check_certification_budget(config.n, coeff_bound)
     n, h = config.n, (config.n + 1) // 2
     mod = config.p**k
     ts = config.truncations(k)
     span = range(-coeff_bound, coeff_bound + 1)
-    least_v = {}
-    zero_v = None  # least nonzero v of residue 0, the partner of u = 0
-    for v in itertools.product(span, repeat=n - h):
-        r = sum(c * t for c, t in zip(v, ts[h:])) % mod
-        least_v.setdefault(r, v)
-        if r == 0 and zero_v is None and any(v):
-            zero_v = v
-    for u in itertools.product(span, repeat=h):
-        v = least_v.get(-sum(c * t for c, t in zip(u, ts)) % mod) if any(u) else zero_v
-        if v is not None:
-            return u + v
-    return None
+    v_res = [r % mod for r in _sums(ts[h:], span)]
+    vs = list(itertools.product(span, repeat=n - h))
+    least_v = dict(zip(reversed(v_res), reversed(vs)))
+    *head, last = ts[:h]
+    u_res = (-(r + c * last) % mod for r in _sums(head, span) for c in span)
+    u = next(itertools.compress(itertools.product(span, repeat=h),
+                                map(least_v.__contains__, u_res)))
+    if any(u):
+        return u + least_v[-sum(c * t for c, t in zip(u, ts)) % mod]
+    return u + least_v[0] if any(least_v[0]) else None
 
 
 def independence_certificate(config: ActionConfig, coeff_bound: int, k: int) -> bool:

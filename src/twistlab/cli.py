@@ -32,8 +32,8 @@ from .verify import run_all
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
-# a report's config is every parsed option but these
-NOT_CONFIG = ("command", "func", "out", "format", "config", "exponents")
+# a report's config is every parsed option but these, and exponents when unset
+NOT_CONFIG = ("command", "func", "out", "format", "config")
 
 
 def _budget() -> int:
@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         result, ok, *log = args.func(args)
         text = result
         if not isinstance(result, str):
-            config = {k: v for k, v in vars(args).items() if k not in NOT_CONFIG}
+            config = {k: v for k, v in vars(args).items()
+                      if k not in NOT_CONFIG and (v is not None or k != "exponents")}
             report = {"command": args.command, "version": __version__,
                       "config": config, "result": result}
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"

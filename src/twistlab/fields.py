@@ -286,23 +286,27 @@ def poly_mod(F, a, b):
     """Remainder of a by b (b nonzero)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    inv_lead = F.inv(b[-1])
-    while len(rem) >= len(b) and rem:
-        shift = len(rem) - len(b)
-        c = F.mul(rem[-1], inv_lead)
-        for i, bc in enumerate(b):
-            rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bc))
-        rem = poly_trim(rem)
+    rem, mul, sub = poly_trim(a), F.mul, F.sub
+    inv_lead, top = F.inv(b[-1]), len(b) - 1
+    low = [(i, bc) for i, bc in enumerate(b[:-1]) if bc]
+    while len(rem) > top:  # the leading term cancels by construction
+        c, shift = mul(rem.pop(), inv_lead), len(rem) - top
+        for i, bc in low:
+            rem[shift + i] = sub(rem[shift + i], mul(c, bc))
+        while rem and not rem[-1]:
+            rem.pop()
     return rem
 
 
 def _mulmod(F, a, b, f):
     """a * b mod f."""
+    mul, add = F.mul, F.add
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
     return poly_mod(F, prod, f)
 
 

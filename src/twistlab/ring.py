@@ -439,17 +439,20 @@ def _term_literal(word, coords) -> str:
     return (f"({ctext})" if parens else ctext) + "*" + word_text
 
 
-# One token per x_i^e or t^e written without spaces and per coefficient sum
-# as _coeff_literal writes it; any other text reads one symbol per token.
+# One token per run of x_i^e joined by "*" without spaces (stopping before a
+# generator with a spaced "^"), per t^e written without spaces and per
+# coefficient sum as _coeff_literal writes it; any other text reads one
+# symbol per token.
+_POWER = r"x\d+(?:\^-?\d+)?"
 _MONOMIAL = r"(?:(?:\d+\*)?t(?:\^\d+)?|\d+)"
-_TOKEN = re.compile(rf"\s*(x\d+(?:\^-?\d+)?|[*+]|t(?:\^\d+)?"
+_TOKEN = re.compile(rf"\s*({_POWER}(?:\*{_POWER}(?!\s*\^|\d))*|[*+]|t(?:\^\d+)?"
                     rf"|\({_MONOMIAL}(?: \+ {_MONOMIAL})*\)|\d+|[()\-^])|(.)", re.S)
 _MAX_NESTING = 100
 
 
 def _first(tok):
     """The one-symbol token that tok starts with, which error messages name."""
-    return tok and (tok[0] if tok[0] in "(t^" else tok.partition("^")[0])
+    return tok and (tok[0] if tok[0] in "(t^*" else tok.split("*")[0].partition("^")[0])
 
 
 class _Parser:
@@ -516,11 +519,12 @@ class _Parser:
                     raise ValueError(f"expected integer, got {_first(digits)!r}")
                 tok = f"{tok}^{sign}{digits}"
             if tok[0] == "x":
-                name, _, e = tok.partition("^")
-                i = int(name[1:])
-                if not 1 <= i <= ctx.n:
-                    raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
-                shift[i - 1] += int(e or 1)
+                for power in tok.split("*"):
+                    name, _, e = power.partition("^")
+                    i = int(name[1:])
+                    if not 1 <= i <= ctx.n:
+                        raise ValueError(f"generator index {i} out of range 1..{ctx.n}")
+                    shift[i - 1] += int(e or 1)
             else:
                 right = self.factor(tok)
                 if len(right) == 1 and 1 in right.values():

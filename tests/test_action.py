@@ -222,8 +222,11 @@ def test_relation_with_zero_head():
 
 
 def test_least_certified_levels_of_default_actions():
-    levels = [least_certified_level(default_action(n, 2), 8) for n in range(1, 7)]
-    assert levels == [4, 8, 13, 20, 29, 40]
+    levels = [least_certified_level(default_action(n, 2), 8) for n in range(1, 8)]
+    assert levels == [4, 8, 13, 20, 29, 40, 53]
+    # rank 7 is the last that fits the budget; a faster search does not raise it
+    with pytest.raises(BudgetError):
+        least_certified_level(default_action(8, 2), 8)
 
 
 def scan_certified_level(config, coeff_bound):

@@ -585,22 +585,50 @@ def test_abbreviated_flags_beat_config_file(tmp_path, config, argv, key, want):
     assert json.loads(text)["config"][key] == want
 
 
+EXPONENTS = "[[0],[0,9]]"
+
+
 @pytest.mark.parametrize("argv", [
     ["simplicity", "--element", "x1 + t*x2"],
     ["pi-test", "--degree", "4", "--trials", "20"],
     ["invert", "--element", "1 + x1", "--den", "1"],
     ["center-probe", "--element", "1 + x1", "--probe-level", "2"],
-], ids=lambda argv: argv[0])
+    # the pinned runs of the other commands
+    ["tower"],
+    ["center", "--n", "2", "--k", "2"],
+    ["pi-scan", "--n", "2", "--k", "2", "--trials", "40"],
+    ["growth", "--n", "2", "--k", "2", "--nmax", "10", "--format", "json"],
+    ["verify-all", "--n", "2", "--kmax", "2"],
+    # acting exponents other than the default ones
+    ["center", "--n", "2", "--exponents", EXPONENTS],
+    ["invert", "--element", "t + x2", "--den", "1 + x1^2", "--exponents", EXPONENTS],
+], ids=lambda argv: argv[0] + ("-exponents" if "--exponents" in argv else ""))
 def test_a_report_reruns_from_its_own_config(tmp_path, capsys, argv):
     # required options may come from the config file, so a report's own
-    # config block reruns the same command byte for byte
+    # config block reruns the same command byte for byte; --format says how
+    # the report is written, not what it reports, so it is given again
     code, text = run(tmp_path, *argv)
     assert code == 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(json.loads(text)["config"]))
     err = capsys.readouterr().err
-    assert run(tmp_path, argv[0], "--config", str(cfg)) == (code, text)
+    fmt = argv[argv.index("--format"):][:2] if "--format" in argv else []
+    assert run(tmp_path, argv[0], "--config", str(cfg), *fmt) == (code, text)
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "--n", "2"],
+    ["invert", "--element", "t + x2", "--den", "1 + x1^2"],
+], ids=lambda argv: argv[0])
+def test_a_report_names_its_exponents_only_when_given(tmp_path, argv):
+    # the default action leaves config as it was, so pinned reports keep
+    # their bytes; other exponents are named, and they change the report
+    _, default = run(tmp_path, *argv)
+    _, other = run(tmp_path, *argv, "--exponents", EXPONENTS)
+    assert "exponents" not in json.loads(default)["config"]
+    assert json.loads(other)["config"]["exponents"] == EXPONENTS
+    assert json.loads(other)["result"] != json.loads(default)["result"]
 
 
 @pytest.mark.parametrize("argv,missing", [

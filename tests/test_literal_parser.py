@@ -187,6 +187,8 @@ LISTED = [
     "(x1*t)*x2*((x2*t)*x1)*t", "x1*0*x2", "x2*(x1)*t^2*(1)*x2^-2",
     # token boundaries: spaced exponents, and sums that are not one token
     "x1 ^ - 2*t ^ 3", "( t^2 + 1 )*x2", "(t^2+1)*x1", "(t + 1)*(t^2 + t)*x1",
+    # a run of generator powers ends before a generator with a spaced exponent
+    "x1^2*x2 ^ 3", "x1*x2 ^ -1",
 ]
 # over q = 3 and 4 only: a coefficient token with c*t^i monomials
 LISTED_Q34 = ["(2*t^2 + t + 2)*x1^-1"]
@@ -220,6 +222,9 @@ MALFORMED = [
     "1 + (x1", "t^x1", "(1))", "1 +* 2",
     # token boundaries; (t + 5) is out of range at q = 2
     "x1^2^3", "(t + 5)*x1", "(t + 1", "x1^2x2", "(t^2 + t)^2", "x1 (t + 1)",
+    # runs of generator powers: errors name the run's first generator, and
+    # check each generator in turn
+    "(x1)x2*x1", "x1*x3", "x1*x2^", "x1*x2^12 ^ 2", "x1*x12 ^ 2",
 ]
 
 
