@@ -10,15 +10,17 @@ action exponent, which is linear in the word, in the packed residue mod the
 level degree, so a product is log arithmetic with the twist read from the
 level's Frobenius factors and no exponent is carried.
 
-A word's space is a dict {leading base-q digit: row}, and a lead table, one
-byte per code of the level, gives a code's leading digit by one lookup.  The
-frontier groups the new vectors by word, {packed word: (log coefficients)},
-so each (word, term) pair looks up its target w + h and tests it for
-saturation once, skips it when full, and stops reducing the word's vectors
-into it as soon as it fills; a full word's rows are then replaced by (), so
+A word's space is a list of deg slots, slot i the row leading at base-q
+digit i (0 while empty), and one slot counting its dimension; a lead table,
+one byte per code of the level, gives a code's leading digit by one lookup.
+Rows are stored scaled to leading digit 1, so a code below 2 * q^i, which
+leads with digit 1, subtracts its row as it is and only other codes scale it
+first: over GF(2) every code does.  The frontier maps each word to a list of
+its new log coefficients, appended in place, so each (word, term) pair looks
+up its target w + h and tests it for saturation once, and stops reducing
+into it as soon as it fills; a full word's slots are then replaced by (), so
 the test is one truth test and the rows are freed.  Each space is the span
-of everything reached so far, so the rows do not depend on the order of
-insertion.
+of everything reached so far, so the rows do not depend on insertion order.
 
 The growth exponent is estimated as the least-squares slope of log dim
 against log N over the top half of the table, and is labelled an estimate:
@@ -104,47 +106,50 @@ def growth_table(ctx: RingContext, generators: Optional[Sequence[RingElement]] =
     # generator terms, in order, as (packed word, log coefficient)
     terms = [(sum(map(_mul_ints, h, weights)), log[d])
              for g in gen_set[1:] for h, d in g.codes.items()]
-    spaces = {0: {0: 1}}  # packed word -> {leading digit: row}, or () once full
-    # packed word -> tuple of log coefficients new in the last step; tuples of
-    # ints drop out of the garbage collector's scans, lists would not
-    frontier = {0: (0,)}
+    # a code leading at digit i leads with digit 1 iff it is below twos[i]
+    twos = [2 * power for power in powers]
+    # packed word -> [row leading at digit i, for i < deg] + [dimension], or ()
+    spaces = {0: [1] + [0] * (deg - 1) + [1]}
+    frontier = {0: [0]}  # packed word -> log coefficients new in the last step
     rows = [1]
     truncated_at = None
     for step in range(1, n_max + 1):
-        new_entries, added = {}, 0
+        new_entries = {}
         for word, lcs in frontier.items():
             f = frob[word % deg]
             for h, ld in terms:
                 w = word + h
                 space = spaces.get(w)
                 # the one saturation test of this (word, term): only a missing
-                # word (None) and a full one (()) are falsy, as a new space
-                # always takes the first vector
+                # word (None) and a full one (()) are falsy
                 if not space:
                     if space is not None:
                         continue
-                    space = spaces[w] = {}
+                    space = spaces[w] = [0] * (deg + 1)
                 fld = f * ld
                 for lc in lcs:
                     lv = (lc + fld) % units
                     vec = exp[lv]
                     while vec:
                         i = lead[vec]
-                        row, c = space.get(i), vec // powers[i]
-                        if row is None:
+                        row = space[i]
+                        if not row:
                             break
-                        # over GF(2) c is always 1 and the reduction is one XOR
-                        vec = sub(vec, row if c == 1 else mul(c, row))
+                        vec = sub(vec, row if vec < twos[i] else mul(vec // powers[i], row))
                     else:  # reduced to zero: already in the span
                         continue
-                    space[i] = vec if c == 1 else mul(inv(c), vec)
-                    added += 1
-                    new_entries[w] = new_entries.get(w, ()) + (lv,)
-                    if len(space) == deg:  # full: free its rows, skip it from now on
+                    space[i] = vec if vec < twos[i] else mul(inv(vec // powers[i]), vec)
+                    lvs = new_entries.get(w)
+                    if lvs is None:
+                        new_entries[w] = [lv]
+                    else:
+                        lvs.append(lv)
+                    space[deg] += 1
+                    if space[deg] == deg:  # full: free its rows, skip it from now on
                         spaces[w] = ()
                         break
         frontier = new_entries
-        rows.append(rows[-1] + added)
+        rows.append(rows[-1] + sum(map(len, new_entries.values())))
         if rows[-1] > max_vectors:
             truncated_at = step
             break

@@ -479,6 +479,13 @@ GROWTH_GOLDENS = [
      "2ef383d1dee2e322357a2685fc805957fa348883d8a2ebffdc17d1dfc2056f3e"),
     (["--n", "2", "--k", "2", "--nmax", "10", "--format", "json"],
      "74cde955d62920b01e7a04639e80696aacfe2d56ee88c660066776b07dce722e"),
+    # odd and extension base fields: codes whose leading base-q digit is above
+    # 1 scale a row before subtracting it, and are scaled before being stored
+    (["--p", "3", "--q", "3", "--n", "2", "--k", "2", "--nmax", "10", "--format", "json"],
+     "85bac1e1f83ec94755ed11635062910080c89f46bbdca275b1a90d0c73e11de1"),
+    (["--p", "2", "--q", "4", "--n", "2", "--k", "3", "--kmax", "3", "--nmax", "10",
+      "--format", "json"],
+     "2854b1ce92abb0902071e997f99640b0f56838c80f97807b82043751bda50fb6"),
 ]
 
 

@@ -69,6 +69,42 @@ def reference_growth_table(ctx, generators, n_max, max_vectors=500_000):
                        truncated_at=truncated_at)
 
 
+def global_span_rows(ctx, generators, n_max):
+    """dim span(products of length <= N), N = 0..n_max, from ring products and
+    one echelon over GF(q) keyed by (word, coordinate): no per-word split, so
+    it is exact for generators of any number of terms."""
+    F = ctx.level.base
+    pivots = {}  # key -> row whose largest key it is, with coefficient 1 there
+
+    def insert(element):
+        vec = {(w, i): d for w, c in element.terms.items()
+               for i, d in enumerate(c.coords) if d}
+        while vec:
+            key = max(vec)
+            row = pivots.get(key)
+            if row is None:
+                inv = F.inv(vec[key])
+                pivots[key] = {kk: F.mul(inv, d) for kk, d in vec.items()}
+                return True
+            c = vec[key]
+            for kk, d in row.items():
+                v = F.sub(vec.get(kk, 0), F.mul(c, d))
+                if v:
+                    vec[kk] = v
+                else:
+                    del vec[kk]
+        return False
+
+    gens = [g for g in generators if not g.is_zero()]
+    insert(ctx.one())
+    rows, new = [1], [ctx.one()]
+    for _ in range(n_max):
+        # span(V^N * V) = V^N + (the products added last) * V, as 1 is in V
+        new = [b for b in (a * g for a in new for g in gens) if insert(b)]
+        rows.append(len(pivots))
+    return rows
+
+
 def l1_ball(n, radius):
     return sum(
         1
@@ -333,3 +369,39 @@ def test_verify_check_growth_reports_the_slope_but_does_not_gate_on_it():
     result = verify.check_growth(ctx, None)
     assert result.passed is True
     assert result.detail == "slope 2.207 for rank 2, top dim 3445 <= 4205"
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_growth_matches_the_global_span_oracle_on_monomial_generators(p, q):
+    # the code-echelon reference above shares growth_table's per-word split;
+    # this oracle does not, and it agrees wherever every generator is a
+    # monomial
+    tower = build_tower(TowerConfig(p, q, 2))
+    rng = random.Random(f"growth-global-span-{p}-{q}")
+    for n, k in product((1, 2), (1, 2)):
+        ctx = RingContext(tower, default_action(n, p), k)
+        level = ctx.level
+        gen_sets = [None] + [
+            [ctx.monomial(level.from_code(rng.randrange(1, level.order)),
+                          [rng.randint(-1, 1) for _ in range(n)])
+             for _ in range(rng.randint(1, 3))]
+            for _ in range(2)]
+        for gens in gen_sets:
+            want = global_span_rows(ctx, gens or ctx.default_generators(), 4)
+            assert growth_table(ctx, gens, n_max=4).rows == want, (n, k, gens)
+
+
+def test_global_span_oracle_measures_a_two_term_generator(tower223, action_n1):
+    # span(1, a, ..., a^N) for a = x1 + t: the powers of a are independent
+    ctx = RingContext(tower223, action_n1, 2)
+    a = ctx.gen(1) + ctx.scalar(ctx.theta())
+    assert global_span_rows(ctx, [a], 6) == list(range(1, 8))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_growth_of_a_two_term_generator_matches_the_global_span(tower223, action_n1):
+    # growth_table puts each term of a product in its own word's space, so it
+    # reads 1, 3, 7, 12, 16, 20, 24 here
+    ctx = RingContext(tower223, action_n1, 2)
+    a = ctx.gen(1) + ctx.scalar(ctx.theta())
+    assert growth_table(ctx, [a], n_max=6).rows == global_span_rows(ctx, [a], 6)
