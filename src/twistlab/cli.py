@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .action import ActionConfig, PAdicExponent, check_certification_budget, default_action
+from .action import ActionConfig, check_certification_budget, default_action
 from .center import kernel_lattice
 from .errors import InternalFaultError, TwistlabError
 from .growth import gk_estimate, growth_table
@@ -126,9 +126,8 @@ def _action(args) -> object:
             raise ValueError(
                 f"--exponents must be a JSON list of lists of integers, got {spec}"
             )
-        return ActionConfig(
-            args.n, args.p, [PAdicExponent.from_positions(ps) for ps in positions]
-        )
+        return ActionConfig.from_json_dict(
+            {"n": args.n, "p": args.p, "exponents": positions})
     return default_action(args.n, args.p)
 
 

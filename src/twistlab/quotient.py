@@ -261,9 +261,9 @@ def regular_representation(r: RingElement, basis: FreeBasis,
     """Matrix of left multiplication by r on the free center-module basis.
 
     Entry [a][b] is the a-th central coordinate of r * basis[b]; the map is a
-    ring homomorphism into p^(2k) x p^(2k) matrices over the center.  It
-    witnesses the rank-p^(2k) freeness and is the reference that inversion,
-    through the smaller splitting_representation, is checked against.
+    ring homomorphism into p^(2k) x p^(2k) matrices over the center.  Nothing
+    in the package calls it: inversion and verify-all work through the smaller
+    splitting_representation, and this stays as the tests' reference for it.
     """
     cols = [decompose_over_center(r * b, basis, lattice) for b in basis.elements]
     size = basis.size()
@@ -289,6 +289,18 @@ def splitting_representation(s: RingElement, lattice: KernelLattice) -> list:
             i, neg_wi, neg_e = slot[to_box(v)[0]]
             entries[i][j][add_words(v, neg_wi)] = frob_code(c, neg_e)
     return entries
+
+
+def _read_back(ctx: RingContext, lattice: KernelLattice, column) -> RingElement:
+    """sum_i x^(w_i) column_i in R_k, splitting_representation run backwards
+    with no ring product: x^(w_i) c x^v = sigma_(w_i)(c) x^(w_i + v).  Column
+    0 of rho(s) reads back s, since w_0 = 0."""
+    add_words, frob_code, codes = ctx.add_words, ctx.level.frob_code, {}
+    for wi, a in zip(lattice.box_representatives(), column):
+        e = ctx.word_exponent(wi)
+        for v, c in a.items():
+            codes[add_words(wi, v)] = frob_code(c, e)
+    return _from_codes(ctx, codes)
 
 
 class CentralFraction:
@@ -365,20 +377,12 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     verified; Nrd(s) = det rho(s) comes back as {Lambda-word: code}."""
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
-    add_words, frob_code = ctx.add_words, ctx.level.frob_code
     e0 = [{(0,) * ctx.n: 1}] + [{}] * (lattice.index - 1)
-    nrd, adj = _bareiss(ctx.level, add_words, splitting_representation(s, lattice), e0)
+    nrd, adj = _bareiss(ctx.level, ctx.add_words, splitting_representation(s, lattice), e0)
     if not nrd:
         raise InternalFaultError("splitting representation of a nonzero element "
                                  "is singular; this falsifies the construction")
-    # s_adj = sum_i x^(w_i) adj_i, and x^(w_i) c x^v = sigma_(w_i)(c) x^(w_i + v):
-    # splitting_representation run backwards, with no ring product
-    codes = {}
-    for wi, a in zip(lattice.box_representatives(), adj):
-        e = ctx.word_exponent(wi)
-        for v, c in a.items():
-            codes[add_words(wi, v)] = frob_code(c, e)
-    s_adj, w = _from_codes(ctx, codes), _from_codes(ctx, nrd)
+    s_adj, w = _read_back(ctx, lattice, adj), _from_codes(ctx, nrd)
     if (not is_central_structural(w, lattice)
             or s * s_adj != w or s_adj * s != w):
         raise InternalFaultError("reduced-norm verification failed")

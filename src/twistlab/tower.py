@@ -265,9 +265,6 @@ class Tower:
             code = self._up[m][code]
         return code
 
-    def frobenius(self, x: FieldElement, times: int) -> FieldElement:
-        return self.levels[x.level.m].frobenius(x, times)
-
     def fixed_subfield_dim(self, times: int, level: int) -> int:
         """Degree over GF(q) of the subfield fixed by Frobenius^times on L_level."""
         steps = self.p**level

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial, reduce
 from typing import NamedTuple, Optional
 
 from .action import (
@@ -46,9 +47,12 @@ from .pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from .quotient import (
     CentralFraction,
     _bareiss,
+    _combine,
+    _mul,
+    _read_back,
     center_of_quotient_test,
     invert,
-    regular_representation,
+    splitting_representation,
 )
 from .ring import RingContext, _from_codes, parse_element
 from .simplicity import (
@@ -98,13 +102,13 @@ def _tower_embeddings(tower: Tower, rng) -> int:
     y = tower.level(m).random_element(rng)
     x3 = tower.embed(x, m3)
     return ((tower.embed(tower.embed(x, m2), m3) != x3)
-            + (tower.embed(tower.frobenius(x, t), m3) != tower.frobenius(x3, t))
+            + (tower.embed(x.frobenius(t), m3) != x3.frobenius(t))
             + (tower.embed(x * y, m3) != x3 * tower.embed(y, m3)))
 
 
 def check_tower_fixed_field(tower: Tower) -> Outcome:
     """Exhaustive: Frobenius fixes exactly the embedded base field."""
-    bad = sum(sum(lvl.frobenius(x, 1) == x for x in lvl.elements()) != tower.q
+    bad = sum(sum(lvl.frob_code(c, 1) == c for c in range(lvl.order)) != tower.q
               for lvl in map(tower.level, range(tower.k_max + 1)))
     return Outcome(bad == 0,
                    f"levels 0..{tower.k_max} enumerated, {bad} failures")
@@ -356,20 +360,16 @@ def _quotient_division(ctx: RingContext, rng) -> int:
     return (f * g != one) + (invert(g) != f)
 
 
-def _quotient_regular_rep(ctx: RingContext, fb, lat, rng) -> int:
+def _quotient_splitting(ctx: RingContext, rng) -> int:
+    # rho(r) rho(s) = rho(r s), det rho(r) != 0 for r != 0, column 0 reads back r
+    lat, F, add = kernel_lattice(ctx), ctx.level, ctx.add_words
     r, s = ctx.random_element(rng, max_terms=2), ctx.random_element(rng, max_terms=2)
-    mr, ms, mrs = (regular_representation(x, fb, lat) for x in (r, s, r * s))
-    size = fb.size()
-    bad = sum(sum((mr[a][c] * ms[c][b] for c in range(size)), ctx.zero()) != mrs[a][b]
-              for a, b in itertools.product(range(size), repeat=2))
-    det, _ = _bareiss(ctx.level, ctx.add_words, [[e.codes for e in row] for row in mr])
-    return bad + (not r.is_zero() and not det)
-
-
-def check_quotient_regular_rep(ctx: RingContext, rng, trials: int) -> Outcome:
-    lat = kernel_lattice(ctx)
-    return _sampled(trials, "random pairs", _quotient_regular_rep,
-                    ctx, free_basis(ctx, lat), lat, rng)
+    mr, ms, mrs = (splitting_representation(x, lat) for x in (r, s, r * s))
+    d, plus = lat.index, partial(_combine, F.add)
+    bad = sum(reduce(plus, (_mul(F, add, mr[a][c], ms[c][b]) for c in range(d)), {})
+              != mrs[a][b] for a, b in itertools.product(range(d), repeat=2))
+    return (bad + (not r.is_zero() and not _bareiss(F, add, mr)[0])
+            + (_read_back(ctx, lat, [row[0] for row in mr]) != r))
 
 
 def check_quotient_center(ctx: RingContext, rng, trials: int) -> Outcome:
@@ -476,8 +476,8 @@ def run_all(p: int, q: int, n: int, k_max: int, seed: int,
          None),
         ("quotient.inverse_and_involution", 1,
          sampled("random fractions", _quotient_division, rank1), 20),
-        ("quotient.regular_representation_hom", 1,
-         lambda t: check_quotient_regular_rep(rank1, rng, t), 10),
+        ("quotient.splitting_representation_hom", 1,
+         sampled("random pairs", _quotient_splitting, rank1), 10),
         ("quotient.center_collapses_to_base", 2,
          lambda t: check_quotient_center(rank1, rng, t), 40),
     ]

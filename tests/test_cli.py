@@ -27,7 +27,7 @@ STDERR_GOLDENS = {
     "pi-test --p 3 --n 1 --k 1 --degree 4 --trials 30 --seed 5":
         "dc991856dd7861491a0a46526332e226c4cb65266072c838fcdd09a57965ab78",
     "verify-all --n 2 --kmax 2":
-        "e121d295f18d4e95d32162bb9b8755b3ecc65012563e62944f272635e2edaf30",
+        "b9a925b1807ebe966a4a2a7c1b73ce7f421b96b75908df07248f9fe70431117b",
 }
 
 
@@ -433,7 +433,7 @@ def test_pi_scan_without_levels_exits_2(tmp_path, capsys):
 
 VERIFY_ALL_GOLDEN = (
     ["verify-all", "--n", "2", "--kmax", "2"],
-    "502593c0bd3db62df1605f92298b70584153d3db55d7b1e82b60c9fbfeb8d923",
+    "397ee76fcc778c068fc135c04e1274ac61a6b4bfe1e2bc668d3c22b960fdf3c9",
 )
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistlab import verify
+from twistlab import ring, verify
 from twistlab.cli import main
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.ring import RingElement
@@ -20,7 +20,7 @@ LEVEL_2_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (5, 5)])
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 3), (5, 5), (7, 7)])
 def test_run_all_at_kmax_1_skips_and_never_passes_vacuously(p, q):
     results = run_all(p, q, 2, 1, 0)
     assert not [r for r in results if r.passed is False]
@@ -134,9 +134,44 @@ def test_a_budget_refusal_inside_a_check_still_aborts_the_batch(monkeypatch, cap
     assert capsys.readouterr().err == "error: planted\n"
 
 
-def test_regular_representation_row_fails_on_a_zero_determinant(monkeypatch):
+def splitting_row():
+    rows = {r.name: r for r in run_all(2, 2, 1, 1, 0, trials=20)}
+    return rows["quotient.splitting_representation_hom"]
+
+
+def test_splitting_representation_row_fails_on_a_zero_determinant(monkeypatch):
     # the row checks that a nonzero element has an invertible matrix, not only
     # that the representation is multiplicative
     monkeypatch.setattr(verify, "_bareiss", lambda F, add, matrix, rhs=None: ({}, None))
-    rows = {r.name: r for r in run_all(2, 2, 1, 1, 0, trials=20)}
-    assert rows["quotient.regular_representation_hom"].passed is False
+    assert splitting_row().passed is False
+
+
+def test_splitting_representation_row_fails_on_an_untwisted_ring_product(monkeypatch):
+    # rho is built from the twist rule alone, so a ring product that drops
+    # sigma_g no longer matches rho(r) rho(s)
+    def untwisted(ctx, left, right, out):
+        level = ctx.level
+        for g, c in left.items():
+            for h, d in right.items():
+                w = ctx.add_words(g, h)
+                out[w] = level.add(out.get(w, 0), level.mul(c, d))
+        return out
+
+    assert splitting_row().passed is True
+    monkeypatch.setattr(ring, "_mul_codes", untwisted)
+    row = splitting_row()
+    assert row.passed is False and row.detail.startswith("10 random pairs, ")
+
+
+def test_splitting_representation_row_fails_without_the_inverse_twist(monkeypatch):
+    # entry (i, j) of rho(s) carries sigma_(w_i)^(-1)(c); undoing it breaks
+    # both the product rule and the read-back of column 0
+    rho = verify.splitting_representation
+
+    def dropped(s, lat):
+        ctx = s.ctx
+        return [[{v: ctx.level.frob_code(c, ctx.word_exponent(wi)) for v, c in e.items()}
+                 for e in row] for wi, row in zip(lat.box_representatives(), rho(s, lat))]
+
+    monkeypatch.setattr(verify, "splitting_representation", dropped)
+    assert splitting_row().passed is False
