@@ -22,7 +22,7 @@ import random
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetError
-from .ring import RingContext, RingElement, _from_codes, _mul_codes
+from . import ring
 
 MAX_DEGREE = 8  # guard: under m * 2^(m-1) twisted products; 574 at m = 8 on monomials
 
@@ -31,7 +31,7 @@ MAX_DEGREE = 8  # guard: under m * 2^(m-1) twisted products; 574 at m = 8 on mon
 _DEGREE_MAX_TERMS = {2: 3, 4: 3, 6: 2, 8: 1}
 
 
-def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
+def standard_polynomial(elements: Sequence[ring.RingElement]) -> ring.RingElement:
     """Alternating sum over all orderings of the arguments, computed exactly.
 
     S(T) for every index subset T of one size is built from the subsets one
@@ -50,7 +50,7 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
     neg = ctx.level.neg
     xs = [x.codes for x in elements]
     if m == 1:
-        return _from_codes(ctx, xs[0])
+        return ring._from_codes(ctx, xs[0])
     full = (1 << m) - 1
     signed = (xs, [{w: neg(c) for w, c in x.items()} for x in xs])
     low, layer = {}, {1 << i: x for i, x in enumerate(xs)}
@@ -66,15 +66,15 @@ def standard_polynomial(elements: Sequence[RingElement]) -> RingElement:
                 for a, lhs in low[m - size].items():
                     if sum((a >> i).bit_count() for i in range(m) if not a >> i & 1) & 1:
                         lhs = {w: neg(c) for w, c in lhs.items()}
-                    _mul_codes(ctx, lhs, layer[full ^ a], out)
-                return _from_codes(ctx, out)
+                    ring._mul_codes(ctx, lhs, layer[full ^ a], out)
+                return ring._from_codes(ctx, out)
         grown: dict = {}
         for rest, value in layer.items():
             for i in range(m):
                 if not rest >> i & 1:
                     odd = (rest & ((1 << i) - 1)).bit_count() & 1
                     out = grown.setdefault(rest | 1 << i, {})
-                    _mul_codes(ctx, signed[odd][i], value, out)
+                    ring._mul_codes(ctx, signed[odd][i], value, out)
         layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}
 
 
@@ -108,7 +108,7 @@ class PIReport(NamedTuple):
         return out
 
 
-def test_identity(ctx: RingContext, degree: int, trials: int, seed: int,
+def test_identity(ctx: ring.RingContext, degree: int, trials: int, seed: int,
                   stop_on_witness: bool = False, max_terms: int = 3) -> PIReport:
     """Evaluate the standard polynomial on random tuples.
 
@@ -159,7 +159,7 @@ class ScanRow(NamedTuple):
         }
 
 
-def pi_degree_scan(contexts: Sequence[RingContext], trials: int, seed: int,
+def pi_degree_scan(contexts: Sequence[ring.RingContext], trials: int, seed: int,
                    max_degree: int = MAX_DEGREE) -> list:
     """Measure the failing/vanishing frontier for each level.
 

@@ -4,8 +4,8 @@ The center of a level ring R_k is GF(q)[Lambda], Lambda the kernel lattice:
 Laurent polynomials in n variables, whose fractions realize the quotient
 division ring.  A central value keeps its form in R_k, a {Lambda-word: level
 code} dict on which every sigma_w acts trivially; one core computes on such
-dicts from a field and a word adder (product, subtraction, exact division,
-Bareiss solve), and LaurentPoly is the lattice-coordinate view on that core.
+dicts from a field, a word adder and a product kernel (product, subtraction,
+exact division, Bareiss solve); LaurentPoly is the lattice-coordinate view.
 
 Inversion goes through the degree-d splitting, d = p^k: left multiplication
 on R_k as a free right L[Lambda]-module (L the level field) is a d x d matrix
@@ -21,20 +21,22 @@ result; a failure raises InternalFaultError.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Optional
 
 from .center import (FreeBasis, KernelLattice, decompose_over_center,
                      is_central_structural, kernel_lattice)
 from .errors import ContextMismatchError, InternalFaultError, NotAUnitError
-from .ring import _METER, RingContext, RingElement, _from_codes, same_context, word_adder
+from .ring import (_METER, RingContext, RingElement, _from_codes, product_kernel,
+                   same_context, word_adder)
 
 INVERSION_CAP = 2**22  # term pairs one inversion may form: seconds of kernel work
 
 
 # -- the core, on {word: nonzero code} dicts of a commutative Laurent ring: F
-# is the field and add the word sum, ctx.level and ctx.add_words on
-# Lambda-words in inversion, the view's field and word_adder(nvars) in LaurentPoly
+# the field, add the word sum and mul _untwisted(F, n), the zero-twist kernel;
+# ctx.level, ctx.add_words on Lambda-words in inversion, the view's in LaurentPoly
+_untwisted = lru_cache(maxsize=None, typed=True)(product_kernel)
 
 
 def _combine(op, a: dict, b: dict) -> dict:
@@ -48,27 +50,15 @@ def _combine(op, a: dict, b: dict) -> dict:
     return out
 
 
-def _mul(F, add, a: dict, b: dict) -> dict:
-    """a * b: c1 c2 = exp(log c1 + log c2) on the field's tables, as in
-    ring._mul_codes but with no twist."""
+def _mul(mul, a: dict, b: dict) -> dict:
+    """a * b through the untwisted kernel mul, zero codes dropped."""
     _METER.charge(len(a) * len(b))
-    exp, log, units, plus = F.exp, F.log, F.units, F.add
-    right = [(e, log[c]) for e, c in b.items()]
-    out: dict = {}
-    for e1, c1 in a.items():
-        l1 = log[c1]
-        for e2, l2 in right:
-            e = add(e1, e2)
-            v = exp[(l1 + l2) % units]
-            prev = out.get(e)
-            out[e] = v if prev is None else plus(prev, v)
-    return {e: c for e, c in out.items() if c}
+    return {e: c for e, c in mul(a, b, {}).items() if c}
 
 
 def _scaled(F, add, a: dict, offset, c: int = 1) -> dict:
     """c x^offset a: a shift and a scaling."""
-    mul = F.mul
-    return {add(e, offset): x if c == 1 else mul(x, c) for e, x in a.items()}
+    return {add(e, offset): x if c == 1 else F.mul(x, c) for e, x in a.items()}
 
 
 def _content(words) -> tuple:
@@ -115,7 +105,7 @@ def _div(F, add, a: dict, b: dict) -> dict:
     return _scaled(F, add, quo, tuple(x - y for x, y in zip(m_a, m_b)))
 
 
-def _bareiss(F, add, matrix, rhs=None):
+def _bareiss(F, add, mul, matrix, rhs=None):
     """Fraction-free solve of M x = rhs on core dicts (Bareiss 1968).
 
     Single-step elimination with row pivoting on [M | rhs], then fraction-free
@@ -138,9 +128,9 @@ def _bareiss(F, add, matrix, rhs=None):
         for row in m[i + 1:]:
             lead = row[i]
             for c in range(i + 1, width):
-                num = _mul(F, add, pivot, row[c]) if row[c] else {}
+                num = _mul(mul, pivot, row[c]) if row[c] else {}
                 if lead and top[c]:
-                    num = _combine(sub, num, _mul(F, add, lead, top[c]))
+                    num = _combine(sub, num, _mul(mul, lead, top[c]))
                 row[c] = num if prev is None else _div(F, add, num, prev)
             row[i] = {}
         prev = pivot
@@ -150,10 +140,10 @@ def _bareiss(F, add, matrix, rhs=None):
         # above it, U_ii * (det x_i) = det * y_i - sum_(j>i) U_ij * (det x_j)
         sol = [None] * (n - 1) + [m[n - 1][n]]
         for i in range(n - 2, -1, -1):
-            acc = _mul(F, add, det, m[i][n]) if m[i][n] else {}
+            acc = _mul(mul, det, m[i][n]) if m[i][n] else {}
             for j in range(i + 1, n):
                 if m[i][j] and sol[j]:
-                    acc = _combine(sub, acc, _mul(F, add, m[i][j], sol[j]))
+                    acc = _combine(sub, acc, _mul(mul, m[i][j], sol[j]))
             sol[i] = _div(F, add, acc, m[i][i])
     if sign < 0:
         det = _combine(sub, {}, det)
@@ -196,8 +186,7 @@ class LaurentPoly:
         return self._view(_combine(self.field.sub, {}, self.terms))
 
     def __mul__(self, other):
-        return self._view(_mul(self.field, word_adder(self.nvars),
-                               self.terms, other.terms))
+        return self._view(_mul(_untwisted(self.field, self.nvars), self.terms, other.terms))
 
     def shift(self, offset):
         return self._view(_scaled(self.field, word_adder(self.nvars),
@@ -246,6 +235,7 @@ def bareiss_solve(matrix, rhs=None):
         raise ValueError("empty matrix")
     view = matrix[0][0]
     det, sol = _bareiss(view.field, word_adder(view.nvars),
+                        _untwisted(view.field, view.nvars),
                         [[e.terms for e in row] for row in matrix],
                         None if rhs is None else [v.terms for v in rhs])
     return view._view(det), sol and [view._view(v) for v in sol]
@@ -373,12 +363,14 @@ class CentralFraction:
 
 
 def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
-    """(s_adj, Nrd(s)) with s * s_adj = s_adj * s = Nrd(s) central, both
-    verified; Nrd(s) = det rho(s) comes back as {Lambda-word: code}."""
+    """(s_adj, Nrd^(d-1), Nrd^d) with s * s_adj = s_adj * s = Nrd(s) = det
+    rho(s) central, both verified; the powers are {Lambda-word: code}."""
     if s.is_zero():
         raise ZeroDivisionError("zero denominator")
     e0 = [{(0,) * ctx.n: 1}] + [{}] * (lattice.index - 1)
-    nrd, adj = _bareiss(ctx.level, ctx.add_words, splitting_representation(s, lattice), e0)
+    mul = _untwisted(ctx.level, ctx.n)
+    nrd, adj = _bareiss(ctx.level, ctx.add_words, mul,
+                        splitting_representation(s, lattice), e0)
     if not nrd:
         raise InternalFaultError("splitting representation of a nonzero element "
                                  "is singular; this falsifies the construction")
@@ -386,10 +378,10 @@ def _reduced_norm(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     if (not is_central_structural(w, lattice)
             or s * s_adj != w or s_adj * s != w):
         raise InternalFaultError("reduced-norm verification failed")
-    return s_adj, nrd
+    return (s_adj, *_norm_powers(ctx.level, mul, nrd, lattice.index))
 
 
-def _norm_powers(F, add, nrd: dict, d: int):
+def _norm_powers(F, mul, nrd: dict, d: int):
     """(Nrd^(d-1), Nrd^d) from the base-r digits of the exponents, r the
     characteristic.  Nrd^(r^j) is termwise, c u^e -> c^(r^j) u^(r^j e), so
     Nrd^m takes one product less than the digit sum of m: at d = 2^k in
@@ -404,7 +396,7 @@ def _norm_powers(F, add, nrd: dict, d: int):
                 factors += [{tuple(t * v for v in e): exp[log[c] * t % units]
                              for e, c in nrd.items()}] * digit
             t *= r
-        return (reduce(partial(_mul, F, add), factors) if factors
+        return (reduce(partial(_mul, mul), factors) if factors
                 else {(0,) * len(next(iter(nrd))): 1})
 
     return power(d - 1), power(d)
@@ -416,8 +408,7 @@ def _central_multiple(s: RingElement, ctx: RingContext, lattice: KernelLattice):
     adjugate column and determinant of the p^(2k) regular representation,
     since N(s) = Nrd(s)^d (Reiner, Maximal Orders, 9)."""
     with _METER.budget(INVERSION_CAP):
-        s_adj, nrd = _reduced_norm(s, ctx, lattice)
-        power, norm = _norm_powers(ctx.level, ctx.add_words, nrd, lattice.index)
+        s_adj, power, norm = _reduced_norm(s, ctx, lattice)
         return s_adj * _from_codes(ctx, power), _from_codes(ctx, norm)
 
 
@@ -438,8 +429,7 @@ def invert(f: CentralFraction) -> CentralFraction:
     ctx, F, add = f.ctx, f.ctx.level, f.ctx.add_words
     lat = kernel_lattice(ctx)
     with _METER.budget(INVERSION_CAP):
-        s_adj, nrd = _reduced_norm(f.num, ctx, lat)
-        power, norm = _norm_powers(F, add, nrd, lat.index)
+        s_adj, power, norm = _reduced_norm(f.num, ctx, lat)
         coords = {lat.lattice_coordinates(w): c for w, c in norm.items()}
         unit = lat.from_lattice_coordinates(tuple(-v for v in _content(coords)))
         inv_lead = F.inv(coords[max(coords)])

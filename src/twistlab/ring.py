@@ -10,14 +10,14 @@ automorphism attached to the left word:
 with sigma_g = Frobenius^(action exponent of g at this level), the linear form
 sum(g_i * t_i) mod p^k in the action's level-k truncations t_i.
 
-A context compiles its word arithmetic once, when it is built: the word
-sum (g[0] + h[0], ..., g[n-1] + h[n-1]) of its rank (word_adder, shared per
-rank) and the exponent (g[0]*t_0 + ... + g[n-1]*t_{n-1}) % p^k of its level
-(exponent_form).  The kernel forms one sum per term pair and one exponent
-per left term; at rank 2 each straight-line form costs a third of
-tuple(map(add, g, h)) or sum(map(mul, g, ts)) % mod (196 against 641 ns and
-150 against 528 ns a call, Xeon, Python 3.11).  The source is formatted from
-exact ints only, so no literal or other user text reaches the compiler.
+A context compiles its product kernel once, when it is built, from the ints
+n, t_i and p^k (product_kernel): the for targets unpack the words, g + h is
+a tuple display, the exponent (g0*t_0 + ... + g{n-1}*t_{n-1}) % p^k is
+inline, and the level's exp, log, units, add and Frobenius factors are bound
+then, so a term pair makes no Python call but a collision's field sum.  The
+quotient core compiles it with the zero twist.  exponent_form and word_adder
+(per rank) compile the exponent and the word sum alone.  Only exact ints
+reach the compiler.
 
 Homogeneous elements (single-term) are exactly the units.  An element
 stores its coefficients as level codes, {word: nonzero code}, so structural
@@ -63,6 +63,7 @@ class RingContext:
         self.mod = action.p**k
         self.add_words = word_adder(self.n)
         self._exponent = exponent_form(self.ts, self.mod)
+        self._product = product_kernel(self.level, self.n, self.ts, self.mod)
         self._lifted = {}
         self._kernel_lattice = None  # filled by center.kernel_lattice
 
@@ -250,8 +251,7 @@ class RingElement:
         # Left multiplication by a plain coefficient never twists.
         if not isinstance(other, (int, FieldElement)):
             return NotImplemented
-        c, mul = self.ctx._coeff(other), self.ctx.level.mul
-        return _from_codes(self.ctx, {w: mul(c, d) for w, d in self.codes.items()})
+        return self.ctx.scalar(other) * self
 
     def __pow__(self, e: int):
         if e < 0:
@@ -352,34 +352,20 @@ _METER = _Meter()
 
 
 def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
-    """Add left * right into out, on {word: nonzero code} dicts.
-
-    (c g)(d h) = c sigma_g(d) (g + h) = exp(log c + f_g log d) (g + h), with
-    f_g the Frobenius factor at the word exponent of g; sums accumulate by
-    level.add, so out may hold zeros.  Word sums and exponents are the
-    context's compiled forms (module docstring); the words here are already
-    validated, so the exponent form is called with no length check.
-    """
+    """Add left * right into out, on {word: nonzero code} dicts, by the
+    context's kernel; out may hold zeros.  Every twisted product calls this
+    module attribute, so one patch of ring._mul_codes reaches them all."""
     if _METER.cap is not None:  # checked inline: most calls run outside a budget
         _METER.charge(len(left) * len(right))
-    level, add_words, exponent = ctx.level, ctx.add_words, ctx._exponent
-    exp, log, units, add, frob = (level.exp, level.log, level.units, level.add,
-                                  level._frob_factor)
-    for g, c in left.items():
-        lc, f = log[c], frob[exponent(g)]
-        for h, d in right.items():
-            w = add_words(g, h)
-            val = exp[(lc + f * log[d]) % units]
-            prev = out.get(w)
-            out[w] = val if prev is None else add(prev, val)
-    return out
+    return ctx._product(left, right, out)
 
 
-def _straight_line(name: str, args: str, expr: str, steps=()):
+def _straight_line(name: str, args: str, expr: str, steps=(), **bound):
     """The function name(args) running steps, then returning expr, compiled
-    without builtins."""
+    with the globals bound and no builtins."""
     namespace, body = {}, "".join(f"    {step}\n" for step in steps)
-    exec(f"def {name}({args}):\n{body}    return {expr}\n", {"__builtins__": {}}, namespace)
+    source = f"def {name}({args}):\n{body}    return {expr}\n"
+    exec(source, {**bound, "__builtins__": {}}, namespace)
     return namespace[name]
 
 
@@ -399,13 +385,37 @@ def word_adder(n: int):
     return _straight_line(f"add_words_{n}", "g, h", f"({sums})")
 
 
+def _exponent(ts, mod: int, coord: str = "g{}") -> str:
+    """Source of (g[0]*t_0 + ... + g[n-1]*t_{n-1}) % mod, coord.format(i) read
+    as g[i]: zero truncations drop out and unit ones multiply by nothing."""
+    terms = [coord.format(i) + ("" if t == 1 else f" * {t}") for i, t in enumerate(ts) if t]
+    return f"({' + '.join(terms)}) % {mod}" if terms else "0"
+
+
 def exponent_form(ts, mod: int):
-    """g -> (g[0]*t_0 + ... + g[n-1]*t_{n-1}) % mod, compiled straight-line;
-    zero truncations drop out and unit ones multiply by nothing."""
+    """g -> (g[0]*t_0 + ... + g[n-1]*t_{n-1}) % mod, compiled straight-line."""
     _check_ints(mod, *ts)
-    terms = [f"g[{i}]" if t == 1 else f"g[{i}] * {t}" for i, t in enumerate(ts) if t]
-    expr = f"({' + '.join(terms)}) % {mod}" if terms else "0"
-    return _straight_line("word_exponent", "g", expr)
+    return _straight_line("word_exponent", "g", _exponent(ts, mod, "g[{}]"))
+
+
+def product_kernel(field, n: int, ts=(), mod: int = 1):
+    """(left, right, out) -> out plus left * right, on {word: nonzero code}
+    dicts of rank-n words over field: (c g)(d h) = exp(log c + f log d)
+    (g + h), f the Frobenius factor at g's exponent, or none with no nonzero
+    truncation.  Sums accumulate by field.add, so out may hold zeros."""
+    _check_ints(n, mod, *ts)
+    g, h = ("".join(f"{x}{i}, " for i in range(n)) for x in "gh")
+    e = _exponent(ts, mod)
+    return _straight_line("mul_codes", "left, right, out", "out", (
+        f"for ({g}), c in left.items():",
+        f"    lc, f = log[c], frob[{e}]" if e != "0" else "    lc = log[c]",
+        f"    for ({h}), d in right.items():",
+        f"        w = ({''.join(f'g{i} + h{i}, ' for i in range(n))})",
+        f"        val = exp[(lc + {'f * ' if e != '0' else ''}log[d]) % units]",
+        "        prev = out.get(w)",
+        "        out[w] = val if prev is None else add(prev, val)"),
+        exp=field.exp, log=field.log, units=field.units, add=field.add,
+        frob=field._frob_factor if e != "0" else None)
 
 
 def _coeff_literal(coords) -> tuple:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalFaultError, SeparationError
-from .ring import RingContext, RingElement, _from_codes, _mul_codes
+from . import ring
 from .tower import FieldElement
 
 
@@ -48,10 +48,10 @@ class ShrinkStep(NamedTuple):
 
 
 class ShrinkTrace(NamedTuple):
-    input_element: RingElement
+    input_element: ring.RingElement
     separating_level: int
     steps: tuple
-    final_unit: RingElement
+    final_unit: ring.RingElement
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,7 +62,7 @@ class ShrinkTrace(NamedTuple):
         }
 
 
-def random_separable_element(ctx: RingContext, rng, max_support: int = 4,
+def random_separable_element(ctx: ring.RingContext, rng, max_support: int = 4,
                              coord_bound: int = 2):
     """Random element whose support is guaranteed to separate within k_max.
 
@@ -84,10 +84,10 @@ def random_separable_element(ctx: RingContext, rng, max_support: int = 4,
             rng.randint(-coord_bound, coord_bound) for _ in range(ctx.n - 1)
         )
         codes[word] = rng.randrange(1, ctx.level.order)
-    return _from_codes(ctx, codes)
+    return ring._from_codes(ctx, codes)
 
 
-def separating_level(ctx: RingContext, support) -> int:
+def separating_level(ctx: ring.RingContext, support) -> int:
     """Least materialized level where all support points act by pairwise
     distinct automorphisms.
 
@@ -100,7 +100,7 @@ def separating_level(ctx: RingContext, support) -> int:
     return _separation(ctx, support)[0]
 
 
-def _separation(ctx: RingContext, support: list) -> tuple:
+def _separation(ctx: ring.RingContext, support: list) -> tuple:
     """(separating level, the points' action exponents at k_max)."""
     if len(support) < 2:
         raise ValueError("separation needs at least two support points")
@@ -120,7 +120,7 @@ def _separation(ctx: RingContext, support: list) -> tuple:
     )
 
 
-def unit_in_ideal(r: RingElement) -> ShrinkTrace:
+def unit_in_ideal(r: ring.RingElement) -> ShrinkTrace:
     """Shrink r to a homogeneous unit inside its own two-sided ideal.
 
     Works at K = max(separating level, home level) and eliminates the
@@ -154,20 +154,20 @@ def unit_in_ideal(r: RingElement) -> ShrinkTrace:
     coeff = ctx.tower.embed_code(r.codes[support[-1]], ctx.k, work.k)
     for si in s[:-1]:
         coeff = field.mul(coeff, field.sub(s[-1], si))
-    unit = _from_codes(work, {support[-1]: coeff})
+    unit = ring._from_codes(work, {support[-1]: coeff})
     _verify_unit(unit)
     return ShrinkTrace(input_element=r, separating_level=level, steps=steps,
                        final_unit=unit)
 
 
-def _verify_unit(u: RingElement):
+def _verify_unit(u: ring.RingElement):
     inv, one = u.invert_unit().codes, {(0,) * u.ctx.n: 1}
-    if (_mul_codes(u.ctx, u.codes, inv, {}) != one
-            or _mul_codes(u.ctx, inv, u.codes, {}) != one):
+    if (ring._mul_codes(u.ctx, u.codes, inv, {}) != one
+            or ring._mul_codes(u.ctx, inv, u.codes, {}) != one):
         raise InternalFaultError("final unit failed to invert exactly")
 
 
-def replay_trace(trace: ShrinkTrace) -> RingElement:
+def replay_trace(trace: ShrinkTrace) -> ring.RingElement:
     """Recompute the final unit from the input using only the recorded steps.
 
     Each step is the product r*d - lam*r, made through the ring kernel on
@@ -186,7 +186,7 @@ def replay_trace(trace: ShrinkTrace) -> RingElement:
             ctx = up
         d, lam = ctx._coeff(step.d), ctx.level.neg(ctx._coeff(step.lam))
         zero = (0,) * ctx.n
-        out = _mul_codes(ctx, codes, {zero: d} if d else {}, {})
-        out = _mul_codes(ctx, {zero: lam} if lam else {}, codes, out)
+        out = ring._mul_codes(ctx, codes, {zero: d} if d else {}, {})
+        out = ring._mul_codes(ctx, {zero: lam} if lam else {}, codes, out)
         codes = {w: c for w, c in out.items() if c}
-    return _from_codes(ctx, codes)
+    return ring._from_codes(ctx, codes)

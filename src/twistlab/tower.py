@@ -15,7 +15,6 @@ All values are immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import functools
-import math
 from array import array
 from itertools import chain
 from typing import NamedTuple
@@ -265,12 +264,6 @@ class Tower:
             code = self._up[m][code]
         return code
 
-    def fixed_subfield_dim(self, times: int, level: int) -> int:
-        """Degree over GF(q) of the subfield fixed by Frobenius^times on L_level."""
-        steps = self.p**level
-        self.level(level)
-        return math.gcd(times % steps, steps)
-
     def __eq__(self, other):
         return (
             isinstance(other, Tower)
@@ -357,10 +350,16 @@ def tower_to_json(tower: Tower) -> dict:
 
 
 def tower_from_json(data: dict, budget: int = DEFAULT_FIELD_BUDGET) -> Tower:
-    """Rebuild a tower from its JSON description (bit-exact round trip)."""
+    """Rebuild a tower from its JSON description (bit-exact round trip); that
+    of build_tower(config, budget) returns its cached build, tables and all."""
     config = TowerConfig(data["p"], data["q"], data["k_max"])
     config.validate(budget)
     base = BaseField(config.q)
+    if [entry["defining_polynomial"] for entry in data["levels"]] == [
+            least_irreducible_poly(base, config.p**m) for m in range(config.k_max + 1)]:
+        built = build_tower(config, budget)  # no table is built when it is cached
+        if tower_to_json(built)["levels"] == data["levels"]:
+            return built
     levels = []
     for entry in data["levels"]:
         modulus = tuple(entry["defining_polynomial"])

@@ -50,6 +50,7 @@ from .quotient import (
     _combine,
     _mul,
     _read_back,
+    _untwisted,
     center_of_quotient_test,
     invert,
     splitting_representation,
@@ -362,13 +363,13 @@ def _quotient_division(ctx: RingContext, rng) -> int:
 
 def _quotient_splitting(ctx: RingContext, rng) -> int:
     # rho(r) rho(s) = rho(r s), det rho(r) != 0 for r != 0, column 0 reads back r
-    lat, F, add = kernel_lattice(ctx), ctx.level, ctx.add_words
+    lat, F, mul = kernel_lattice(ctx), ctx.level, _untwisted(ctx.level, ctx.n)
     r, s = ctx.random_element(rng, max_terms=2), ctx.random_element(rng, max_terms=2)
     mr, ms, mrs = (splitting_representation(x, lat) for x in (r, s, r * s))
     d, plus = lat.index, partial(_combine, F.add)
-    bad = sum(reduce(plus, (_mul(F, add, mr[a][c], ms[c][b]) for c in range(d)), {})
+    bad = sum(reduce(plus, (_mul(mul, mr[a][c], ms[c][b]) for c in range(d)), {})
               != mrs[a][b] for a, b in itertools.product(range(d), repeat=2))
-    return (bad + (not r.is_zero() and not _bareiss(F, add, mr)[0])
+    return (bad + (not r.is_zero() and not _bareiss(F, ctx.add_words, mul, mr)[0])
             + (_read_back(ctx, lat, [row[0] for row in mr]) != r))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twistlab.pi
+import twistlab.ring
 from twistlab.action import default_action
 from twistlab.errors import BudgetError, ContextMismatchError
 from twistlab.pi import pi_degree_scan, standard_polynomial
@@ -271,7 +271,7 @@ def kernel_work(elements):
         return _mul_codes(ctx, left, right, out)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(twistlab.pi, "_mul_codes", counting)
+        mp.setattr(twistlab.ring, "_mul_codes", counting)
         value = standard_polynomial(elements)
     return value, work
 
@@ -380,7 +380,7 @@ def test_degree_eight_makes_at_most_m_2_to_the_m_minus_1_kernel_calls(
     rng = random.Random(8)
     args = [ctx_n2_k2.random_element(rng, max_terms=2) for _ in range(8)]
     counts = {"kernel": 0, "ring_mul": 0}
-    kernel, ring_mul = twistlab.pi._mul_codes, RingElement.__mul__
+    kernel, ring_mul = twistlab.ring._mul_codes, RingElement.__mul__
 
     def counting_kernel(*a):
         counts["kernel"] += 1
@@ -390,7 +390,7 @@ def test_degree_eight_makes_at_most_m_2_to_the_m_minus_1_kernel_calls(
         counts["ring_mul"] += 1
         return ring_mul(self, other)
 
-    monkeypatch.setattr(twistlab.pi, "_mul_codes", counting_kernel)
+    monkeypatch.setattr(twistlab.ring, "_mul_codes", counting_kernel)
     monkeypatch.setattr(RingElement, "__mul__", counting_ring_mul)
     field_op_counts.clear()
     value = standard_polynomial(args)

@@ -16,6 +16,7 @@ from twistlab.quotient import (
     LaurentPoly,
     _central_multiple,
     _norm_powers,
+    _untwisted,
     bareiss_determinant,
     bareiss_solve,
     center_of_quotient_test,
@@ -23,7 +24,7 @@ from twistlab.quotient import (
     regular_representation,
     splitting_representation,
 )
-from twistlab.ring import RingContext, _from_codes, parse_element, word_adder
+from twistlab.ring import RingContext, _from_codes, parse_element
 from twistlab.tower import TowerConfig, build_tower
 from twistlab.verify import check_quotient_center, run_all
 
@@ -137,7 +138,7 @@ def test_norm_powers_by_frobenius_match_repeated_products(p, q):
         powers = [LaurentPoly.constant(ctx.level, 2, 1)]
         for _ in range(d):
             powers.append(powers[-1] * nrd)
-        assert _norm_powers(ctx.level, word_adder(2), nrd.terms, d) == (
+        assert _norm_powers(ctx.level, _untwisted(ctx.level, 2), nrd.terms, d) == (
             powers[d - 1].terms, powers[d].terms)
 
 
@@ -835,8 +836,8 @@ def test_wrong_adjugate_entry_fails_reduced_norm_check(ctx_n1_k1, lat1, monkeypa
     invert(f)
     solve = quotient._bareiss
 
-    def corrupted(field, add, matrix, rhs=None):
-        det, adj = solve(field, add, matrix, rhs)
+    def corrupted(field, add, mul, matrix, rhs=None):
+        det, adj = solve(field, add, mul, matrix, rhs)
         return det, [quotient._combine(field.add, adj[0], {(0,): 1})] + adj[1:]
 
     monkeypatch.setattr(quotient, "_bareiss", corrupted)
@@ -851,8 +852,8 @@ def test_numerator_off_its_denominator_fails_inverse_check(ctx_n1_k1, lat1,
     reduced_norm = quotient._reduced_norm
 
     def corrupted(s, ctx, lattice):
-        s_adj, nrd = reduced_norm(s, ctx, lattice)
-        return s_adj + ctx.one(), nrd
+        s_adj, *powers = reduced_norm(s, ctx, lattice)
+        return (s_adj + ctx.one(), *powers)
 
     monkeypatch.setattr(quotient, "_reduced_norm", corrupted)
     with pytest.raises(InternalFaultError, match="inverse verification failed"):

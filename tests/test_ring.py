@@ -13,16 +13,21 @@ from twistlab.action import (
     action_exponent,
     default_action,
 )
+from twistlab import ring
+from twistlab.center import kernel_lattice
 from twistlab.errors import ContextMismatchError, NotAUnitError
 from twistlab.pi import standard_polynomial
+from twistlab.quotient import CentralFraction, invert
 from twistlab.ring import (
     RingContext,
     RingElement,
     exponent_form,
     parse_element,
+    product_kernel,
     word_adder,
 )
-from twistlab.tower import TowerConfig, build_tower, tower_from_json, tower_to_json
+from twistlab.simplicity import unit_in_ideal
+from twistlab.tower import DEFAULT_FIELD_BUDGET, TowerConfig, build_tower
 
 
 def reference_mul(a, b):
@@ -370,8 +375,9 @@ def test_arithmetic_makes_no_field_element(ctx_n2_k2, field_op_counts):
 
 
 def test_coefficient_from_an_equal_level_is_accepted(tower223, action_n2):
-    # a tower rebuilt from its JSON has equal, not identical, levels
-    copy = tower_from_json(tower_to_json(tower223))
+    # a build under another budget is another cached tower, with equal, not
+    # identical, levels
+    copy = build_tower(TowerConfig(2, 2, 3), budget=DEFAULT_FIELD_BUDGET + 1)
     ctx = RingContext(tower223, action_n2, 2)
     theta = copy.level(2).generator()
     assert theta.level is not ctx.level
@@ -490,13 +496,47 @@ class _FormattedInt(int):
 
 
 @pytest.mark.parametrize("bad", [2.0, True, "2", _FormattedInt(2)])
-def test_compiled_word_arithmetic_takes_only_ints(bad):
-    with pytest.raises(TypeError, match="only ints"):
-        word_adder(bad)
-    with pytest.raises(TypeError, match="only ints"):
-        exponent_form((1, bad), 8)
-    with pytest.raises(TypeError, match="only ints"):
-        exponent_form((1, 2), bad)
+def test_compiled_word_arithmetic_takes_only_ints(bad, tower223, monkeypatch):
+    compiled = []
+    monkeypatch.setattr(ring, "_straight_line", lambda *a, **kw: compiled.append(a))
+    level = tower223.level(3)
+    refused = [lambda: word_adder(bad), lambda: exponent_form((1, bad), 8),
+               lambda: exponent_form((1, 2), bad),
+               # the kernel's rank, truncations and modulus
+               lambda: product_kernel(level, bad, (1, 2), 8),
+               lambda: product_kernel(level, 2, (1, bad), 8),
+               lambda: product_kernel(level, 2, (1, 2), bad),
+               lambda: product_kernel(level, bad)]
+    for make in refused:
+        with pytest.raises(TypeError, match="only ints"):
+            make()
+    assert compiled == []
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("k", [0, 3])
+def test_product_kernel_matches_the_reference_at_every_rank(tower223, n, k):
+    # level 0 acts trivially, so its kernel compiles with the zero twist
+    ctx = RingContext(tower223, default_action(n, 2), k)
+    rng = random.Random(10 * n + k)
+    for _ in range(30):
+        a, b = (ctx.random_element(rng, max_terms=4, coord_bound=1) for _ in range(2))
+        assert a * b == reference_mul(a, b)
+
+
+def test_one_patch_of_the_kernel_reaches_every_caller(ctx_n2_k1, monkeypatch):
+    # ring products, standard polynomials, unit checks and inversions all
+    # multiply through ring._mul_codes, read from the module at each call
+    calls, kernel = [], ring._mul_codes
+    monkeypatch.setattr(ring, "_mul_codes", lambda *a: calls.append(a) or kernel(*a))
+    x, y = ctx_n2_k1.gen(2), ctx_n2_k1.one() + ctx_n2_k1.gen(1)
+    fraction = CentralFraction(ctx_n2_k1, y, ctx_n2_k1.one(),
+                               lattice=kernel_lattice(ctx_n2_k1))
+    for run in (lambda: x * y, lambda: standard_polynomial([x, y]),
+                lambda: unit_in_ideal(y), lambda: invert(fraction)):
+        calls.clear()
+        run()
+        assert calls
 
 
 @settings(max_examples=150, deadline=None)

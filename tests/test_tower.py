@@ -1,12 +1,16 @@
 import json
+import math
 import random
 from operator import xor
 
 import pytest
 
+from twistlab import tower as tower_module
+from twistlab import verify
 from twistlab.errors import BudgetError, InternalFaultError
 from twistlab.fields import is_irreducible
 from twistlab.tower import (
+    DEFAULT_FIELD_BUDGET,
     FieldElement,
     TowerConfig,
     _embedding_table,
@@ -16,7 +20,7 @@ from twistlab.tower import (
     tower_from_json,
     tower_to_json,
 )
-from twistlab.verify import check_tower_fixed_field
+from twistlab.verify import check_tower_fixed_field, check_tower_json
 
 
 def test_level_orders_p2_q2(tower223):
@@ -207,12 +211,20 @@ def test_frobenius_negative_times(tower223):
         assert lvl.frobenius(x, -1) == lvl.frobenius(x, 3)
 
 
+def fixed_subfield_dim(tower, times: int, level: int) -> int:
+    """Degree over GF(q) of the subfield fixed by Frobenius^times on L_level:
+    gcd(times, p^level), Frobenius having order p^level there."""
+    steps = tower.p**level
+    tower.level(level)
+    return math.gcd(times % steps, steps)
+
+
 def test_fixed_subfield_dims(tower223):
-    assert tower223.fixed_subfield_dim(1, 2) == 1
-    assert tower223.fixed_subfield_dim(2, 2) == 2
-    assert tower223.fixed_subfield_dim(4, 2) == 4
-    assert tower223.fixed_subfield_dim(0, 2) == 4
-    assert tower223.fixed_subfield_dim(-1, 2) == 1
+    assert fixed_subfield_dim(tower223, 1, 2) == 1
+    assert fixed_subfield_dim(tower223, 2, 2) == 2
+    assert fixed_subfield_dim(tower223, 4, 2) == 4
+    assert fixed_subfield_dim(tower223, 0, 2) == 4
+    assert fixed_subfield_dim(tower223, -1, 2) == 1
 
 
 def test_fixed_subfield_dim_by_enumeration(tower223):
@@ -222,7 +234,7 @@ def test_fixed_subfield_dim_by_enumeration(tower223):
         lvl = tower223.level(m)
         for t in range(0, lvl.degree + 1):
             fixed = sum(1 for x in lvl.elements() if lvl.frobenius(x, t) == x)
-            assert fixed == q ** tower223.fixed_subfield_dim(t, m)
+            assert fixed == q ** fixed_subfield_dim(tower223, t, m)
 
 
 def test_fixed_field_of_frobenius_is_base(tower223):
@@ -290,6 +302,58 @@ def test_json_round_trip_is_bit_exact(tower223):
     rebuilt = tower_from_json(json.loads(blob))
     assert rebuilt == tower223
     assert json.dumps(tower_to_json(rebuilt), sort_keys=True) == blob
+
+
+@pytest.mark.parametrize("config", [(2, 2, 3), (7, 7, 1)])
+def test_json_of_a_built_tower_returns_the_cached_build(config, monkeypatch):
+    tower = build_tower(TowerConfig(*config))
+    data = json.loads(json.dumps(tower_to_json(tower)))
+
+    def no_tables(*args):
+        raise AssertionError("a table was rebuilt")
+
+    monkeypatch.setattr(tower_module.TowerLevel, "__init__", no_tables)
+    monkeypatch.setattr(tower_module.Tower, "__init__", no_tables)
+    assert tower_from_json(data) is tower
+    assert check_tower_json(tower).passed
+
+
+def _conjugate_embedding(tower, m):
+    """The Frobenius conjugate of level m's stored root in level m + 1: a
+    root too, so the JSON describes another valid embedding."""
+    upper = tower.level(m + 1)
+    root = upper._code(tower.level(m).embedding_up)
+    return list(upper._digits(upper.frob_code(root, 1)))
+
+
+# Planted defects in the JSON the round-trip row reads: a valid description
+# of another tower is another tower, and a broken one is refused.
+@pytest.mark.parametrize("config,level,key,value", [
+    # X^2 + X + 2 is irreducible over GF(3) but not the least, X^2 + 1
+    ((2, 3, 1), 1, "defining_polynomial", [2, 1, 1]),
+    ((2, 2, 2), 1, "embedding_up", _conjugate_embedding),
+], ids=["another-irreducible-modulus", "another-root-embedding"])
+def test_json_round_trip_row_fails_on_another_tower(config, level, key, value,
+                                                    monkeypatch):
+    tower = build_tower(TowerConfig(*config))
+    data = tower_to_json(tower)
+    if callable(value):
+        value = value(tower, level)
+    assert data["levels"][level][key] != value
+    data["levels"][level][key] = value
+    other = tower_from_json(data)
+    assert other != tower and tower_to_json(other) == data
+    monkeypatch.setattr(verify, "tower_to_json", lambda t: data)
+    assert check_tower_json(tower).passed is False
+
+
+def test_json_round_trip_row_refuses_an_embedding_that_is_no_root(monkeypatch):
+    tower = build_tower(TowerConfig(2, 2, 2))
+    data = tower_to_json(tower)
+    data["levels"][1]["embedding_up"] = [1, 1, 0, 0]  # 1 + X, no root of X^2 + X + 1
+    monkeypatch.setattr(verify, "tower_to_json", lambda t: data)
+    with pytest.raises(ValueError, match="stored embedding for level 1 is not a root"):
+        check_tower_json(tower)
 
 
 def test_json_rejects_corrupt_embedding(tower223):
@@ -579,8 +643,11 @@ def prime_digitwise(r, a, b, sign):
 @pytest.mark.parametrize("rebuild", [False, True], ids=["build_tower", "tower_from_json"])
 def test_bound_sums_match_prime_digit_arithmetic(p, q, k_max, rebuild):
     tower = build_tower(TowerConfig(p, q, k_max))
-    if rebuild:  # new level objects, each binding its sums afresh
-        tower = tower_from_json(json.loads(json.dumps(tower_to_json(tower))))
+    if rebuild:  # another budget keys another build: new level objects, each
+        # binding its sums afresh
+        tower = tower_from_json(json.loads(json.dumps(tower_to_json(tower))),
+                                budget=DEFAULT_FIELD_BUDGET + 1)
+        assert tower is not build_tower(TowerConfig(p, q, k_max))
     r = tower.level(0).char
     rng = random.Random(f"bound-sums-{p}-{q}-{k_max}")
     for field in [tower.level(0).base] + tower.levels:

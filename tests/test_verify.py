@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistlab import ring, verify
+from twistlab import pi, ring, verify
 from twistlab.cli import main
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.ring import RingElement
@@ -142,7 +142,7 @@ def splitting_row():
 def test_splitting_representation_row_fails_on_a_zero_determinant(monkeypatch):
     # the row checks that a nonzero element has an invertible matrix, not only
     # that the representation is multiplicative
-    monkeypatch.setattr(verify, "_bareiss", lambda F, add, matrix, rhs=None: ({}, None))
+    monkeypatch.setattr(verify, "_bareiss", lambda F, add, mul, matrix, rhs=None: ({}, None))
     assert splitting_row().passed is False
 
 
@@ -175,3 +175,32 @@ def test_splitting_representation_row_fails_without_the_inverse_twist(monkeypatc
 
     monkeypatch.setattr(verify, "splitting_representation", dropped)
     assert splitting_row().passed is False
+
+
+def level_2_rows(trials=20):
+    return {r.name: r for r in run_all(2, 2, 2, 2, 0, trials=trials)}
+
+
+def test_center_rows_fail_when_everything_passes_as_central(monkeypatch):
+    # the commutator test is the witness of the structural one: claiming every
+    # element central disagrees with it on the random draws, at both levels
+    rows = ("center.commutator_vs_structural", "center.commutator_vs_structural@2")
+    assert all(level_2_rows()[name].passed is True for name in rows)
+    monkeypatch.setattr(verify, "is_central", lambda r: True)
+    failed = level_2_rows()
+    assert [failed[name].passed for name in rows] == [False, False]
+
+
+def test_pi_frontier_row_fails_when_high_degrees_vanish(monkeypatch):
+    # S_6 is no identity of the level-2 ring (2 p^2 = 8), so a standard
+    # polynomial that vanishes past degree 4 moves the frontier down
+    name = "pi.frontier_rises_with_level"
+    assert level_2_rows()[name].passed is True
+    exact = pi.standard_polynomial
+
+    def zeroed(elements):
+        value = exact(elements)
+        return value - value if len(elements) > 4 else value
+
+    monkeypatch.setattr(pi, "standard_polynomial", zeroed)
+    assert level_2_rows()[name].passed is False
