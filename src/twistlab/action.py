@@ -18,6 +18,7 @@ further level that sum shows it still kills is skipped without a search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -96,7 +97,6 @@ class ActionConfig:
         self.exponents = tuple(exponents)
         self._truncations = [tuple(truncate(a, p, k) for a in self.exponents)
                              for k in range(EXPONENT_HORIZON + 1)]
-        self._cert_cache = {}
 
     def truncations(self, k: int) -> tuple:
         """The exponents modulo p^k, for 0 <= k <= EXPONENT_HORIZON."""
@@ -192,6 +192,7 @@ def independence_certificate(config: ActionConfig, coeff_bound: int, k: int) -> 
     return find_relation(config, coeff_bound, k) is None
 
 
+@functools.lru_cache(maxsize=None)
 def least_certified_level(config: ActionConfig, coeff_bound: int) -> int:
     """Smallest truncation level at which the box certificate passes.
 
@@ -199,16 +200,12 @@ def least_certified_level(config: ActionConfig, coeff_bound: int) -> int:
     materialized tower level.  A witness m found at level k kills every level
     j <= v_p(sum(m_i a_i)), the sum taken at the horizon, so the search
     resumes past that valuation (capped at the horizon, whose first relation
-    is the reported one).  Caches results per bound.
+    is the reported one).  Cached per (action, bound).
     """
-    cached = config._cert_cache.get(coeff_bound)
-    if cached is not None:
-        return cached
     p, top, k = config.p, config.truncations(EXPONENT_HORIZON), 1
     while True:
         witness = find_relation(config, coeff_bound, k)
         if witness is None:
-            config._cert_cache[coeff_bound] = k
             return k
         if k == EXPONENT_HORIZON:
             break

@@ -5,7 +5,9 @@ sublattice (the kernel lattice); its index is p^k and the ring's center is
 spanned over GF(q) by exactly those words.  The whole ring is then a free
 module over its center of rank p^(2k), with basis {theta^i * g_j} for the
 power basis of the level field and coset representatives g_j of the kernel
-lattice taken from the fundamental box of its Hermite normal form.
+lattice taken from the fundamental box of its Hermite normal form.  The
+lattice is fixed by the action and the level, so kernel_lattice builds it
+once per (action, level), and every context of that pair shares it.
 
 Hermite normal form convention: rows, upper triangular, positive pivots,
 entries above a pivot reduced into the centered range (-d/2, d/2].
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import NamedTuple, Optional
 
-from .action import EXPONENT_HORIZON, action_exponent
+from .action import EXPONENT_HORIZON, ActionConfig, action_exponent
 from .errors import IndependenceError, InternalFaultError
 from .ring import RingContext, RingElement, _check_ints, _from_codes, _straight_line
 
@@ -74,8 +77,8 @@ def hnf(rows) -> list:
 
 class KernelLattice:
     """Integer basis (HNF rows) of the words acting trivially at level k;
-    reduce and from_lattice_coordinates are compiled once per basis
-    (lattice_maps), and the box representatives listed once."""
+    reduce and from_lattice_coordinates are compiled (lattice_maps) and the
+    box representatives listed when it is built, once per (action, level)."""
 
     __slots__ = ("k", "basis", "index", "reduce", "from_lattice_coordinates",
                  "_reps")
@@ -107,7 +110,6 @@ class KernelLattice:
         }
 
 
-@lru_cache(maxsize=None)
 def lattice_maps(basis: tuple):
     """(reduce, from_lattice_coordinates) of an HNF basis, compiled
     straight-line from its ints alone.  reduce(w) returns (r, the coordinates
@@ -132,17 +134,16 @@ def kernel_lattice(ctx: RingContext) -> KernelLattice:
     """Kernel of the level-k action as an HNF integer lattice of index p^k.
 
     Refuses to run when the context skipped independence certification.
-    Lattices are cached on the context.
     """
     if ctx.cert_level is None:
-        raise IndependenceError(
-            "kernel lattice requires an independence-certified context"
-        )
-    if ctx._kernel_lattice is not None:
-        return ctx._kernel_lattice
-    n, p, k = ctx.n, ctx.tower.p, ctx.k
-    mod = p**k
-    ts = ctx.action.truncations(k)
+        raise IndependenceError("kernel lattice requires an independence-certified context")
+    return _kernel_lattice(ctx.action, ctx.k)
+
+
+@lru_cache(maxsize=None)
+def _kernel_lattice(action: ActionConfig, k: int) -> KernelLattice:
+    n, mod = action.n, action.p**k
+    ts = action.truncations(k)
     # The rows (t_i | e_i) and (mod | 0) generate {(sum(g_i t_i) + y*mod, g)};
     # its HNF rows below the first have a zero first entry, so with that
     # entry dropped they are the (unique) HNF of the kernel.
@@ -151,19 +152,13 @@ def kernel_lattice(ctx: RingContext) -> KernelLattice:
     basis = [r[1:] for r in hnf(rows)[1:]]
     if len(basis) != n:
         raise InternalFaultError("kernel lattice does not have full rank")
-    index = 1
-    for i in range(n):
-        index *= basis[i][i]
+    index = prod(row[i] for i, row in enumerate(basis))
     if index != mod:
-        raise InternalFaultError(
-            f"kernel lattice index {index} != p^k = {mod}"
-        )
+        raise InternalFaultError(f"kernel lattice index {index} != p^k = {mod}")
     for row_ in basis:
-        if action_exponent(ctx.action, row_, k) != 0:
+        if action_exponent(action, row_, k) != 0:
             raise InternalFaultError("kernel basis row acts nontrivially")
-    lattice = KernelLattice(k=k, basis=tuple(tuple(r) for r in basis), index=index)
-    ctx._kernel_lattice = lattice
-    return lattice
+    return KernelLattice(k=k, basis=tuple(tuple(r) for r in basis), index=index)
 
 
 def is_central(r: RingElement) -> bool:

@@ -131,11 +131,11 @@ def _action(args) -> object:
     return default_action(args.n, args.p)
 
 
-def _context(args, k=None) -> RingContext:
+def _context(args, k=None, action=None) -> RingContext:
     k = args.k if k is None else k
     k_max = args.kmax if args.kmax is not None else max(k, 2)
     tower = build_tower(TowerConfig(args.p, args.q, k_max), budget=_budget())
-    return RingContext(tower, _action(args), k)
+    return RingContext(tower, action or _action(args), k)
 
 
 # Each cmd_* returns (result, passed, *stderr lines); result is the report's
@@ -167,7 +167,8 @@ def cmd_pi_test(args):
 
 
 def cmd_pi_scan(args):
-    contexts = [_context(args, k) for k in range(1, args.k + 1)]
+    action = _action(args)  # one action, so one certification for every level
+    contexts = [_context(args, k, action) for k in range(1, args.k + 1)]
     rows = pi_degree_scan(contexts, args.trials, seed=args.seed)
     frontier = [r.largest_failing_degree or 0 for r in rows]
     monotone = all(b >= a for a, b in zip(frontier, frontier[1:]))
@@ -247,6 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=2, help="base field order")
         if with_n:
             p.add_argument("--n", type=int, default=2, help="rank of the acting group")
+            p.add_argument(
+                "--exponents", type=str, default=None,
+                help="JSON list of digit-position lists overriding the default "
+                "acting exponents, e.g. '[[0],[0,9]]'",
+            )
         if with_k:
             p.add_argument("--k", type=int, default=1, help="working level")
         p.add_argument("--kmax", type=int, default=None, help="highest level to build")
@@ -255,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--config", type=str, default=None,
             help="JSON file with defaults for any of the flags above",
-        )
-        p.add_argument(
-            "--exponents", type=str, default=None,
-            help="JSON list of digit-position lists overriding the default "
-            "acting exponents, e.g. '[[0],[0,9]]'",
         )
         return p
 

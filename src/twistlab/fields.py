@@ -2,9 +2,10 @@
 
 A field is F[X] modulo a monic irreducible polynomial over a smaller field F.
 An element is its code: its coordinates in the basis 1, X, X^2, ... packed
-in base |F|.  Each field builds exp[i] = g^i and log[g^i] = i for g the
-least code of full multiplicative order, so products, powers and inverses
-are index arithmetic.  Every field here is built over its prime field GF(r)
+in base |F|.  A field has exp[i] = g^i and log[g^i] = i for g the least
+code of full multiplicative order, so products, powers and inverses are
+index arithmetic; the tables are built once per (characteristic, |F|,
+modulus) and shared.  Every field here is built over its prime field GF(r)
 in steps, so a code is also the base-r integer of its GF(r) digits, and
 addition is digit-wise mod r: XOR when r = 2.  Odd characteristic adds
 a + b = a * (1 + b/a) through zech[i] = log(1 + g^i), built only there.
@@ -28,6 +29,9 @@ from .errors import InternalFaultError
 
 # log of zero, and zech[i] where 1 + g^i = 0
 _NO_LOG = -1
+
+# (exp, log, zech) of each field built, by (characteristic, |base|, modulus)
+_TABLES = {}
 
 
 def is_prime(n: int) -> bool:
@@ -91,7 +95,10 @@ class ExtensionField:
         self.degree = len(self.modulus) - 1
         self.order = base.q**self.degree
         self.units = self.order - 1  # order of the multiplicative group
-        self.exp, self.log, self.zech = self._build_tables()
+        key = (self.char, base.q, self.modulus)
+        if key not in _TABLES:  # a modulus that fails to build stores nothing
+            _TABLES[key] = self._build_tables()
+        self.exp, self.log, self.zech = _TABLES[key]
         if self.char == 2:  # sums are XOR: bound here, so no call tests char
             self.add = self.sub = xor
 

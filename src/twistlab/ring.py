@@ -48,13 +48,11 @@ class RingContext:
                  cert_bound: int = DEFAULT_CERT_BOUND, certify: bool = True):
         if action.p != tower.p:
             raise ValueError("tower and action disagree on p")
-        if not 0 <= k <= tower.k_max:
-            raise ValueError(f"level {k} not materialized (k_max={tower.k_max})")
         self.tower = tower
         self.action = action
         self.k = k
         self.n = action.n
-        self.level = tower.level(k)
+        self.level = tower.level(k)  # refuses an unmaterialized level
         self.cert_bound = cert_bound if certify else None
         # Raises IndependenceError when the configured exponents admit a
         # small relation at every truncation level up to the horizon.
@@ -65,7 +63,6 @@ class RingContext:
         self._exponent = exponent_form(self.ts, self.mod)
         self._product = product_kernel(self.level, self.n, self.ts, self.mod)
         self._lifted = {}
-        self._kernel_lattice = None  # filled by center.kernel_lattice
 
     def word_exponent(self, word) -> int:
         """Frobenius power by which the word acts on this level."""

@@ -10,6 +10,9 @@ by q.  Levels embed into the next through a stored image of X (the root of
 the defining polynomial with least coordinate vector), via a code table.
 
 All values are immutable after construction and every operation is pure.
+build_tower caches a tower by (p, q, k_max), and fields.py a level's tables
+by its field, so any tower with that level (of another k_max, or read from
+JSON) shares them: tower_from_json only checks and assembles.
 """
 
 from __future__ import annotations
@@ -311,26 +314,21 @@ def _find_embedding(lower: TowerLevel, upper: TowerLevel):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_tower_cached(p: int, q: int, k_max: int, budget: int) -> Tower:
-    config = TowerConfig(p, q, k_max)
-    config.validate(budget)
-    base = BaseField(q)
-    levels = []
-    for m in range(k_max + 1):
-        modulus = least_irreducible_poly(base, p**m)
-        levels.append(TowerLevel(m, base, modulus))
-    for m in range(k_max):
-        levels[m].embedding_up = _find_embedding(levels[m], levels[m + 1])
+def _build_tower(config: TowerConfig) -> Tower:
+    base = BaseField(config.q)
+    levels = [TowerLevel(m, base, least_irreducible_poly(base, config.p**m))
+              for m in range(config.k_max + 1)]
+    for lower, upper in zip(levels, levels[1:]):
+        lower.embedding_up = _find_embedding(lower, upper)
     return Tower(config, levels)
 
 
 def build_tower(config: TowerConfig, budget: int = DEFAULT_FIELD_BUDGET) -> Tower:
-    """Materialize all levels of the configured tower.
-
-    Towers are immutable and cached, so repeated calls with an equal
-    configuration return the same object.
-    """
-    return _build_tower_cached(config.p, config.q, config.k_max, budget)
+    """Materialize all levels of the configured tower, once the budget admits
+    it.  Towers are immutable and cached by (p, q, k_max), so repeated calls
+    with an equal configuration return the same object."""
+    config.validate(budget)
+    return _build_tower(config)
 
 
 def tower_to_json(tower: Tower) -> dict:
@@ -350,32 +348,34 @@ def tower_to_json(tower: Tower) -> dict:
 
 
 def tower_from_json(data: dict, budget: int = DEFAULT_FIELD_BUDGET) -> Tower:
-    """Rebuild a tower from its JSON description (bit-exact round trip); that
-    of build_tower(config, budget) returns its cached build, tables and all."""
+    """Rebuild a tower from its JSON description (bit-exact round trip): levels
+    m = 0..k_max in order, each modulus monic irreducible of degree p^m, each
+    embedding but the top's a root; else a ValueError names the level."""
     config = TowerConfig(data["p"], data["q"], data["k_max"])
     config.validate(budget)
-    base = BaseField(config.q)
-    if [entry["defining_polynomial"] for entry in data["levels"]] == [
-            least_irreducible_poly(base, config.p**m) for m in range(config.k_max + 1)]:
-        built = build_tower(config, budget)  # no table is built when it is cached
-        if tower_to_json(built)["levels"] == data["levels"]:
-            return built
-    levels = []
-    for entry in data["levels"]:
-        modulus = tuple(entry["defining_polynomial"])
-        if len(modulus) - 1 != config.p ** entry["m"]:
-            raise ValueError(f"level {entry['m']} polynomial has wrong degree")
+    entries = data["levels"]
+    if len(entries) != config.k_max + 1:
+        raise ValueError(f"k_max {config.k_max} needs levels 0..{config.k_max}, "
+                         f"got {len(entries)} entries")
+    base, levels = BaseField(config.q), []
+    for m, entry in enumerate(entries):
+        if entry.get("m") != m:
+            raise ValueError(f"level {m} is listed as m = {entry.get('m')!r}")
+        modulus = tuple(entry.get("defining_polynomial") or ())
+        if len(modulus) - 1 != config.p**m:
+            raise ValueError(f"level {m} polynomial has wrong degree")
         if not all(0 <= c < config.q for c in modulus) or modulus[-1] != 1:
-            raise ValueError(f"level {entry['m']} polynomial is not monic over GF(q)")
+            raise ValueError(f"level {m} polynomial is not monic over GF(q)")
         if not is_irreducible(base, modulus):
-            raise ValueError(f"level {entry['m']} polynomial is not irreducible")
-        levels.append(TowerLevel(entry["m"], base, modulus))
-    for m, entry in enumerate(data["levels"][:-1]):
-        up = entry["embedding_up"]
+            raise ValueError(f"level {m} polynomial is not irreducible")
+        levels.append(TowerLevel(m, base, modulus))
+    if entries[-1].get("embedding_up") is not None:
+        raise ValueError(f"level {config.k_max} is the top, so it takes no embedding")
+    for m, (entry, upper) in enumerate(zip(entries, levels[1:])):
+        up = entry.get("embedding_up")
         if up is None:
             raise ValueError(f"level {m} is missing its embedding")
-        image = levels[m + 1].element(up)
-        if _horner(levels[m + 1], levels[m].modulus, image.code):
+        if _horner(upper, levels[m].modulus, upper.element(up).code):
             raise ValueError(f"stored embedding for level {m} is not a root")
         levels[m].embedding_up = tuple(up)
     return Tower(config, levels)

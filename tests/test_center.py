@@ -11,6 +11,7 @@ from twistlab.action import (
     action_exponent,
     default_action,
 )
+from twistlab import center
 from twistlab.center import (
     decompose_over_center,
     exit_level,
@@ -279,7 +280,6 @@ def test_compiled_lattice_maps_match_the_loops(lattices, data):
     assert lat.contains(word) == (not any(loop_reduce(lat.basis, word)[0]))
 
 
-# pivots of 6 are no prime power, so no cached kernel basis compares equal
 @pytest.mark.parametrize("basis", [
     ((2.5,),), (("2",),), ((1, 0), (0, 4.5)), ((True, 1), (0, 6)),
     ((type("Sneaky", (int,), {})(6),),),
@@ -289,9 +289,20 @@ def test_lattice_map_generator_refuses_anything_but_ints(basis):
         lattice_maps(basis)
 
 
-def test_lattice_maps_and_representatives_are_built_once(ctx_n2_k2):
+def test_lattice_maps_and_representatives_are_built_once(ctx_n2_k2, action_n2,
+                                                        monkeypatch):
+    # one lattice, maps and all, per (action, level): other contexts of that
+    # action at that level share it, and an equal action is another action
     lat = kernel_lattice(ctx_n2_k2)
-    assert lattice_maps(lat.basis) == (lat.reduce, lat.from_lattice_coordinates)
+    compiled = []
+    monkeypatch.setattr(center, "lattice_maps",
+                        lambda basis: compiled.append(basis) or lattice_maps(basis))
+    others = [RingContext(build_tower(TowerConfig(2, 2, k_max)), action_n2, 2,
+                          cert_bound=bound) for k_max, bound in ((2, 8), (3, 3))]
+    assert all(kernel_lattice(ctx) is lat for ctx in others)
+    assert compiled == []
+    twin = kernel_lattice(RingContext(ctx_n2_k2.tower, default_action(2, 2), 2))
+    assert twin is not lat and twin.basis == lat.basis and compiled == [lat.basis]
     assert lat.box_representatives() is lat.box_representatives()
     assert list(lat.box_representatives()) == sorted(lat.box_representatives())
 

@@ -701,3 +701,41 @@ def test_failed_assertion_writes_the_report_and_exits_1(tmp_path, capsys, monkey
     assert code == 1 and json.loads(text)["result"]["all_passed"] is False
     assert capsys.readouterr().err == (
         "PASS  a: ok\nFAIL  b: broken\nSKIP  c: not run: no level\n")
+
+
+def test_pi_scan_certifies_its_action_once(tmp_path, monkeypatch):
+    # one action for every level, so the certification search runs once:
+    # no (action, level) pair is searched twice
+    from twistlab import action
+
+    searched, search = [], action.find_relation
+
+    def counted(config, coeff_bound, k):
+        searched.append((config, k))
+        return search(config, coeff_bound, k)
+
+    monkeypatch.setattr(action, "find_relation", counted)
+    code, _ = run(tmp_path, "pi-scan", "--n", "3", "--k", "3", "--trials", "1")
+    assert code == 0 and searched
+    assert len({config for config, _ in searched}) == 1
+    assert len(set(searched)) == len(searched)
+
+
+def test_tower_takes_no_exponents(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "--exponents", "[[0]]"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exponents [[0]]" in capsys.readouterr().err
+    assert "--exponents" not in build_parser().commands["tower"].format_help()
+
+
+def test_an_internal_fault_exits_1_without_a_report(tmp_path, capsys, monkeypatch):
+    import twistlab.cli
+    from twistlab.errors import InternalFaultError
+
+    def fault(ctx):
+        raise InternalFaultError("planted")
+
+    monkeypatch.setattr(twistlab.cli, "kernel_lattice", fault)
+    assert run(tmp_path, "center", "--n", "1") == (1, "")
+    assert capsys.readouterr().err == "internal consistency fault: planted\n"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistlab import fields
 from twistlab.fields import (
     BaseField,
     ExtensionField,
@@ -195,6 +196,24 @@ def test_ben_or_matches_sympy(r, max_degree):
     (4, [1, 0, 1]),  # (X + 1)^2
 ])
 def test_a_reducible_modulus_is_refused_by_name(q, modulus):
+    base = BaseField(q)
+    stored = set(fields._TABLES)
     with pytest.raises(ValueError) as exc:
-        ExtensionField(BaseField(q), modulus)
+        ExtensionField(base, modulus)
     assert str(exc.value) == f"modulus {modulus} is not irreducible over GF({q})"
+    assert set(fields._TABLES) == stored  # a failed build stores nothing
+
+
+def test_fields_share_tables_only_with_the_same_field(monkeypatch):
+    monkeypatch.setattr(fields, "_TABLES", {})
+    gf3 = BaseField(3)
+    first, second = ExtensionField(gf3, (1, 0, 1)), ExtensionField(gf3, (1, 0, 1))
+    assert first.exp is second.exp and first.log is second.log
+    assert first.zech is second.zech
+    # another modulus of GF(9), and X^2 + X + 1 over GF(2) and over GF(5)
+    others = [ExtensionField(gf3, (2, 1, 1)), ExtensionField(BaseField(2), (1, 1, 1)),
+              ExtensionField(BaseField(5), (1, 1, 1))]
+    for i, f in enumerate([first] + others):
+        assert not any(f.exp is g.exp or f.log is g.log for g in others[i:])
+    assert list(others[0].exp) != list(first.exp)
+    assert len(fields._TABLES) == 7  # the four, and GF(2), GF(3) and GF(5)

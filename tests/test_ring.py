@@ -27,7 +27,7 @@ from twistlab.ring import (
     word_adder,
 )
 from twistlab.simplicity import unit_in_ideal
-from twistlab.tower import DEFAULT_FIELD_BUDGET, TowerConfig, build_tower
+from twistlab.tower import TowerConfig, build_tower, tower_from_json, tower_to_json
 
 
 def reference_mul(a, b):
@@ -375,9 +375,8 @@ def test_arithmetic_makes_no_field_element(ctx_n2_k2, field_op_counts):
 
 
 def test_coefficient_from_an_equal_level_is_accepted(tower223, action_n2):
-    # a build under another budget is another cached tower, with equal, not
-    # identical, levels
-    copy = build_tower(TowerConfig(2, 2, 3), budget=DEFAULT_FIELD_BUDGET + 1)
+    # a tower read from JSON has equal, not identical, levels
+    copy = tower_from_json(tower_to_json(tower223))
     ctx = RingContext(tower223, action_n2, 2)
     theta = copy.level(2).generator()
     assert theta.level is not ctx.level

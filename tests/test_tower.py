@@ -5,6 +5,7 @@ from operator import xor
 
 import pytest
 
+from twistlab import fields
 from twistlab import tower as tower_module
 from twistlab import verify
 from twistlab.errors import BudgetError, InternalFaultError
@@ -306,16 +307,54 @@ def test_json_round_trip_is_bit_exact(tower223):
 
 @pytest.mark.parametrize("config", [(2, 2, 3), (7, 7, 1)])
 def test_json_of_a_built_tower_returns_the_cached_build(config, monkeypatch):
+    # the levels read are new objects, but they take the built levels' tables
     tower = build_tower(TowerConfig(*config))
     data = json.loads(json.dumps(tower_to_json(tower)))
 
     def no_tables(*args):
         raise AssertionError("a table was rebuilt")
 
-    monkeypatch.setattr(tower_module.TowerLevel, "__init__", no_tables)
-    monkeypatch.setattr(tower_module.Tower, "__init__", no_tables)
-    assert tower_from_json(data) is tower
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables", no_tables)
+    read = tower_from_json(data)
+    assert read == tower
+    assert all(a.exp is b.exp and a.log is b.log and a.zech is b.zech
+               for a, b in zip(read.levels, tower.levels))
     assert check_tower_json(tower).passed
+
+
+def test_towers_and_a_json_read_build_each_fields_tables_once(monkeypatch):
+    built, build = [], fields.ExtensionField._build_tables
+
+    def counted(field):
+        built.append((field.char, field.base.q, field.modulus))
+        return build(field)
+
+    monkeypatch.setattr(fields, "_TABLES", {})  # every field is new
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables", counted)
+    uncached = tower_module._build_tower.__wrapped__  # a new tower, not the cached one
+    small, big = uncached(TowerConfig(2, 3, 1)), uncached(TowerConfig(2, 3, 2))
+    read = tower_from_json(tower_to_json(big))
+    # GF(3) (the base, and level 0), GF(3^2) and GF(3^4)
+    assert read == big and len(built) == len(set(built)) == 3
+    for m in range(3):
+        towers = [t for t in (small, big, read) if m <= t.k_max]
+        assert len({id(t.level(m).exp) for t in towers}) == 1
+
+
+def _refuse(*args):
+    raise AssertionError("built something")
+
+
+def test_towers_are_cached_by_shape_alone_after_the_budget_check(monkeypatch):
+    tower = build_tower(TowerConfig(2, 2, 3))
+    # GF(2^8) at level 3: a budget of 2^8 admits it
+    for budget in (DEFAULT_FIELD_BUDGET + 1, 256):
+        assert build_tower(TowerConfig(2, 2, 3), budget=budget) is tower
+    monkeypatch.setattr(tower_module, "_build_tower", _refuse)
+    monkeypatch.setattr(fields.ExtensionField, "_build_tables", _refuse)
+    for config, budget in (((2, 2, 3), 255), ((2, 2, 5), DEFAULT_FIELD_BUDGET)):
+        with pytest.raises(BudgetError, match="exceeds the budget"):
+            build_tower(TowerConfig(*config), budget=budget)
 
 
 def _conjugate_embedding(tower, m):
@@ -354,6 +393,41 @@ def test_json_round_trip_row_refuses_an_embedding_that_is_no_root(monkeypatch):
     monkeypatch.setattr(verify, "tower_to_json", lambda t: data)
     with pytest.raises(ValueError, match="stored embedding for level 1 is not a root"):
         check_tower_json(tower)
+
+
+def _drop(key, m):
+    def edit(levels):
+        del levels[m][key]
+    return edit
+
+
+def _set(key, m, value):
+    def edit(levels):
+        levels[m][key] = value
+    return edit
+
+
+# each malformed level list of the (2, 2, 2) tower is refused, naming the level
+@pytest.mark.parametrize("edit,message", [
+    (lambda levels: levels.pop(), "k_max 2 needs levels 0..2, got 2 entries"),
+    (lambda levels: levels.append(dict(levels[-1], m=3)),
+     "k_max 2 needs levels 0..2, got 4 entries"),
+    (_drop("m", 1), "level 1 is listed as m = None"),
+    (lambda levels: levels.reverse(), "level 0 is listed as m = 2"),
+    (_drop("defining_polynomial", 1), "level 1 polynomial has wrong degree"),
+    (_set("embedding_up", 2, [0, 1, 0, 0]),
+     "level 2 is the top, so it takes no embedding"),
+    (_set("embedding_up", 0, None), "level 0 is missing its embedding"),
+    (_drop("embedding_up", 1), "level 1 is missing its embedding"),
+], ids=["top-level-removed", "level-past-k_max", "no-m", "levels-out-of-order",
+        "no-defining-polynomial", "embedding-on-the-top", "null-embedding",
+        "no-embedding"])
+def test_json_refuses_a_malformed_level_list(edit, message):
+    data = tower_to_json(build_tower(TowerConfig(2, 2, 2)))
+    edit(data["levels"])
+    with pytest.raises(ValueError) as exc:
+        tower_from_json(data)
+    assert str(exc.value) == message
 
 
 def test_json_rejects_corrupt_embedding(tower223):

@@ -6,7 +6,7 @@ import pytest
 from twistlab import pi, ring, verify
 from twistlab.cli import main
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
-from twistlab.ring import RingElement
+from twistlab.ring import RingElement, _from_codes
 from twistlab.verify import CheckResult, check_quotient_center, run_all
 
 LEVEL_2_CHECKS = {
@@ -204,3 +204,40 @@ def test_pi_frontier_row_fails_when_high_degrees_vanish(monkeypatch):
 
     monkeypatch.setattr(pi, "standard_polynomial", zeroed)
     assert level_2_rows()[name].passed is False
+
+
+EXACT = {name: getattr(verify, name) for name in (
+    "parse_element", "standard_polynomial", "action_exponent", "decompose_over_center")}
+
+
+def _drop_last_term(ctx, text):
+    codes = dict(EXACT["parse_element"](ctx, text).codes)
+    codes.popitem()
+    return _from_codes(ctx, codes)
+
+
+def _off_by_one_on_odd_first_entry(config, word, k):
+    # mod 2 this is another homomorphism, so the row needs level 2 to see it
+    return (EXACT["action_exponent"](config, word, k) + word[0] % 2) % config.p**k
+
+
+def _last_coordinate_zeroed(r, basis, lattice):
+    return EXACT["decompose_over_center"](r, basis, lattice)[:-1] + [r.ctx.zero()]
+
+
+# a planted defect in the layer a row checks fails that row, and the batch runs on
+@pytest.mark.parametrize("name,defect,rows", [
+    ("parse_element", _drop_last_term, ["ring.literal_round_trip"]),
+    ("standard_polynomial", lambda args: EXACT["standard_polynomial"](args) + args[0],
+     ["pi.multilinear_alternating"]),
+    ("action_exponent", _off_by_one_on_odd_first_entry,
+     ["action.homomorphism_and_compatibility"]),
+    ("decompose_over_center", _last_coordinate_zeroed,
+     ["center.free_module_round_trip", "center.free_module_round_trip@2"]),
+], ids=["literal-drops-its-last-term", "standard-polynomial-adds-its-first-argument",
+        "exponent-off-by-one-on-odd-first-entries", "decomposition-zeroes-its-last"])
+def test_a_planted_defect_fails_its_row(name, defect, rows, monkeypatch):
+    assert all(level_2_rows()[row].passed is True for row in rows)
+    monkeypatch.setattr(verify, name, defect)
+    failed = level_2_rows()
+    assert [failed[row].passed for row in rows] == [False] * len(rows)
