@@ -10,14 +10,15 @@ automorphism attached to the left word:
 with sigma_g = Frobenius^(action exponent of g at this level), the linear form
 sum(g_i * t_i) mod p^k in the action's level-k truncations t_i.
 
-A context compiles its product kernel once, when it is built, from the ints
+A context builds its product kernel once, when it is built, from the ints
 n, t_i and p^k (product_kernel): the for targets unpack the words, g + h is
 a tuple display, the exponent (g0*t_0 + ... + g{n-1}*t_{n-1}) % p^k is
 inline, and the level's exp, log, units, add and Frobenius factors are bound
 then, so a term pair makes no Python call but a collision's field sum.  The
-quotient core compiles it with the zero twist.  exponent_form and word_adder
-(per rank) compile the exponent and the word sum alone.  Only exact ints
-reach the compiler.
+quotient core builds it with the zero twist.  exponent_form and word_adder
+(per rank) build the exponent and the word sum alone.  Each source text is
+compiled once per process, and every build binds its own tables to that
+code.  Only exact ints reach the compiler.
 
 Homogeneous elements (single-term) are exactly the units.  An element
 stores its coefficients as level codes, {word: nonzero code}, so structural
@@ -357,12 +358,18 @@ def _mul_codes(ctx: RingContext, left: dict, right: dict, out: dict) -> dict:
     return ctx._product(left, right, out)
 
 
+_COMPILED: dict = {}  # source text -> code object, for the process
+
+
 def _straight_line(name: str, args: str, expr: str, steps=(), **bound):
-    """The function name(args) running steps, then returning expr, compiled
-    with the globals bound and no builtins."""
+    """The function name(args) running steps, then returning expr, with the
+    globals bound and no builtins; each source text is compiled once."""
     namespace, body = {}, "".join(f"    {step}\n" for step in steps)
     source = f"def {name}({args}):\n{body}    return {expr}\n"
-    exec(source, {**bound, "__builtins__": {}}, namespace)
+    code = _COMPILED.get(source)
+    if code is None:
+        code = _COMPILED[source] = compile(source, "<string>", "exec")
+    exec(code, {**bound, "__builtins__": {}}, namespace)
     return namespace[name]
 
 

@@ -355,7 +355,10 @@ def _quotient_division(ctx: RingContext, rng) -> int:
         return 0
     den_coords = tuple(rng.randint(-1, 1) for _ in lat.basis)
     den = ctx.monomial(1, lat.from_lattice_coordinates(den_coords)) + ctx.one()
-    f = CentralFraction(ctx, num, ctx.one() if den.is_zero() else den, lattice=lat)
+    den = ctx.one() if den.is_zero() else den
+    if not is_central_structural(den, lat):  # built central: the lattice is at fault
+        return 1
+    f = CentralFraction(ctx, num, den, lattice=lat)
     g = invert(f)
     one = CentralFraction(ctx, ctx.one(), ctx.one(), lattice=lat)
     return (f * g != one) + (invert(g) != f)

@@ -1,15 +1,17 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistlab.pi
 import twistlab.ring
 from twistlab.action import default_action
 from twistlab.errors import BudgetError, ContextMismatchError
-from twistlab.pi import pi_degree_scan, standard_polynomial
+from twistlab.pi import MAX_DEGREE, pi_degree_scan, standard_polynomial
 from twistlab.pi import test_identity as run_identity_trials
 from twistlab.ring import RingContext, RingElement, _from_codes, _mul_codes
 from twistlab.tower import TowerConfig, build_tower
@@ -399,3 +401,86 @@ def test_degree_eight_makes_at_most_m_2_to_the_m_minus_1_kernel_calls(
     assert dict(field_op_counts) == {}
     monkeypatch.undo()
     assert value == reference_standard_polynomial(args)
+
+
+def finishing_recurrence(elements):
+    """Oracle: the subset recurrence with its finish, on bitmask-keyed dicts,
+    as a plain loop; returns the value, the (|left|, |right|) of every kernel
+    call in order and the size at which it finished."""
+    m, ctx = len(elements), elements[0].ctx
+    neg, full, xs = ctx.level.neg, (1 << m) - 1, [x.codes for x in elements]
+    signed = (xs, [{w: neg(c) for w, c in x.items()} for x in xs])
+    low, layer, calls = {}, {1 << i: x for i, x in enumerate(xs)}, []
+
+    def multiply(left, right, out):
+        calls.append((len(left), len(right)))
+        _mul_codes(ctx, left, right, out)
+
+    for size in range(1, m):
+        if 2 * size <= m:
+            low[size] = layer
+        if 2 * size >= m:
+            finish = sum(len(v) * len(layer[full ^ a]) for a, v in low[m - size].items())
+            grow = sum(len(v) * len(xs[i]) for t, v in layer.items()
+                       for i in range(m) if not t >> i & 1)
+            if finish <= grow:
+                out = {}
+                for a, lhs in low[m - size].items():
+                    # a in A before i in A^c is one inversion for each i < a
+                    if sum(bin(a >> i).count("1") for i in range(m) if not a >> i & 1) & 1:
+                        lhs = {w: neg(c) for w, c in lhs.items()}
+                    multiply(lhs, layer[full ^ a], out)
+                return _from_codes(ctx, out), calls, size
+        grown = {}
+        for rest, value in layer.items():
+            for i in range(m):
+                if not rest >> i & 1:
+                    odd = bin(rest & ((1 << i) - 1)).count("1") & 1
+                    multiply(signed[odd][i], value, grown.setdefault(rest | 1 << i, {}))
+        layer = {t: {w: c for w, c in v.items() if c} for t, v in grown.items()}
+
+
+def test_every_kernel_call_keeps_its_operands_and_its_order(ctx_n2_k1, ctx_n2_k2):
+    # mixed term counts: sparse tuples finish at half the degree, wide ones
+    # grow to the last size; a skipped, added or reordered product fails
+    rng = random.Random(33)
+    finished_at = set()
+    for ctx in (ctx_n2_k1, ctx_n2_k2):
+        for m in range(2, MAX_DEGREE + 1):
+            for sizes in ([1 + i % 3 for i in range(m)], [1] * m, [6] * min(m, 5)):
+                args = [ctx.random_element(rng, min_terms=t, max_terms=t) for t in sizes]
+                calls = []
+
+                def recording(c, left, right, out):
+                    calls.append((len(left), len(right)))
+                    return _mul_codes(c, left, right, out)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(twistlab.ring, "_mul_codes", recording)
+                    value = standard_polynomial(args)
+                expected, expected_calls, size = finishing_recurrence(args)
+                assert calls == expected_calls, (ctx.k, sizes)
+                assert list(value.codes.items()) == list(expected.codes.items())
+                finished_at.add(size < len(args) - 1)
+    assert finished_at == {True, False}
+
+
+def test_the_subset_plan_is_built_once_per_degree(ctx_n2_k1):
+    plan = twistlab.pi._subset_plan
+    plan.cache_clear()
+    rng = random.Random(34)
+    for _ in range(3):
+        for m in range(1, MAX_DEGREE + 1):
+            standard_polynomial([ctx_n2_k1.random_element(rng, max_terms=1)
+                                 for _ in range(m)])
+    assert plan.cache_info().misses == MAX_DEGREE - 1  # m = 1 needs no plan
+    assert plan.cache_info().currsize == MAX_DEGREE - 1
+
+
+def test_the_subset_plan_is_stored_compactly():
+    m = MAX_DEGREE
+    steps, finishes = twistlab.pi._subset_plan(m)
+    assert sum(len(src) for src, _, _, _ in steps) <= m * 2 ** (m - 1)
+    arrays = [a for step in steps for a in step[:3]] + [a for f in finishes.values() for a in f]
+    assert {getattr(a, "typecode", "bytes") for a in arrays} <= {"H", "B", "bytes"}
+    assert sum(map(sys.getsizeof, arrays)) < 16_000

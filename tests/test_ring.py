@@ -538,6 +538,39 @@ def test_one_patch_of_the_kernel_reaches_every_caller(ctx_n2_k1, monkeypatch):
         assert calls
 
 
+def test_a_context_with_a_compiled_source_compiles_nothing(monkeypatch):
+    # (n, t_i, p^k) fix the kernel's source text; each context binds its own
+    # level's tables to the code compiled for the first
+    action = default_action(2, 2)
+    first = RingContext(build_tower(TowerConfig(2, 2, 2)), action, 2)
+    compiled = []
+
+    def counting_compile(source, *a):
+        compiled.append(source)
+        return compile(source, *a)
+
+    def counting_exec(code, *a):
+        if isinstance(code, str):  # exec of source text compiles it
+            compiled.append(code)
+        return exec(code, *a)
+
+    monkeypatch.setattr(ring, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(ring, "exec", counting_exec, raising=False)
+    second = RingContext(first.tower, action, 2)
+    char3 = RingContext(build_tower(TowerConfig(2, 3, 2)), action, 2)  # over GF(3^4)
+    monkeypatch.undo()
+    assert compiled == []
+    assert second._product is not first._product
+    rng = random.Random(35)
+    for _ in range(50):
+        a, b = first.random_element(rng), first.random_element(rng)
+        assert second._product(a.codes, b.codes, {}) == first._product(a.codes, b.codes, {})
+        (g, c), = char3.random_element(rng, max_terms=1).codes.items()
+        (h, d), = char3.random_element(rng, max_terms=1).codes.items()
+        twisted = char3.level.mul(c, char3.level.frob_code(d, char3.word_exponent(g)))
+        assert char3._product({g: c}, {h: d}, {}) == {char3.add_words(g, h): twisted}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_literal_and_terms_round_trip(data):

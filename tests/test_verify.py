@@ -4,6 +4,7 @@ import random
 import pytest
 
 from twistlab import pi, ring, verify
+from twistlab.center import KernelLattice
 from twistlab.cli import main
 from twistlab.errors import BudgetError, InternalFaultError, NotAUnitError
 from twistlab.ring import RingElement, _from_codes
@@ -225,19 +226,32 @@ def _last_coordinate_zeroed(r, basis, lattice):
     return EXACT["decompose_over_center"](r, basis, lattice)[:-1] + [r.ctx.zero()]
 
 
+def _refuses_negative_entries(lattice, word, contains=KernelLattice.contains):
+    # at k_max = 1 the fraction row draws a lattice denominator with a
+    # negative entry, which a central fraction would refuse with ValueError
+    return min(word) >= 0 and contains(lattice, word)
+
+
 # a planted defect in the layer a row checks fails that row, and the batch runs on
-@pytest.mark.parametrize("name,defect,rows", [
-    ("parse_element", _drop_last_term, ["ring.literal_round_trip"]),
-    ("standard_polynomial", lambda args: EXACT["standard_polynomial"](args) + args[0],
-     ["pi.multilinear_alternating"]),
-    ("action_exponent", _off_by_one_on_odd_first_entry,
-     ["action.homomorphism_and_compatibility"]),
-    ("decompose_over_center", _last_coordinate_zeroed,
-     ["center.free_module_round_trip", "center.free_module_round_trip@2"]),
+@pytest.mark.parametrize("owner,name,defect,rows,k_max", [
+    (verify, "parse_element", _drop_last_term, ["ring.literal_round_trip"], 2),
+    (verify, "standard_polynomial",
+     lambda args: EXACT["standard_polynomial"](args) + args[0],
+     ["pi.multilinear_alternating"], 2),
+    (verify, "action_exponent", _off_by_one_on_odd_first_entry,
+     ["action.homomorphism_and_compatibility"], 2),
+    (verify, "decompose_over_center", _last_coordinate_zeroed,
+     ["center.free_module_round_trip", "center.free_module_round_trip@2"], 2),
+    (KernelLattice, "contains", _refuses_negative_entries,
+     ["center.lattice_covers_kernel", "quotient.inverse_and_involution"], 1),
 ], ids=["literal-drops-its-last-term", "standard-polynomial-adds-its-first-argument",
-        "exponent-off-by-one-on-odd-first-entries", "decomposition-zeroes-its-last"])
-def test_a_planted_defect_fails_its_row(name, defect, rows, monkeypatch):
-    assert all(level_2_rows()[row].passed is True for row in rows)
-    monkeypatch.setattr(verify, name, defect)
-    failed = level_2_rows()
+        "exponent-off-by-one-on-odd-first-entries", "decomposition-zeroes-its-last",
+        "lattice-refuses-negative-entries"])
+def test_a_planted_defect_fails_its_row(owner, name, defect, rows, k_max, monkeypatch):
+    def rows_at_k_max():
+        return {r.name: r for r in run_all(2, 2, 2, k_max, 0, trials=20)}
+
+    assert all(rows_at_k_max()[row].passed is True for row in rows)
+    monkeypatch.setattr(owner, name, defect)
+    failed = rows_at_k_max()
     assert [failed[row].passed for row in rows] == [False] * len(rows)
